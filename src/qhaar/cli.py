@@ -79,8 +79,8 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out_path: str | None,
 
 def _meta(args) -> dict:
     return {
-        "precision_bits": getattr(args, "precision_bits", 128),
-        "kmax": getattr(args, "kmax", weingarten.DEFAULT_KMAX),
+        "precision_bits": args.precision_bits,
+        "kmax": args.kmax,
         "version": __version__,
     }
 
@@ -125,11 +125,10 @@ def cmd_moment(args) -> int:
 
 def cmd_lp(args) -> int:
     poly = ncpoly.parse_poly(args.poly)
-    N = args.N if args.model != "limit" else None
-    if args.scale and N is not None:
-        poly = ncpoly.scaled_generators(poly, N)
+    if args.scale and args.N is not None:
+        poly = ncpoly.scaled_generators(poly, args.N)
     with mpmath.workprec(args.precision_bits):
-        val = ncpoly.lp_norm(poly, args.p, N, precision_bits=args.precision_bits,
+        val = ncpoly.lp_norm(poly, args.p, args.N, precision_bits=args.precision_bits,
                              kmax=args.kmax)
         print(_fmt_real(val))
     return 0
@@ -208,10 +207,7 @@ def cmd_converge(args) -> int:
                                  "gap": "", "rd_bound": ""})
                     continue
                 if config.rd and l2 is not None:
-                    du = uppers[N]
-                    bound = (mpmath.mpf(du.numerator) / du.denominator) \
-                        * mpmath.power(deg + 1, mpmath.mpf(3) / 2) * l2
-                    rd_str = _fmt_real(bound)
+                    rd_str = _fmt_real(rapid_decay.rd_bound(uppers[N], deg, l2))
                 elif config.rd:
                     rd_str = f"error(k={l2_err.required_k},N={N})"
                 else:
@@ -273,11 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Exact O_N^+/U_N^+ Haar moments and RD bounds")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=None):
-        p.add_argument("--kmax", type=int, default=weingarten.DEFAULT_KMAX)
-        p.add_argument("--precision-bits", type=int, default=128, dest="precision_bits")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+    options = {
+        "--kmax": dict(type=int, default=weingarten.DEFAULT_KMAX),
+        "--precision-bits": dict(type=int, default=128, dest="precision_bits"),
+        "--out": dict(default=None),
+        "--format": dict(choices=["csv", "json"], default="csv"),
+    }
+
+    def common(p, *names):
+        """Register the shared options a subcommand reads (all four by default)."""
+        for name in names or options:
+            p.add_argument(name, **options[name])
 
     p = sub.add_parser("dim", help="quantum dimensions [k+1]_q")
     p.add_argument("--N", type=int, required=True)
@@ -301,16 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moment", help="Haar moment of a generator word")
     p.add_argument("word", help="e.g. 'x[1,1]*x[1,1]' or 'v[1,1]*v*[1,1]'")
     p.add_argument("--N", type=int, required=True)
-    common(p)
+    common(p, "--kmax")
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("lp", help="L^p norm of a polynomial")
     p.add_argument("poly")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int, default=None, help="dimension; omit for the free limit")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--model", choices=["o+", "u+", "limit"], default="o+")
     p.add_argument("--scale", action="store_true", help="substitute sqrt(N)-scaled generators")
-    common(p)
+    common(p, "--kmax", "--precision-bits")
     p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("dn", help="rapid decay constants D_N")
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selectp", help="even p achieving a (1+eps) L^p-L^inf bound")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    common(p)
+    common(p, "--precision-bits")
     p.set_defaults(func=cmd_selectp)
 
     p = sub.add_parser("converge", help="finite-N vs free-limit L^p sweep")
@@ -335,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("check", help="run the quick invariant suite")
-    common(p)
     p.set_defaults(func=cmd_check)
 
     return ap

@@ -9,6 +9,10 @@ class InvalidDimensionError(QhaarError):
     """Raised when a dimension N is outside the admissible range."""
 
 
+class InvalidArgumentError(QhaarError, ValueError):
+    """Raised for an argument no computation accepts: odd k or p, a bad pattern."""
+
+
 class InvalidIndexError(QhaarError):
     """Raised when a generator index exceeds the dimension N."""
 

@@ -3,7 +3,9 @@
 These are the N -> infinity limits of the normalized generator families.
 All free cumulants beyond order 2 vanish for (semi)circular variables, so
 joint moments are plain counts of non-crossing pairings whose pairs join
-equal labels (and, in the circular case, a 1 with a *).
+equal labels (and, in the circular case, a 1 with a *): the same pairing
+list and label filter as the finite-N moments, counted instead of summed
+against Wg, since N^{k/2} Wg tends to the identity.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .pairings import enumerate_nc_pairings
+from . import pairings
 
 Label = tuple[int, int]
 
@@ -25,12 +27,8 @@ def semicircular_moment(labels: Sequence[Label]) -> int:
 
     Counts non-crossing pairings joining equal labels; 0 for odd length.
     """
-    k = len(labels)
-    return sum(
-        1
-        for p in enumerate_nc_pairings(k)
-        if all(labels[a - 1] == labels[b - 1] for a, b in p.pairs)
-    )
+    plist = pairings.word_pairings(len(labels))
+    return len(pairings.compatible_indices(plist, labels))
 
 
 def circular_moment(letters: Sequence[tuple[Label, str]]) -> int:
@@ -39,18 +37,8 @@ def circular_moment(letters: Sequence[tuple[Label, str]]) -> int:
     Pairs must join equal labels and opposite star flags; 0 when the counts
     of 1 and * differ.
     """
-    k = len(letters)
-    eps = [e for _, e in letters]
-    if eps.count("1") != eps.count("*"):
-        return 0
-    return sum(
-        1
-        for p in enumerate_nc_pairings(k)
-        if all(
-            letters[a - 1][0] == letters[b - 1][0] and {eps[a - 1], eps[b - 1]} == {"1", "*"}
-            for a, b in p.pairs
-        )
-    )
+    plist = pairings.word_pairings(len(letters), tuple(e for _, e in letters))
+    return len(pairings.compatible_indices(plist, [label for label, _ in letters]))
 
 
 def semicircle_moment_single(k: int) -> int:

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import mpmath
 
 from . import freelimit, weingarten
-from .errors import ModelMismatchError, PolyParseError
+from .errors import InvalidArgumentError, ModelMismatchError, PolyParseError
 from .weingarten import Letter
 
 TermKey = tuple[tuple[Letter, ...], int]  # (word, power of sqrt(N))
@@ -222,7 +222,7 @@ def lp_norm(a: NCPolynomial, p: int, N: Optional[int] = None,
     the requested precision.
     """
     if p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
+        raise InvalidArgumentError(f"p must be an even integer >= 2, got {p}")
     m = p // 2
     inner = (a.adjoint() * a) ** m
     value = state_eval(inner, N, kmax=kmax)

@@ -6,6 +6,10 @@ entry between two pairings is N**loops, where loops counts the closed loops
 obtained by gluing one diagram to the reflection of the other; for pair
 partitions this equals the number of connected components of the union
 multigraph, which is what we compute.
+
+`word_pairings` and `compatible_indices` are the one place that lists the
+pairings indexing a word and filters them by its labels; finite-N moments,
+loop matrices and the free limits all go through them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import InvalidDimensionError
+from .errors import InvalidArgumentError, InvalidDimensionError
 
 Pair = tuple[int, int]
 
@@ -49,21 +53,6 @@ class NCPairPartition:
         return m
 
 
-@dataclass(frozen=True)
-class ColoredNCPairPartition:
-    """A non-crossing matching joining each '1' position to a '*' position."""
-
-    base: NCPairPartition
-    pattern: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.pattern) != self.base.k:
-            raise ValueError("pattern length must equal k")
-        for a, b in self.base.pairs:
-            if {self.pattern[a - 1], self.pattern[b - 1]} != {"1", "*"}:
-                raise ValueError(f"pair ({a},{b}) does not join a 1 to a *")
-
-
 def _matchings(points: tuple[int, ...]):
     """All non-crossing matchings of an increasing point tuple (recursive)."""
     if not points:
@@ -93,18 +82,33 @@ def enumerate_nc_pairings(k: int) -> tuple[NCPairPartition, ...]:
     return tuple(NCPairPartition(k=k, pairs=p) for p in raw)
 
 
-def enumerate_colored_nc_pairings(pattern: Sequence[str]) -> tuple[ColoredNCPairPartition, ...]:
-    """Non-crossing matchings of a {1,*} pattern that respect the coloring."""
+def enumerate_colored_nc_pairings(pattern: Sequence[str]) -> tuple[NCPairPartition, ...]:
+    """Non-crossing matchings of a {1,*} pattern joining each '1' to a '*'."""
     pattern = tuple(pattern)
     if any(c not in ("1", "*") for c in pattern):
-        raise ValueError(f"pattern symbols must be '1' or '*': {pattern}")
+        raise InvalidArgumentError(f"pattern symbols must be '1' or '*': {pattern}")
     if pattern.count("1") != pattern.count("*"):
         return ()
-    out = []
-    for p in enumerate_nc_pairings(len(pattern)):
-        if all({pattern[a - 1], pattern[b - 1]} == {"1", "*"} for a, b in p.pairs):
-            out.append(ColoredNCPairPartition(base=p, pattern=pattern))
-    return tuple(out)
+    return tuple(p for p in enumerate_nc_pairings(len(pattern))
+                 if all(pattern[a - 1] != pattern[b - 1] for a, b in p.pairs))
+
+
+def word_pairings(k: int, pattern: Optional[tuple[str, ...]] = None
+                  ) -> tuple[NCPairPartition, ...]:
+    """Pairings indexing a word of length k: all of them, or those fitting its colours."""
+    return enumerate_nc_pairings(k) if pattern is None else enumerate_colored_nc_pairings(pattern)
+
+
+def compatible_indices(plist: Sequence[NCPairPartition], labels: Sequence) -> list[int]:
+    """Positions in plist of the pairings whose every pair joins two equal labels.
+
+    This one filter serves both sides of the Weingarten calculus: the Haar
+    moment sums Wg over (row-compatible) x (column-compatible) pairings, and
+    its free limit counts those compatible with both, i.e. with the
+    (row, column) labels.
+    """
+    return [a for a, p in enumerate(plist)
+            if all(labels[x - 1] == labels[y - 1] for x, y in p.pairs)]
 
 
 def loop_count(p: NCPairPartition, q: NCPairPartition) -> int:
@@ -147,10 +151,7 @@ class GramMatrix:
 @lru_cache(maxsize=None)
 def loop_matrix(k: int, pattern: Optional[tuple[str, ...]] = None) -> tuple[tuple[int, ...], ...]:
     """Pairwise loop counts over the (colored) canonical pairing list."""
-    if pattern is None:
-        plist = [p.partners() for p in enumerate_nc_pairings(k)]
-    else:
-        plist = [c.base.partners() for c in enumerate_colored_nc_pairings(pattern)]
+    plist = [p.partners() for p in word_pairings(k, pattern)]
     n = len(plist)
     rows = []
     for a in range(n):
@@ -167,9 +168,11 @@ def loop_matrix(k: int, pattern: Optional[tuple[str, ...]] = None) -> tuple[tupl
 def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None) -> GramMatrix:
     if N < 2:
         raise InvalidDimensionError(f"need N >= 2, got {N}")
-    if k % 2 and pattern is None:
-        raise ValueError(f"need even k, got {k}")
+    if k < 0 or k % 2:
+        raise InvalidArgumentError(f"need even k >= 0, got {k}")
     pat = tuple(pattern) if pattern is not None else None
-    loops = loop_matrix(k if pat is None else len(pat), pat)
+    if pat is not None and (len(pat) != k or not enumerate_colored_nc_pairings(pat)):
+        raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
+    loops = loop_matrix(k, pat)
     entries = tuple(tuple(N ** l for l in row) for row in loops)
     return GramMatrix(k=k, N=N, entries=entries, pattern=pat)

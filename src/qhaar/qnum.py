@@ -9,7 +9,6 @@ rigorously bracketed value for tail estimates elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -42,25 +41,6 @@ def q_of_N(N: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fracti
     q_lower = (N - hi) / 2
     q_upper = (N - lo) / 2
     return q_lower, min(q_upper, Fraction(1))
-
-
-@dataclass(frozen=True)
-class QContext:
-    """Dimension N with its bracketed deformation parameter."""
-
-    N: int
-    q_lower: Fraction
-    q_upper: Fraction
-    precision_bits: int = DEFAULT_PRECISION_BITS
-
-    @classmethod
-    def for_dimension(cls, N: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> "QContext":
-        lo, hi = q_of_N(N, precision_bits)
-        return cls(N=N, q_lower=lo, q_upper=hi, precision_bits=precision_bits)
-
-    @property
-    def q_mid(self) -> Fraction:
-        return (self.q_lower + self.q_upper) / 2
 
 
 def q_int(a: int, N: int) -> int:

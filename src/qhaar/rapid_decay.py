@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import mpmath
 
 from . import ncpoly, qnum
-from .errors import AdmissibilityError, InvalidDimensionError
+from .errors import AdmissibilityError, InvalidArgumentError, InvalidDimensionError
 
 INF = None  # sentinel for "sent to infinity" truncation entries
 
@@ -218,7 +218,7 @@ def select_p(degree: int, epsilon, d_star, precision_bits: int = 128) -> tuple[i
     expression tends to 1.
     """
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise InvalidArgumentError("degree must be >= 0")
     with mpmath.workprec(precision_bits):
         eps = mpmath.mpf(epsilon.numerator) / epsilon.denominator \
             if isinstance(epsilon, Fraction) else mpmath.mpf(epsilon)
@@ -257,6 +257,12 @@ class RDCheckReport:
         return all(row.margin >= 0 for row in self.rows)
 
 
+def rd_bound(d_upper: Fraction, degree: int, l2: mpmath.mpf) -> mpmath.mpf:
+    """RD bound D_upper * (degree + 1)^(3/2) * ||P||_2 at the working precision."""
+    return (mpmath.mpf(d_upper.numerator) / d_upper.denominator) \
+        * mpmath.power(degree + 1, mpmath.mpf(3) / 2) * l2
+
+
 def rd_check(P: "ncpoly.NCPolynomial", N: int, p_list: Sequence[int],
              kmax: int = 12, precision_bits: int = 128) -> RDCheckReport:
     """Check ||P||_p <= D_upper * (deg P + 1)^(3/2) * ||P||_2 for each p.
@@ -269,8 +275,7 @@ def rd_check(P: "ncpoly.NCPolynomial", N: int, p_list: Sequence[int],
     deg = P.degree
     with mpmath.workprec(precision_bits):
         l2 = ncpoly.lp_norm(P, 2, N, precision_bits=precision_bits, kmax=kmax)
-        bound = (mpmath.mpf(d_upper.numerator) / d_upper.denominator) \
-            * mpmath.power(deg + 1, mpmath.mpf(3) / 2) * l2
+        bound = rd_bound(d_upper, deg, l2)
         rows = []
         for p in p_list:
             val = ncpoly.lp_norm(P, p, N, precision_bits=precision_bits, kmax=kmax)

@@ -14,15 +14,16 @@ table.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import exactla, pairings
-from .errors import InvalidDimensionError, InvalidIndexError, ResourceLimitError
+from .errors import (InvalidArgumentError, InvalidDimensionError, InvalidIndexError,
+                     ResourceLimitError)
 
 log = logging.getLogger(__name__)
 
@@ -72,61 +73,29 @@ class WeingartenTable:
         return len(self.wg_num)
 
 
-_cache: dict[tuple, WeingartenTable] = {}
-_cache_lock = threading.Lock()
-_rowsum_cache: dict[tuple, tuple[int, ...]] = {}
-
-
 def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
                      kmax: int = DEFAULT_KMAX) -> WeingartenTable:
     """Build (or fetch) the exact Weingarten table for (k, N, pattern)."""
     if N < 2:
         raise InvalidDimensionError(f"need N >= 2, got {N}")
     if k % 2:
-        raise ValueError(f"need even k, got {k}")
+        raise InvalidArgumentError(f"need even k, got {k}")
     if k > kmax:
         raise ResourceLimitError(f"k={k} exceeds kmax={kmax}", required_k=k)
     if k > TABLE_KMAX:
         log.warning("building full Weingarten table at k=%d (size %d); this is costly",
                     k, len(pairings.enumerate_nc_pairings(k)))
-    pat = tuple(pattern) if pattern is not None else None
-    key = (k, N, pat)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    gram = pairings.gram_matrix(k, N, pat)
+    return _build_table(k, N, tuple(pattern) if pattern is not None else None)
+
+
+@lru_cache(maxsize=None)
+def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> WeingartenTable:
+    gram = pairings.gram_matrix(k, N, pattern)
     num, den = exactla.fraction_free_inverse(gram.entries)
     if den == 0:
         raise InvalidDimensionError(f"singular Gram matrix at k={k}, N={N}")
-    table = WeingartenTable(k=k, N=N, pattern=pat, gram=gram,
-                            wg_num=tuple(tuple(r) for r in num), wg_den=den)
-    with _cache_lock:
-        _cache.setdefault(key, table)  # write-once per key
-    return table
-
-
-def _row_labels(word: Sequence[Letter]) -> tuple:
-    return tuple(l[0] for l in word)
-
-
-def _col_labels(word: Sequence[Letter]) -> tuple:
-    return tuple(l[1] for l in word)
-
-
-def _compatible(partition_pairs, labels) -> bool:
-    return all(labels[a - 1] == labels[b - 1] for a, b in partition_pairs)
-
-
-def _wg_rowsums(table: WeingartenTable) -> tuple[int, ...]:
-    """Column sums of wg_num; shortcut for words with all-equal row labels."""
-    key = (table.k, table.N, table.pattern)
-    hit = _rowsum_cache.get(key)
-    if hit is None:
-        n = table.size
-        hit = tuple(sum(table.wg_num[p][q] for p in range(n)) for q in range(n))
-        _rowsum_cache[key] = hit
-    return hit
+    return WeingartenTable(k=k, N=N, pattern=pattern, gram=gram,
+                           wg_num=tuple(tuple(r) for r in num), wg_den=den)
 
 
 def haar_moment(word, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:
@@ -151,35 +120,17 @@ def haar_moment(word, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:
     if k % 2:
         return Fraction(0)
 
-    pattern: Optional[tuple[str, ...]] = None
-    if model == "u+":
-        pattern = tuple(eps for _, _, eps in letters)
-        if pattern.count("1") != pattern.count("*"):
-            return Fraction(0)
-        plist = [c.base for c in pairings.enumerate_colored_nc_pairings(pattern)]
-    else:
-        plist = list(pairings.enumerate_nc_pairings(k))
-    if not plist:
-        return Fraction(0)
-
-    rows, cols = _row_labels(letters), _col_labels(letters)
-    R = [a for a, p in enumerate(plist) if _compatible(p.pairs, rows)]
-    C = [a for a, p in enumerate(plist) if _compatible(p.pairs, cols)]
+    pattern = tuple(eps for _, _, eps in letters) if model == "u+" else None
+    plist = pairings.word_pairings(k, pattern)
+    R = pairings.compatible_indices(plist, [i for i, _, _ in letters])
+    C = pairings.compatible_indices(plist, [j for _, j, _ in letters])
     if not R or not C:
         return Fraction(0)
 
     if k <= min(kmax, TABLE_KMAX):
         table = weingarten_table(k, N, pattern, kmax=kmax)
-        if len(R) == table.size:
-            sums = _wg_rowsums(table)
-            total = sum(sums[q] for q in C)
-        elif len(C) == table.size:
-            sums = _wg_rowsums(table)
-            total = sum(sums[p] for p in R)
-        else:
-            num = table.wg_num
-            total = sum(num[p][q] for p in R for q in C)
-        return Fraction(total, table.wg_den)
+        num = table.wg_num
+        return Fraction(sum(num[p][q] for p in R for q in C), table.wg_den)
 
     if k > kmax:
         raise ResourceLimitError(f"word length {k} exceeds kmax={kmax}", required_k=k)

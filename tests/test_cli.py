@@ -120,12 +120,34 @@ def test_exit_code_parse_error(capsys):
 
 
 def test_exit_code_config_error(capsys):
-    code, _, _ = run(["converge", "--poly", "x[1,1]", "--N-list", "2,4",
-                      "--p-list", "2"], capsys)
-    assert code == 2
-    code, _, _ = run(["converge", "--poly", "x[1,1]", "--N-list", "4",
-                      "--p-list", "3"], capsys)
-    assert code == 2
+    for argv in (
+        ["converge", "--poly", "x[1,1]", "--N-list", "2,4", "--p-list", "2"],
+        ["converge", "--poly", "x[1,1]", "--N-list", "4", "--p-list", "3"],
+        ["gram", "--k", "3", "--N", "3"],
+        ["lp", "x[1,1]", "--N", "3", "--p", "3"],
+        ["gram", "--k", "2", "--N", "3", "--pattern", "1x"],
+        ["gram", "--k", "4", "--N", "3", "--pattern", "1*1*1*"],
+        ["wg", "--k", "2", "--N", "3", "--pattern", "11"],
+        ["wg", "--k", "3", "--N", "3"],
+        ["selectp", "--degree", "-1", "--epsilon", "0.5"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "x[1,1]", "--N", "3", "--format", "json"],
+    ["moment", "x[1,1]", "--N", "3", "--out", "f.json"],
+    ["lp", "x[1,1]", "--p", "2", "--model", "limit"],
+    ["selectp", "--degree", "2", "--epsilon", "0.5", "--kmax", "14"],
+    ["check", "--precision-bits", "64"],
+])
+def test_unread_option_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_code_resource_limit(capsys):

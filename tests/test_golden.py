@@ -61,7 +61,7 @@ CASES = {
 }
 
 
-def run_case(argv, out_path) -> tuple[int, str]:
+def run_case(argv, out_path) -> tuple[int, str | None]:
     """Run one case through cli.main; return (exit code, stdout or --out text)."""
     code = cli.main([str(out_path) if a == OUT else a for a in argv])
     return code, out_path.read_text() if OUT in argv else None

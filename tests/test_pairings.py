@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhaar import pairings
-from qhaar.errors import InvalidDimensionError
+from qhaar.errors import InvalidArgumentError, InvalidDimensionError
 
 import oracles
 
@@ -50,7 +50,31 @@ def test_colored_forced_and_empty():
     assert len(pairings.enumerate_colored_nc_pairings(("1", "*"))) == 1
     assert pairings.enumerate_colored_nc_pairings(("1", "1")) == ()
     got = pairings.enumerate_colored_nc_pairings(("1", "*", "1", "*"))
-    assert {c.base.pairs for c in got} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
+    assert {c.pairs for c in got} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
+
+
+def test_colored_are_plain_pairings_with_opposite_colors():
+    pattern = ("1", "1", "*", "*", "1", "*")
+    got = pairings.enumerate_colored_nc_pairings(pattern)
+    assert got and all(type(p) is pairings.NCPairPartition for p in got)
+    assert all(pattern[a - 1] != pattern[b - 1] for p in got for a, b in p.pairs)
+    assert pairings.word_pairings(6, pattern) == got
+    assert pairings.word_pairings(6) is pairings.enumerate_nc_pairings(6)
+
+
+def test_compatible_indices():
+    plist = pairings.enumerate_nc_pairings(4)  # (12)(34), (14)(23)
+    assert pairings.compatible_indices(plist, "aabb") == [0]
+    assert pairings.compatible_indices(plist, "abba") == [1]
+    assert pairings.compatible_indices(plist, "aaaa") == [0, 1]
+    assert pairings.compatible_indices(plist, "abab") == []
+
+
+@pytest.mark.parametrize("k, pattern", [(4, "1*1*1*"), (2, "1*1*"), (2, "11"),
+                                        (4, "11**1"), (2, "1x"), (3, "1*1")])
+def test_gram_rejects_pattern_not_fitting_k(k, pattern):
+    with pytest.raises(InvalidArgumentError):
+        pairings.gram_matrix(k, 3, pattern)
 
 
 def test_colored_alternating_count_is_catalan():

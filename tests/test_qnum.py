@@ -91,9 +91,3 @@ def test_q_int_strictly_increasing(a, N):
     if a >= 2:
         assert qnum.q_int(a, N + 1) > qnum.q_int(a, N)
 
-
-def test_qcontext():
-    ctx = qnum.QContext.for_dimension(5)
-    assert ctx.N == 5
-    assert ctx.q_lower <= ctx.q_mid <= ctx.q_upper
-    assert ctx.precision_bits == 128

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qhaar import exactla, pairings, weingarten
-from qhaar.errors import InvalidIndexError, ResourceLimitError
+from qhaar.errors import InvalidArgumentError, InvalidIndexError, ResourceLimitError
 
 import oracles
 
@@ -165,7 +165,7 @@ def test_modular_route_matches_table_route():
         eps = tuple(e for _, _, e in word)
         if "*" in eps:
             pattern = eps
-            plist = [c.base for c in pairings.enumerate_colored_nc_pairings(pattern)]
+            plist = list(pairings.enumerate_colored_nc_pairings(pattern))
         else:
             plist = list(pairings.enumerate_nc_pairings(k))
         rows = [l[0] for l in word]
@@ -181,3 +181,14 @@ def test_cache_returns_same_object():
     a = weingarten.weingarten_table(4, 6)
     b = weingarten.weingarten_table(4, 6)
     assert a is b
+
+
+def test_table_pattern_must_fit_k():
+    # A k=4 pattern under k=2 is rejected every time: nothing was cached for it.
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError):
+            weingarten.weingarten_table(2, 3, ("1", "*", "1", "*"))
+    with pytest.raises(InvalidArgumentError):
+        weingarten.weingarten_table(2, 3, ("1", "1"))
+    t = weingarten.weingarten_table(4, 3, ("1", "*", "1", "*"))
+    assert (t.k, t.size, t.pattern) == (4, 2, ("1", "*", "1", "*"))

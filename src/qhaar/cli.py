@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -23,28 +22,6 @@ from . import __version__, ncpoly, pairings, qnum, rapid_decay, weingarten
 from .errors import QhaarError, ResourceLimitError
 
 FLOAT_DIGITS = 25
-
-
-@dataclass
-class SweepConfig:
-    polynomial: str
-    N_list: list[int]
-    p_list: list[int]
-    output: str | None = None
-    format: str = "csv"
-    kmax: int = weingarten.DEFAULT_KMAX
-    precision_bits: int = 128
-    rd: bool = True
-
-    def validate(self):
-        if any(N < 2 for N in self.N_list):
-            raise QhaarError("all N must be >= 2")
-        if self.rd and any(N < 3 for N in self.N_list):
-            raise QhaarError("RD bounds require N >= 3 (pass --no-rd for N = 2)")
-        if any(p < 2 or p % 2 for p in self.p_list):
-            raise QhaarError("all p must be even and >= 2")
-        if self.format not in ("csv", "json"):
-            raise QhaarError(f"unknown format {self.format!r}")
 
 
 def _fmt_real(x) -> str:
@@ -105,7 +82,7 @@ def cmd_gram(args) -> int:
 
 def cmd_wg(args) -> int:
     pattern = tuple(args.pattern) if args.pattern else None
-    t = weingarten.weingarten_table(args.k, args.N, pattern, kmax=max(args.kmax, args.k))
+    t = weingarten.weingarten_table(args.k, args.N, pattern, kmax=args.kmax)
     rows = [{"row": i, "entries": " ".join(_fmt_rat(t.wg(i, j)) for j in range(t.size))}
             for i in range(t.size)]
     _emit(rows, ["row", "entries"], args.format, args.out,
@@ -155,8 +132,6 @@ def cmd_dn(args) -> int:
 
 
 def cmd_selectp(args) -> int:
-    if args.epsilon <= 0:
-        raise QhaarError("epsilon must be positive")
     d_star = rapid_decay.d_star_upper(precision_bits=args.precision_bits)
     m, p, achieved = rapid_decay.select_p(args.degree, args.epsilon, d_star,
                                           precision_bits=args.precision_bits)
@@ -165,66 +140,45 @@ def cmd_selectp(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    config = SweepConfig(
-        polynomial=args.poly,
-        N_list=_parse_int_list(args.N_list),
-        p_list=_parse_int_list(args.p_list),
-        output=args.out,
-        format=args.format,
-        kmax=args.kmax,
-        precision_bits=args.precision_bits,
-        rd=not args.no_rd,
-    )
-    config.validate()
-    P = ncpoly.parse_poly(config.polynomial)
-    deg = P.degree
-    rows = []
-    with mpmath.workprec(config.precision_bits):
-        limit_norms = {
-            p: ncpoly.lp_norm(P, p, None, precision_bits=config.precision_bits)
-            for p in config.p_list
-        }
-        uppers = {
-            N: rapid_decay.rigorous_upper_bound(N, config.precision_bits)[0]
-            for N in config.N_list
-        } if config.rd else {}
-        for N in config.N_list:
+    N_list, p_list = _parse_int_list(args.N_list), _parse_int_list(args.p_list)
+    if any(N < 2 for N in N_list):
+        raise QhaarError("all N must be >= 2")
+    if not args.no_rd and any(N < 3 for N in N_list):
+        raise QhaarError("RD bounds require N >= 3 (pass --no-rd for N = 2)")
+    if any(p < 2 or p % 2 for p in p_list):
+        raise QhaarError("all p must be even and >= 2")
+    P = ncpoly.parse_poly(args.poly)
+    prec, rows = args.precision_bits, []
+    with mpmath.workprec(prec):
+        limit_norms = {p: ncpoly.lp_norm(P, p, None, precision_bits=prec) for p in p_list}
+        uppers = {} if args.no_rd else {
+            N: rapid_decay.rigorous_upper_bound(N, prec)[0] for N in N_list}
+        for N in N_list:
             PN = ncpoly.scaled_generators(P, N)
             try:
-                l2 = ncpoly.lp_norm(PN, 2, N, precision_bits=config.precision_bits,
-                                    kmax=config.kmax)
-            except ResourceLimitError as exc:
-                l2 = None
-                l2_err = exc
-            for p in config.p_list:
+                l2 = ncpoly.lp_norm(PN, 2, N, precision_bits=prec, kmax=args.kmax)
+            except ResourceLimitError:
+                l2 = None  # unread: each p below fails on (w* w)^(p/2), w a top-degree word
+            for p in p_list:
                 try:
-                    fin = ncpoly.lp_norm(PN, p, N, precision_bits=config.precision_bits,
-                                         kmax=config.kmax)
+                    fin = ncpoly.lp_norm(PN, p, N, precision_bits=prec, kmax=args.kmax)
                 except ResourceLimitError as exc:
                     rows.append({"N": str(N), "p": p,
                                  "lp_finite": f"error(k={exc.required_k},N={N})",
                                  "lp_limit": _fmt_real(limit_norms[p]),
                                  "gap": "", "rd_bound": ""})
                     continue
-                if config.rd and l2 is not None:
-                    rd_str = _fmt_real(rapid_decay.rd_bound(uppers[N], deg, l2))
-                elif config.rd:
-                    rd_str = f"error(k={l2_err.required_k},N={N})"
-                else:
-                    rd_str = ""
                 rows.append({"N": str(N), "p": p, "lp_finite": _fmt_real(fin),
                              "lp_limit": _fmt_real(limit_norms[p]),
                              "gap": _fmt_real(abs(fin - limit_norms[p])),
-                             "rd_bound": rd_str})
-        for p in config.p_list:
+                             "rd_bound": "" if args.no_rd
+                             else _fmt_real(rapid_decay.rd_bound(uppers[N], P.degree, l2))})
+        for p in p_list:
             rows.append({"N": "inf", "p": p, "lp_finite": "",
                          "lp_limit": _fmt_real(limit_norms[p]), "gap": "", "rd_bound": ""})
-    cfg_dict = {"polynomial": config.polynomial, "N_list": config.N_list,
-                "p_list": config.p_list, "format": config.format}
-    meta = {"precision_bits": config.precision_bits, "kmax": config.kmax,
-            "version": __version__}
-    _emit(rows, ["N", "p", "lp_finite", "lp_limit", "gap", "rd_bound"],
-          config.format, config.output, cfg_dict, meta)
+    _emit(rows, ["N", "p", "lp_finite", "lp_limit", "gap", "rd_bound"], args.format, args.out,
+          {"polynomial": args.poly, "N_list": N_list, "p_list": p_list, "format": args.format},
+          _meta(args))
     return 0
 
 

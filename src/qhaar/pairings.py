@@ -82,11 +82,15 @@ def enumerate_nc_pairings(k: int) -> tuple[NCPairPartition, ...]:
     return tuple(NCPairPartition(k=k, pairs=p) for p in raw)
 
 
-def enumerate_colored_nc_pairings(pattern: Sequence[str]) -> tuple[NCPairPartition, ...]:
-    """Non-crossing matchings of a {1,*} pattern joining each '1' to a '*'."""
-    pattern = tuple(pattern)
+def _checked(pattern: tuple[str, ...]) -> tuple[str, ...]:
     if any(c not in ("1", "*") for c in pattern):
         raise InvalidArgumentError(f"pattern symbols must be '1' or '*': {pattern}")
+    return pattern
+
+
+def enumerate_colored_nc_pairings(pattern: Sequence[str]) -> tuple[NCPairPartition, ...]:
+    """Non-crossing matchings of a {1,*} pattern joining each '1' to a '*'."""
+    pattern = _checked(tuple(pattern))
     if pattern.count("1") != pattern.count("*"):
         return ()
     return tuple(p for p in enumerate_nc_pairings(len(pattern))
@@ -109,6 +113,22 @@ def compatible_indices(plist: Sequence[NCPairPartition], labels: Sequence) -> li
     """
     return [a for a, p in enumerate(plist)
             if all(labels[x - 1] == labels[y - 1] for x, y in p.pairs)]
+
+
+def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] = None) -> bool:
+    """Whether compatible_indices(word_pairings(len(labels), pattern), labels) is nonempty.
+
+    Decided without listing pairings: a stack cancels adjacent equal labels (of
+    opposite colours under a pattern), and since free-product rewriting is
+    confluent, such a pairing exists iff the word cancels completely.
+    """
+    stack = []
+    for x in zip(labels, (None,) * len(labels) if pattern is None else _checked(pattern)):
+        if stack and stack[-1][0] == x[0] and (x[1] is None or stack[-1][1] != x[1]):
+            stack.pop()
+        else:
+            stack.append(x)
+    return not stack
 
 
 def loop_count(p: NCPairPartition, q: NCPairPartition) -> int:

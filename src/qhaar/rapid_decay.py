@@ -17,14 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath
 
 from . import ncpoly, qnum
 from .errors import AdmissibilityError, InvalidArgumentError, InvalidDimensionError
-
-INF = None  # sentinel for "sent to infinity" truncation entries
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,10 @@ def prefactor_radicand(params: ThreeVertexParams, N: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncationLimits:
-    """Scan truncation for dn_constant; INF entries are handled exactly."""
+    """Scan truncation for dn_constant: r <= r_max, and n-r, k-r in 0..nk_max or infinite."""
 
     r_max: int = 64
-    nk_max: int = 32  # grid for n-r and k-r, plus the infinite endpoint
+    nk_max: int = 32
 
 
 @dataclass(frozen=True)
@@ -146,54 +144,42 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits(),
                 precision_bits: int = qnum.DEFAULT_PRECISION_BITS) -> RDBound:
     """Scanned maximum of the D_N objective over the truncated parameter space.
 
-    The scan runs over r <= r_max and a = n-r, b = k-r on {0..nk_max, inf};
-    an infinite entry replaces every factor (1 - q^{2(...)}) whose exponent
-    it dominates by its supremum 1.  The scan is a lower estimate; rigorous
-    comparisons must use `rigorous_upper`.
+    The scan runs over r <= r_max and a = n-r, b = k-r on {0..nk_max, INF}
+    and reads each factor 1 - q^{2e} from one table, which holds the supremum
+    1 for every e >= INF; the argmax reports such entries as math.inf.  The
+    scan is a lower estimate; rigorous comparisons must use `rigorous_upper`.
     """
     _require_n(N)
     lo, hi = qnum.q_of_N(N, precision_bits)
     rmax, amax = truncation.r_max, truncation.nk_max
+    INF = 2 * amax + rmax + 2  # above every finite exponent
     with mpmath.workprec(precision_bits + 16):
         q = (mpmath.mpf(lo.numerator) / lo.denominator
              + mpmath.mpf(hi.numerator) / hi.denominator) / 2
         Q = q * q
-        max_exp = 2 * amax + rmax + 3
-        Qp = [mpmath.mpf(1)]
-        for _ in range(max_exp):
-            Qp.append(Qp[-1] * Q)
-        one = mpmath.mpf(1)
-
-        def omq(e: Optional[int]) -> mpmath.mpf:
-            # 1 - Q**e, with e = INF giving the supremum 1.
-            return one if e is INF else one - Qp[e]
-
-        grid: list[Optional[int]] = list(range(amax + 1)) + [INF]
+        one = Qe = mpmath.mpf(1)
+        omq = []  # omq[e] = 1 - Q**e, exactly 1 from INF on
+        for _ in range(INF):
+            omq.append(one - Qe)
+            Qe = Qe * Q
+        omq += [one] * (INF + rmax + 2)
+        grid = list(range(amax + 1)) + [INF]
         best2 = mpmath.mpf(0)
         best_arg = (0, 0, 0)
         for a in grid:
             for b in grid:
-                ab = INF if (a is INF or b is INF) else a + b
+                ab = a + b
                 prod = one  # three-vertex product up to current r
                 for r in range(rmax + 1):
                     if r > 0:
-                        s = r
-                        fa = one if a is INF else omq(a + s)
-                        fb = one if b is INF else omq(b + s)
-                        fl = one if ab is INF else omq(ab + 1 + s)
-                        prod *= omq(s + 1) * fa * fb / (fl * omq(s) ** 2)
-                    ga = one if a is INF else omq(a + r + 1)
-                    gb = one if b is INF else omq(b + r + 1)
-                    gl = one if ab is INF else omq(ab + 1)
-                    radicand = omq(1) * ga * gb / (omq(r + 1) ** 2 * gl)
+                        prod *= omq[r + 1] * omq[a + r] * omq[b + r] \
+                            / (omq[ab + 1 + r] * omq[r] ** 2)
+                    radicand = omq[1] * omq[a + r + 1] * omq[b + r + 1] \
+                        / (omq[r + 1] ** 2 * omq[ab + 1])
                     v2 = radicand * prod * prod
                     if v2 > best2:
                         best2 = v2
-                        best_arg = (
-                            math.inf if a is INF else a + r,
-                            math.inf if b is INF else b + r,
-                            math.inf if ab is INF else ab,
-                        )
+                        best_arg = tuple(math.inf if x >= INF else x for x in (a + r, b + r, ab))
         value = mpmath.sqrt(best2)
     upper, tail = rigorous_upper_bound(N, precision_bits)
     return RDBound(N=N, value=value, argmax=best_arg, truncation=truncation,
@@ -222,12 +208,12 @@ def select_p(degree: int, epsilon, d_star, precision_bits: int = 128) -> tuple[i
     with mpmath.workprec(precision_bits):
         eps = mpmath.mpf(epsilon.numerator) / epsilon.denominator \
             if isinstance(epsilon, Fraction) else mpmath.mpf(epsilon)
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
+        if not eps > 0:  # also rejects NaN, for which the loop below never ends
+            raise InvalidArgumentError("epsilon must be positive")
         D = mpmath.mpf(d_star.numerator) / d_star.denominator \
             if isinstance(d_star, Fraction) else mpmath.mpf(d_star)
-        if D < 1:
-            raise ValueError("d_star must be >= 1")
+        if not D >= 1:
+            raise InvalidArgumentError("d_star must be >= 1")
         m = 0
         while True:
             m += 1

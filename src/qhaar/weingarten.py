@@ -121,19 +121,23 @@ def haar_moment(word, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:
         return Fraction(0)
 
     pattern = tuple(eps for _, _, eps in letters) if model == "u+" else None
+    rows, cols = [i for i, _, _ in letters], [j for _, j, _ in letters]
+    if k > kmax:  # refuse a nonzero moment before listing its Catalan-many pairings
+        if (pairings.has_compatible_pairing(rows, pattern)
+                and pairings.has_compatible_pairing(cols, pattern)):
+            raise ResourceLimitError(f"word length {k} exceeds kmax={kmax}", required_k=k)
+        return Fraction(0)
     plist = pairings.word_pairings(k, pattern)
-    R = pairings.compatible_indices(plist, [i for i, _, _ in letters])
-    C = pairings.compatible_indices(plist, [j for _, j, _ in letters])
+    R = pairings.compatible_indices(plist, rows)
+    C = pairings.compatible_indices(plist, cols)
     if not R or not C:
         return Fraction(0)
 
-    if k <= min(kmax, TABLE_KMAX):
+    if k <= TABLE_KMAX:
         table = weingarten_table(k, N, pattern, kmax=kmax)
         num = table.wg_num
         return Fraction(sum(num[p][q] for p in R for q in C), table.wg_den)
 
-    if k > kmax:
-        raise ResourceLimitError(f"word length {k} exceeds kmax={kmax}", required_k=k)
     # Large-k route: single exact bilinear solve, no full inverse.
     log.warning("haar_moment at k=%d via modular solve (%d pairings)", k, len(plist))
     loops = pairings.loop_matrix(k, pattern)

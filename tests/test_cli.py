@@ -3,7 +3,6 @@ import json
 import pytest
 
 from qhaar import cli
-from qhaar.errors import QhaarError
 
 
 def run(argv, capsys):
@@ -130,6 +129,7 @@ def test_exit_code_config_error(capsys):
         ["wg", "--k", "2", "--N", "3", "--pattern", "11"],
         ["wg", "--k", "3", "--N", "3"],
         ["selectp", "--degree", "-1", "--epsilon", "0.5"],
+        ["selectp", "--degree", "2", "--epsilon", "nan"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 2, argv
@@ -150,10 +150,22 @@ def test_unread_option_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_unknown_format_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["converge", "--poly", "x[1,1]", "--N-list", "4", "--p-list", "2",
+                  "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
 def test_exit_code_resource_limit(capsys):
-    code, _, err = run(["moment", "x[1,1]^14", "--N", "3", "--kmax", "12"], capsys)
-    assert code == 3
-    assert "resource limit" in err
+    for argv in (
+        ["moment", "x[1,1]^14", "--N", "3", "--kmax", "12"],
+        ["wg", "--k", "14", "--N", "3"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 3, argv
+        assert out == "" and "resource limit" in err, argv
 
 
 def test_check_passes(capsys):
@@ -168,9 +180,3 @@ def test_check_exit_4_on_failure(capsys, monkeypatch):
     code, out, err = run(["check"], capsys)
     assert code == 4
     assert "FAIL" in out
-
-
-def test_sweep_config_validate():
-    cfg = cli.SweepConfig(polynomial="x[1,1]", N_list=[4], p_list=[2], format="xml")
-    with pytest.raises(QhaarError):
-        cfg.validate()

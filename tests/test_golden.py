@@ -49,6 +49,7 @@ CASES = {
     "lp_limit_v": ["lp", "v[1,1]+v*[1,2]", "--p", "4"],
     "selectp": ["selectp", "--degree", "2", "--epsilon", "0.5"],
     "dn_csv": ["dn", "--N-list", "3,10", "--rmax", "16", "--nkmax", "8"],
+    "dn_finite_argmax": ["dn", "--N-list", "3,20,50", "--rmax", "2", "--nkmax", "16"],
     "dn_json": ["dn", "--N-list", "4", "--rmax", "16", "--nkmax", "8", "--format", "json"],
     "converge_csv": ["converge", "--poly", "x[1,1]+x[1,2]", "--N-list", "3,4",
                      "--p-list", "2,4"],

@@ -70,6 +70,23 @@ def test_compatible_indices():
     assert pairings.compatible_indices(plist, "abab") == []
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 6), st.data())
+def test_has_compatible_pairing_matches_listing(m, data):
+    k = 2 * m
+    labels = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    pattern = data.draw(st.none() | st.lists(st.sampled_from("1*"), min_size=k, max_size=k)
+                        .map(tuple))
+    listed = pairings.compatible_indices(pairings.word_pairings(k, pattern), labels)
+    assert pairings.has_compatible_pairing(labels, pattern) == bool(listed)
+
+
+def test_has_compatible_pairing_odd_length_and_bad_symbol():
+    assert not pairings.has_compatible_pairing("aab")
+    with pytest.raises(InvalidArgumentError):
+        pairings.has_compatible_pairing("aa", ("1", "x"))
+
+
 @pytest.mark.parametrize("k, pattern", [(4, "1*1*1*"), (2, "1*1*"), (2, "11"),
                                         (4, "11**1"), (2, "1x"), (3, "1*1")])
 def test_gram_rejects_pattern_not_fitting_k(k, pattern):

@@ -93,6 +93,27 @@ def test_kmax_resource_error():
     assert exc.value.required_k == 14
 
 
+def test_kmax_checked_before_listing_pairings(monkeypatch):
+    # Past kmax the moment is refused (or is 0) without listing any pairing.
+    listing = pairings.word_pairings
+
+    def word_pairings(k, pattern=None):
+        assert k <= 12, f"listed pairings at k={k}"
+        return listing(k, pattern)
+
+    monkeypatch.setattr(pairings, "word_pairings", word_pairings)
+    with pytest.raises(ResourceLimitError) as exc:
+        weingarten.haar_moment([u(1, 1)] * 30, 3)
+    assert exc.value.required_k == 30
+    assert weingarten.haar_moment([u(1, 1), u(1, 2)] * 15, 3) == 0
+    unbalanced = weingarten.GeneratorWord((v(1, 1),) * 29 + (v(1, 1, True),), "u+")
+    assert weingarten.haar_moment(unbalanced, 3) == 0
+    alternating = weingarten.GeneratorWord((v(1, 1), v(1, 1, True)) * 15, "u+")
+    with pytest.raises(ResourceLimitError):
+        weingarten.haar_moment(alternating, 3)
+    assert weingarten.haar_moment([u(1, 1)] * 4, 3) == Fraction(1, 6)
+
+
 def test_unitary_moments():
     # v v* pairs behave like the orthogonal k=2 case
     assert weingarten.haar_moment([v(1, 1), v(1, 1, True)], 5) == Fraction(1, 5)

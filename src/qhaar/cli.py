@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__, ncpoly, pairings, qnum, rapid_decay, weingarten
-from .errors import QhaarError, ResourceLimitError
+from .errors import InvalidArgumentError, QhaarError, ResourceLimitError
 
 FLOAT_DIGITS = 25
 
@@ -33,7 +33,10 @@ def _fmt_rat(x: Fraction) -> str:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise InvalidArgumentError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _emit(rows: list[dict], header: list[str], fmt: str, out_path: str | None,
@@ -74,7 +77,7 @@ def cmd_gram(args) -> int:
     pattern = tuple(args.pattern) if args.pattern else None
     g = pairings.gram_matrix(args.k, args.N, pattern)
     rows = [{"row": i, "entries": " ".join(str(e) for e in r)}
-            for i, r in enumerate(g.entries)]
+            for i, r in enumerate(g)]
     _emit(rows, ["row", "entries"], args.format, args.out,
           {"k": args.k, "N": args.N, "pattern": args.pattern}, _meta(args))
     return 0
@@ -198,15 +201,15 @@ def cmd_check(args) -> int:
               for N in (3, 5) for n in range(6) for k in range(6)))
     check("catalan counts", [len(pairings.enumerate_nc_pairings(k)) for k in (2, 4, 6, 8)]
           == [1, 2, 5, 14])
+    u11_2, u11_4 = (weingarten.GeneratorWord(((1, 1, "1"),) * n, "o+") for n in (2, 4))
     check("h(u11 u11) = 1/N",
-          all(weingarten.haar_moment([(1, 1, "1")] * 2, N) == Fraction(1, N)
-              for N in range(2, 9)))
+          all(weingarten.haar_moment(u11_2, N) == Fraction(1, N) for N in range(2, 9)))
     check("h(u11^4) = 2/(N(N+1))",
-          all(weingarten.haar_moment([(1, 1, "1")] * 4, N) == Fraction(2, N * (N + 1))
+          all(weingarten.haar_moment(u11_4, N) == Fraction(2, N * (N + 1))
               for N in range(2, 9)))
     check("unitarity contraction",
-          all(weingarten.unitarity_contraction([(1, 1, "1")] * 2 + [(1, 1, "1")] * 2, N, 2)
-              == weingarten.haar_moment([(1, 1, "1")] * 2, N) for N in (3, 5)))
+          all(weingarten.unitarity_contraction(u11_4, N, 2)
+              == weingarten.haar_moment(u11_2, N) for N in (3, 5)))
     check("D_N bracket at N=3",
           (lambda b: 1 < b.value
            <= mpmath.mpf(b.rigorous_upper.numerator) / b.rigorous_upper.denominator)(

@@ -24,6 +24,11 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
+# First candidate prime: residue products stay below 2**62 and fit in int64.
+PRIME_START = (1 << 31) - 1
+# CRT primes combined before bilinear_solve gives up on reconstruction.
+MAX_PRIMES = 120
+
 
 def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Invert an integer matrix exactly; returns (M, det) with inv = M/det.
@@ -76,9 +81,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def prime_stream(start: int = (1 << 31) - 1):
-    """Descending primes below 2**31 (products of two residues fit in int64)."""
-    n = start
+def prime_stream():
+    """Descending primes from PRIME_START."""
+    n = PRIME_START
     while n > 3:
         if _is_prime(n):
             yield n
@@ -133,14 +138,14 @@ def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
-                   v_idx: Sequence[int], max_primes: int = 120) -> Fraction:
+                   v_idx: Sequence[int]) -> Fraction:
     """Exact u^T A^{-1} v for A[i,j] = N**loop_mat[i,j], u/v 0-1 indicators.
 
     loop_mat is a small-integer numpy array; u_idx and v_idx index its rows.
     """
     n = loop_mat.shape[0]
     max_loops = int(loop_mat.max())
-    residue, modulus = 0, 1
+    residue, modulus, combined = 0, 1, 0
     last: Optional[Fraction] = None
     candidate: Optional[Fraction] = None
     for p in prime_stream():
@@ -166,7 +171,7 @@ def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
         if guess is not None and guess == last:
             candidate = guess
         last = guess
-        max_primes -= 1
-        if max_primes <= 0:
+        combined += 1
+        if combined >= MAX_PRIMES:
             raise SingularMatrixError("rational reconstruction did not converge")
     raise SingularMatrixError("prime stream exhausted")

@@ -242,12 +242,11 @@ _TOKEN = re.compile(
 _LETTER = re.compile(r"(?P<kind>[xv])(?P<star>\*?)\[(?P<i>\d+),(?P<j>\d+)\]")
 
 
-def parse_poly(text: str, model: Optional[str] = None) -> NCPolynomial:
+def parse_poly(text: str) -> NCPolynomial:
     """Parse the CLI text format into a polynomial.
 
     x-letters imply the orthogonal model, v-letters the unitary one; mixing
-    both kinds is an error.  An explicit `model` overrides the inference for
-    letter-free input.
+    both kinds is an error, and letter-free input is orthogonal.
     """
     tokens = []
     pos = 0
@@ -264,9 +263,7 @@ def parse_poly(text: str, model: Optional[str] = None) -> NCPolynomial:
              for t in tokens if t.group("letter")}
     if len(kinds) > 1:
         raise PolyParseError("cannot mix x- and v-letters in one polynomial")
-    inferred = {"x": "o+", "v": "u+"}.get(next(iter(kinds), ""), model or "o+")
-    if model is not None and kinds and inferred != model:
-        raise PolyParseError(f"letters imply model {inferred}, requested {model}")
+    inferred = "u+" if kinds == {"v"} else "o+"
 
     poly = NCPolynomial(inferred)
     idx = 0
@@ -283,11 +280,10 @@ def parse_poly(text: str, model: Optional[str] = None) -> NCPolynomial:
             )
             idx += 1
         elif t.group("num"):
-            if "/" in t.group("num"):
-                a, b = t.group("num").split("/")
-                base = NCPolynomial.constant(Fraction(int(a), int(b)), inferred)
-            else:
-                base = NCPolynomial.constant(int(t.group("num")), inferred)
+            a, _, b = t.group("num").partition("/")
+            if b and not int(b):
+                raise PolyParseError(f"zero denominator in {t.group('num')!r}")
+            base = NCPolynomial.constant(Fraction(int(a), int(b or 1)), inferred)
             idx += 1
             if idx < len(tokens) and tokens[idx].group("imag"):
                 base = base.scale(I)
@@ -324,4 +320,6 @@ def parse_poly(text: str, model: Optional[str] = None) -> NCPolynomial:
         if idx >= len(tokens):
             raise PolyParseError("dangling sign at end of input")
         poly = poly + term().scale(sign)
+        if idx < len(tokens) and tokens[idx].group("op") not in ("+", "-"):
+            raise PolyParseError(f"expected '+', '-' or the end near token {idx}")
     return poly

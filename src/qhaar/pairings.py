@@ -158,16 +158,6 @@ def loops_from_partners(mp: list[int], mq: list[int], k: int) -> int:
     return cycles // 2
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Exact integer Gram matrix N**loops over the canonical pairing list."""
-
-    k: int
-    N: int
-    entries: tuple[tuple[int, ...], ...]
-    pattern: Optional[tuple[str, ...]] = None
-
-
 @lru_cache(maxsize=None)
 def loop_matrix(k: int, pattern: Optional[tuple[str, ...]] = None) -> tuple[tuple[int, ...], ...]:
     """Pairwise loop counts over the (colored) canonical pairing list."""
@@ -185,7 +175,9 @@ def loop_matrix(k: int, pattern: Optional[tuple[str, ...]] = None) -> tuple[tupl
     return tuple(tuple(r) for r in rows)
 
 
-def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None) -> GramMatrix:
+def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None
+                ) -> tuple[tuple[int, ...], ...]:
+    """Exact integer Gram matrix N**loops over the (colored) canonical pairing list."""
     if N < 2:
         raise InvalidDimensionError(f"need N >= 2, got {N}")
     if k < 0 or k % 2:
@@ -193,6 +185,4 @@ def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None) -> Gram
     pat = tuple(pattern) if pattern is not None else None
     if pat is not None and (len(pat) != k or not enumerate_colored_nc_pairings(pat)):
         raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
-    loops = loop_matrix(k, pat)
-    entries = tuple(tuple(N ** l for l in row) for row in loops)
-    return GramMatrix(k=k, N=N, entries=entries, pattern=pat)
+    return tuple(tuple(N ** l for l in row) for row in loop_matrix(k, pat))

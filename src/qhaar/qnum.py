@@ -28,16 +28,10 @@ def q_of_N(N: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fracti
     if N == 2:
         one = Fraction(1)
         return one, one
-    # q = (N - sqrt(N^2 - 4)) / 2; bracket the square root by bisection.
-    disc = N * N - 4
-    lo = Fraction(isqrt(disc))
-    hi = lo + 1
-    for _ in range(precision_bits + 3):
-        mid = (lo + hi) / 2
-        if mid * mid <= disc:
-            lo = mid
-        else:
-            hi = mid
+    # q = (N - sqrt(N^2 - 4)) / 2; bracket the square root on the grid 2**-s.
+    s = precision_bits + 3
+    lo = Fraction(isqrt((N * N - 4) << 2 * s), 1 << s)
+    hi = lo + Fraction(1, 1 << s)
     q_lower = (N - hi) / 2
     q_upper = (N - lo) / 2
     return q_lower, min(q_upper, Fraction(1))

@@ -24,6 +24,11 @@ import mpmath
 from . import ncpoly, qnum
 from .errors import AdmissibilityError, InvalidArgumentError, InvalidDimensionError
 
+# rigorous_upper_bound stops once its tail multiplier is below 1 + TAIL_TOL.
+TAIL_TOL = Fraction(1, 10 ** 12)
+# d_star_upper maximizes over this grid; the rigorous bound decreases in N.
+D_STAR_GRID = range(3, 11)
+
 
 @dataclass(frozen=True)
 class ThreeVertexParams:
@@ -63,19 +68,6 @@ def three_vertex_norm_inv_factorial(params: ThreeVertexParams, N: int) -> Fracti
     return Fraction(num, den)
 
 
-def three_vertex_norm_inv_product(params: ThreeVertexParams, N: int) -> Fraction:
-    """Same quantity via the telescoped product over s = 1..r."""
-    _require_n(N)
-    n, k, l, r = params.n, params.k, params.l, params.r
-    out = Fraction(1)
-    for s in range(1, r + 1):
-        out *= Fraction(
-            qnum.q_int(1 + s, N) * qnum.q_int(n - r + s, N) * qnum.q_int(k - r + s, N),
-            qnum.q_int(l + 1 + s, N) * qnum.q_int(s, N) ** 2,
-        )
-    return out
-
-
 def prefactor_radicand(params: ThreeVertexParams, N: int) -> Fraction:
     """Radicand [k+1][n+1] / ([l+1][r+1]^2); callers take the square root."""
     _require_n(N)
@@ -92,6 +84,11 @@ class TruncationLimits:
 
     r_max: int = 64
     nk_max: int = 32
+
+    def __post_init__(self):
+        if self.r_max < 0 or self.nk_max < 0:
+            raise InvalidArgumentError(
+                f"need r_max, nk_max >= 0, got {self.r_max}, {self.nk_max}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +109,12 @@ def _round_up(x: Fraction, bits: int = 96) -> Fraction:
     return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
 
 
-def rigorous_upper_bound(N: int, precision_bits: int = qnum.DEFAULT_PRECISION_BITS,
-                         tail_tol: Fraction = Fraction(1, 10 ** 12)) -> tuple[Fraction, Fraction]:
+def rigorous_upper_bound(N: int, precision_bits: int = qnum.DEFAULT_PRECISION_BITS
+                         ) -> tuple[Fraction, Fraction]:
     """Rational upper bound for D_N and the tail multiplier slack.
 
     Bound: (1-q^2)^-1 * prod_{s<=S} (1-q^{2s})^-3 * tail, with S grown until
-    the tail multiplier is below 1 + tail_tol.  All factors use the upper end
+    the tail multiplier is below 1 + TAIL_TOL.  All factors use the upper end
     of the q bracket and are rounded upward, so the result is a true bound.
     """
     _require_n(N)
@@ -134,7 +131,7 @@ def rigorous_upper_bound(N: int, precision_bits: int = qnum.DEFAULT_PRECISION_BI
         y = _round_up(Qs * Q / ((1 - Qs * Q) * (1 - Q)))
         if 3 * y < 1:
             tail = Fraction(1, 1) / (1 - 3 * y) - 1
-            if tail < tail_tol:
+            if tail < TAIL_TOL:
                 return _round_up(acc * (1 + tail)), tail
         if S > 10000:
             raise ArithmeticError(f"tail bound did not converge for N={N}")
@@ -187,14 +184,13 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits(),
                    precision_bits=precision_bits)
 
 
-def d_star_upper(N_grid: Sequence[int] = tuple(range(3, 11)),
-                 precision_bits: int = qnum.DEFAULT_PRECISION_BITS) -> Fraction:
+def d_star_upper(precision_bits: int = qnum.DEFAULT_PRECISION_BITS) -> Fraction:
     """Verified upper bound for sup_{N >= 3} D_N.
 
     The rigorous bound decreases in N (regression-checked), so the maximum
-    over a safety grid starting at N = 3 dominates all N >= 3.
+    over D_STAR_GRID, which starts at N = 3, dominates all N >= 3.
     """
-    return max(rigorous_upper_bound(N, precision_bits)[0] for N in N_grid)
+    return max(rigorous_upper_bound(N, precision_bits)[0] for N in D_STAR_GRID)
 
 
 def select_p(degree: int, epsilon, d_star, precision_bits: int = 128) -> tuple[int, int, mpmath.mpf]:

@@ -61,7 +61,7 @@ class WeingartenTable:
     k: int
     N: int
     pattern: Optional[tuple[str, ...]]
-    gram: pairings.GramMatrix
+    gram: tuple[tuple[int, ...], ...]
     wg_num: tuple[tuple[int, ...], ...]
     wg_den: int
 
@@ -91,24 +91,14 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
 @lru_cache(maxsize=None)
 def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> WeingartenTable:
     gram = pairings.gram_matrix(k, N, pattern)
-    num, den = exactla.fraction_free_inverse(gram.entries)
-    if den == 0:
-        raise InvalidDimensionError(f"singular Gram matrix at k={k}, N={N}")
+    num, den = exactla.fraction_free_inverse(gram)
     return WeingartenTable(k=k, N=N, pattern=pattern, gram=gram,
                            wg_num=tuple(tuple(r) for r in num), wg_den=den)
 
 
-def haar_moment(word, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:
-    """Exact Haar-state moment of a generator word at dimension N.
-
-    Accepts a GeneratorWord or a bare letter sequence (then model 'o+' if all
-    star flags are '1', otherwise 'u+').  Odd-length words are 0.
-    """
-    if isinstance(word, GeneratorWord):
-        letters, model = word.letters, word.model
-    else:
-        letters = tuple(word)
-        model = "o+" if all(eps == "1" for _, _, eps in letters) else "u+"
+def haar_moment(word: GeneratorWord, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:
+    """Exact Haar-state moment of a generator word at dimension N; odd lengths give 0."""
+    letters, model = word.letters, word.model
     if N < 2:
         raise InvalidDimensionError(f"need N >= 2, got {N}")
     for i, j, _ in letters:
@@ -145,7 +135,8 @@ def haar_moment(word, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:
     return exactla.bilinear_solve(loop_arr, N, R, C)
 
 
-def unitarity_contraction(word, N: int, position: int, kmax: int = DEFAULT_KMAX) -> Fraction:
+def unitarity_contraction(word: GeneratorWord, N: int, position: int,
+                          kmax: int = DEFAULT_KMAX) -> Fraction:
     """Sum over j of the moment with column j placed at two adjacent letters.
 
     The letters at `position` and `position+1` must carry equal row indices;
@@ -153,10 +144,7 @@ def unitarity_contraction(word, N: int, position: int, kmax: int = DEFAULT_KMAX)
     summed.  By unitarity this equals the moment of the word with the two
     letters removed.
     """
-    if isinstance(word, GeneratorWord):
-        letters, model = word.letters, word.model
-    else:
-        letters, model = tuple(word), None
+    letters = word.letters
     if not (0 <= position < len(letters) - 1):
         raise ValueError(f"bad position {position} for word of length {len(letters)}")
     (a1, _, e1), (a2, _, e2) = letters[position], letters[position + 1]
@@ -165,6 +153,5 @@ def unitarity_contraction(word, N: int, position: int, kmax: int = DEFAULT_KMAX)
     total = Fraction(0)
     for j in range(1, N + 1):
         mod = letters[:position] + ((a1, j, e1), (a2, j, e2)) + letters[position + 2:]
-        w = GeneratorWord(mod, model) if model else mod
-        total += haar_moment(w, N, kmax=kmax)
+        total += haar_moment(GeneratorWord(mod, word.model), N, kmax=kmax)
     return total

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's own enumeration and
-evaluation paths: matchings are generated exhaustively and filtered, and the
-semicircle moments come from numerical quadrature.
+evaluation paths: matchings are generated exhaustively and filtered, the
+semicircle moments come from numerical quadrature, and the three-vertex norm
+is a telescoped product of quantum integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from qhaar import qnum
 
 
 def all_matchings(points):
@@ -107,3 +110,19 @@ def brute_haar_moment_via_deltas(word, N: int, wg_lookup) -> Fraction:
                 continue
             total += wg_lookup(pi, qi)
     return total
+
+
+def three_vertex_norm_inv_product(params, N: int) -> Fraction:
+    """Inverse squared three-vertex norm via the telescoped product over s = 1..r.
+
+    Cross-checks the q-factorial closed form
+    `rapid_decay.three_vertex_norm_inv_factorial`.
+    """
+    n, k, l, r = params.n, params.k, params.l, params.r
+    out = Fraction(1)
+    for s in range(1, r + 1):
+        out *= Fraction(
+            qnum.q_int(1 + s, N) * qnum.q_int(n - r + s, N) * qnum.q_int(k - r + s, N),
+            qnum.q_int(l + 1 + s, N) * qnum.q_int(s, N) ** 2,
+        )
+    return out

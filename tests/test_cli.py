@@ -130,6 +130,10 @@ def test_exit_code_config_error(capsys):
         ["wg", "--k", "3", "--N", "3"],
         ["selectp", "--degree", "-1", "--epsilon", "0.5"],
         ["selectp", "--degree", "2", "--epsilon", "nan"],
+        ["moment", "x[1,1]x[1,1]", "--N", "3"],
+        ["dn", "--N-list", "3,x"],
+        ["converge", "--poly", "x[1,1]", "--N-list", "4,y"],
+        ["dn", "--N-list", "3", "--rmax", "-1"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 2, argv

@@ -186,6 +186,7 @@ class TestParser:
             ncpoly.parse_poly("x[1,1]*v[1,1]")
 
     def test_garbage_rejected(self):
-        for bad in ("", "x[1]", "x[1,1]+", "x[1,1]^1/2", "y[1,1]"):
+        for bad in ("", "x[1]", "x[1,1]+", "x[1,1]^1/2", "y[1,1]",
+                    "x[1,1]x[1,1]", "2 3", "x[1,1]^2 x[1,2]", "1/0*x[1,1]"):
             with pytest.raises(PolyParseError):
                 ncpoly.parse_poly(bad)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhaar import exactla, pairings, weingarten
 from qhaar.errors import InvalidArgumentError, InvalidIndexError, ResourceLimitError
@@ -16,6 +17,10 @@ def u(i, j):
 
 def v(i, j, star=False):
     return (i, j, "*" if star else "1")
+
+
+def gw(letters, model):
+    return weingarten.GeneratorWord(tuple(letters), model)
 
 
 def test_table_k2():
@@ -41,15 +46,15 @@ def test_wg_times_gram_is_identity_small():
             n = t.size
             for i in range(n):
                 for j in range(n):
-                    s = sum(t.wg_num[i][x] * t.gram.entries[x][j] for x in range(n))
+                    s = sum(t.wg_num[i][x] * t.gram[x][j] for x in range(n))
                     assert s == (t.wg_den if i == j else 0)
 
 
 def test_moment_examples():
-    assert weingarten.haar_moment([u(1, 1)] * 2, 5) == Fraction(1, 5)
-    assert weingarten.haar_moment([u(1, 1), u(1, 2)], 3) == 0
+    assert weingarten.haar_moment(gw([u(1, 1)] * 2, "o+"), 5) == Fraction(1, 5)
+    assert weingarten.haar_moment(gw([u(1, 1), u(1, 2)], "o+"), 3) == 0
     for N in range(2, 9):
-        assert weingarten.haar_moment([u(1, 1)] * 4, N) == Fraction(2, N * (N + 1))
+        assert weingarten.haar_moment(gw([u(1, 1)] * 4, "o+"), N) == Fraction(2, N * (N + 1))
 
 
 def test_moment_direct_delta_oracle():
@@ -63,23 +68,23 @@ def test_moment_direct_delta_oracle():
     for N in (3, 5):
         for word in words:
             t = weingarten.weingarten_table(len(word), N)
-            got = weingarten.haar_moment(word, N)
+            got = weingarten.haar_moment(gw(word, "o+"), N)
             want = oracles.brute_haar_moment_via_deltas(word, N, t.wg)
             assert got == want
 
 
 def test_odd_moments_vanish():
-    assert weingarten.haar_moment([u(1, 1)] * 3, 4) == 0
-    assert weingarten.haar_moment([u(1, 1), u(2, 2), u(1, 2)], 4) == 0
+    assert weingarten.haar_moment(gw([u(1, 1)] * 3, "o+"), 4) == 0
+    assert weingarten.haar_moment(gw([u(1, 1), u(2, 2), u(1, 2)], "o+"), 4) == 0
 
 
 def test_empty_word_is_one():
-    assert weingarten.haar_moment([], 4) == 1
+    assert weingarten.haar_moment(gw([], "o+"), 4) == 1
 
 
 def test_index_beyond_N_rejected():
     with pytest.raises(InvalidIndexError):
-        weingarten.haar_moment([u(1, 5), u(1, 5)], 4)
+        weingarten.haar_moment(gw([u(1, 5), u(1, 5)], "o+"), 4)
 
 
 def test_odd_k_table_rejected():
@@ -89,7 +94,7 @@ def test_odd_k_table_rejected():
 
 def test_kmax_resource_error():
     with pytest.raises(ResourceLimitError) as exc:
-        weingarten.haar_moment([u(1, 1)] * 14, 3, kmax=12)
+        weingarten.haar_moment(gw([u(1, 1)] * 14, "o+"), 3, kmax=12)
     assert exc.value.required_k == 14
 
 
@@ -103,37 +108,37 @@ def test_kmax_checked_before_listing_pairings(monkeypatch):
 
     monkeypatch.setattr(pairings, "word_pairings", word_pairings)
     with pytest.raises(ResourceLimitError) as exc:
-        weingarten.haar_moment([u(1, 1)] * 30, 3)
+        weingarten.haar_moment(gw([u(1, 1)] * 30, "o+"), 3)
     assert exc.value.required_k == 30
-    assert weingarten.haar_moment([u(1, 1), u(1, 2)] * 15, 3) == 0
-    unbalanced = weingarten.GeneratorWord((v(1, 1),) * 29 + (v(1, 1, True),), "u+")
+    assert weingarten.haar_moment(gw([u(1, 1), u(1, 2)] * 15, "o+"), 3) == 0
+    unbalanced = gw((v(1, 1),) * 29 + (v(1, 1, True),), "u+")
     assert weingarten.haar_moment(unbalanced, 3) == 0
-    alternating = weingarten.GeneratorWord((v(1, 1), v(1, 1, True)) * 15, "u+")
+    alternating = gw((v(1, 1), v(1, 1, True)) * 15, "u+")
     with pytest.raises(ResourceLimitError):
         weingarten.haar_moment(alternating, 3)
-    assert weingarten.haar_moment([u(1, 1)] * 4, 3) == Fraction(1, 6)
+    assert weingarten.haar_moment(gw([u(1, 1)] * 4, "o+"), 3) == Fraction(1, 6)
 
 
 def test_unitary_moments():
     # v v* pairs behave like the orthogonal k=2 case
-    assert weingarten.haar_moment([v(1, 1), v(1, 1, True)], 5) == Fraction(1, 5)
-    # no 1-* pair available (bare all-'1' lists infer o+, so be explicit)
-    w = weingarten.GeneratorWord((v(1, 1), v(1, 1)), "u+")
-    assert weingarten.haar_moment(w, 5) == 0
+    assert weingarten.haar_moment(gw([v(1, 1), v(1, 1, True)], "u+"), 5) == Fraction(1, 5)
+    # no 1-* pair available
+    assert weingarten.haar_moment(gw([v(1, 1), v(1, 1)], "u+"), 5) == 0
 
 
 def test_unitarity_contraction_identities():
     for N in (3, 6):
         # sum_j h(u_1j u_1j) = 1 = h(empty)
-        total = weingarten.unitarity_contraction([u(1, 1), u(1, 1)], N, 0)
+        total = weingarten.unitarity_contraction(gw([u(1, 1), u(1, 1)], "o+"), N, 0)
         assert total == 1
         # row-orthogonality: sum_j h(u_1j u_2j) = 0
-        total = sum(weingarten.haar_moment([u(1, j), u(2, j)], N) for j in range(1, N + 1))
+        total = sum(weingarten.haar_moment(gw([u(1, j), u(2, j)], "o+"), N)
+                    for j in range(1, N + 1))
         assert total == 0
         # contraction inside a longer word reduces k = 4 to k = 2
         word = [u(1, 1), u(1, 1), u(1, 1), u(1, 1)]
-        got = weingarten.unitarity_contraction(word, N, 2)
-        assert got == weingarten.haar_moment([u(1, 1), u(1, 1)], N)
+        got = weingarten.unitarity_contraction(gw(word, "o+"), N, 2)
+        assert got == weingarten.haar_moment(gw([u(1, 1), u(1, 1)], "o+"), N)
 
 
 def test_unitarity_contraction_all_positions():
@@ -143,11 +148,11 @@ def test_unitarity_contraction_all_positions():
         for length in (0, 1, 2):
             for combo in itertools.product(alphabet, repeat=length):
                 base = [u(i, j) for i, j in combo]
-                want = weingarten.haar_moment(base, N)
+                want = weingarten.haar_moment(gw(base, "o+"), N)
                 for pos in range(length + 1):
                     for row in (1, 2):
                         word = base[:pos] + [u(row, 1), u(row, 1)] + base[pos:]
-                        got = weingarten.unitarity_contraction(word, N, pos)
+                        got = weingarten.unitarity_contraction(gw(word, "o+"), N, pos)
                         assert got == want, (combo, pos, row, N)
 
 
@@ -160,7 +165,8 @@ def test_transpose_symmetry():
     for N in (3, 5):
         for word in words:
             flipped = [u(j, i) for i, j, _ in word]
-            assert weingarten.haar_moment(word, N) == weingarten.haar_moment(flipped, N)
+            assert (weingarten.haar_moment(gw(word, "o+"), N)
+                    == weingarten.haar_moment(gw(flipped, "o+"), N))
 
 
 def test_state_positivity_on_squares():
@@ -168,24 +174,45 @@ def test_state_positivity_on_squares():
     for N in (3, 4):
         for w in words:
             square = list(reversed(w)) + w
-            assert weingarten.haar_moment(square, N) >= 0
+            assert weingarten.haar_moment(gw(square, "o+"), N) >= 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["o+", "u+"]), st.sampled_from([3, 4]), st.data())
+def test_moment_metamorphic_symmetries(model, N, data):
+    # h(w* w) > 0 is unchanged by rotation (h is a trace), by relabelling rows
+    # or columns (conjugation by a permutation matrix) and by transposition.
+    idx = st.integers(1, N)
+    flag = st.sampled_from("1*") if model == "u+" else st.just("1")
+    w = data.draw(st.lists(st.tuples(idx, idx, flag), max_size=4))
+    flip = {"1": "*", "*": "1"} if model == "u+" else {"1": "1"}
+    letters = [(i, j, flip[e]) for i, j, e in reversed(w)] + w
+    want = weingarten.haar_moment(gw(letters, model), N)
+    assert want > 0
+    rot = data.draw(st.integers(0, max(len(letters) - 1, 0)))
+    rows = data.draw(st.permutations(range(1, N + 1)))
+    cols = data.draw(st.permutations(range(1, N + 1)))
+    for variant in (letters[rot:] + letters[:rot],
+                    [(rows[i - 1], j, e) for i, j, e in letters],
+                    [(i, cols[j - 1], e) for i, j, e in letters],
+                    [(j, i, e) for i, j, e in letters]):
+        assert weingarten.haar_moment(gw(variant, model), N) == want, variant
 
 
 def test_modular_route_matches_table_route():
     # the large-k path must reproduce the exact table values at small k
     cases = [
-        ([u(1, 1)] * 4, 3),
-        ([u(1, 1), u(2, 2), u(2, 2), u(1, 1)] * 2, 4),
-        ([u(1, 1)] * 8, 5),
-        ([u(1, 1), u(2, 2)] * 5, 3),
-        ([v(1, 1), v(1, 1, True)] * 3, 3),
+        ([u(1, 1)] * 4, "o+", 3),
+        ([u(1, 1), u(2, 2), u(2, 2), u(1, 1)] * 2, "o+", 4),
+        ([u(1, 1)] * 8, "o+", 5),
+        ([u(1, 1), u(2, 2)] * 5, "o+", 3),
+        ([v(1, 1), v(1, 1, True)] * 3, "u+", 3),
     ]
-    for word, N in cases:
+    for word, model, N in cases:
         k = len(word)
         pattern = None
-        eps = tuple(e for _, _, e in word)
-        if "*" in eps:
-            pattern = eps
+        if model == "u+":
+            pattern = tuple(e for _, _, e in word)
             plist = list(pairings.enumerate_colored_nc_pairings(pattern))
         else:
             plist = list(pairings.enumerate_nc_pairings(k))
@@ -195,7 +222,7 @@ def test_modular_route_matches_table_route():
         C = [a for a, p in enumerate(plist) if all(cols[x - 1] == cols[y - 1] for x, y in p.pairs)]
         loops = np.array(pairings.loop_matrix(k, pattern), dtype=np.int64)
         got = exactla.bilinear_solve(loops, N, R, C)
-        assert got == weingarten.haar_moment(word, N)
+        assert got == weingarten.haar_moment(gw(word, model), N)
 
 
 def test_cache_returns_same_object():

@@ -2,9 +2,9 @@
 
 Subcommands: dim, gram, wg, moment, lp, dn, selectp, converge, check.
 Outputs are deterministic: exact rationals are serialized as "p/q" strings,
-reals are printed via mpmath.nstr at a fixed digit count with the precision
-recorded alongside.  Exit codes: 0 success, 2 parse/config error,
-3 resource limit, 4 invariant-check failure.
+reals are printed via mpmath.nstr at a fixed digit count with the working
+precision (qnum.PRECISION_BITS) recorded alongside.  Exit codes: 0 success,
+2 parse/config error, 3 resource limit, 4 invariant-check failure.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out_path: str | None,
 
 def _meta(args) -> dict:
     return {
-        "precision_bits": args.precision_bits,
+        "precision_bits": qnum.PRECISION_BITS,
         "kmax": args.kmax,
         "version": __version__,
     }
@@ -74,6 +74,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    if args.k > args.kmax:
+        raise ResourceLimitError(f"k={args.k} exceeds kmax={args.kmax}", required_k=args.k)
     pattern = tuple(args.pattern) if args.pattern else None
     g = pairings.gram_matrix(args.k, args.N, pattern)
     rows = [{"row": i, "entries": " ".join(str(e) for e in r)}
@@ -107,10 +109,8 @@ def cmd_lp(args) -> int:
     poly = ncpoly.parse_poly(args.poly)
     if args.scale and args.N is not None:
         poly = ncpoly.scaled_generators(poly, args.N)
-    with mpmath.workprec(args.precision_bits):
-        val = ncpoly.lp_norm(poly, args.p, args.N, precision_bits=args.precision_bits,
-                             kmax=args.kmax)
-        print(_fmt_real(val))
+    with mpmath.workprec(qnum.PRECISION_BITS):
+        print(_fmt_real(ncpoly.lp_norm(poly, args.p, args.N, kmax=args.kmax)))
     return 0
 
 
@@ -118,7 +118,7 @@ def cmd_dn(args) -> int:
     trunc = rapid_decay.TruncationLimits(r_max=args.rmax, nk_max=args.nkmax)
     rows = []
     for N in _parse_int_list(args.N_list):
-        b = rapid_decay.dn_constant(N, trunc, precision_bits=args.precision_bits)
+        b = rapid_decay.dn_constant(N, trunc)
         rows.append({
             "N": N,
             "scanned_max": _fmt_real(b.value),
@@ -135,9 +135,8 @@ def cmd_dn(args) -> int:
 
 
 def cmd_selectp(args) -> int:
-    d_star = rapid_decay.d_star_upper(precision_bits=args.precision_bits)
-    m, p, achieved = rapid_decay.select_p(args.degree, args.epsilon, d_star,
-                                          precision_bits=args.precision_bits)
+    m, p, achieved = rapid_decay.select_p(args.degree, args.epsilon,
+                                          rapid_decay.d_star_upper())
     print(f"m={m} p={p} achieved={_fmt_real(achieved)}")
     return 0
 
@@ -151,20 +150,20 @@ def cmd_converge(args) -> int:
     if any(p < 2 or p % 2 for p in p_list):
         raise QhaarError("all p must be even and >= 2")
     P = ncpoly.parse_poly(args.poly)
-    prec, rows = args.precision_bits, []
-    with mpmath.workprec(prec):
-        limit_norms = {p: ncpoly.lp_norm(P, p, None, precision_bits=prec) for p in p_list}
+    rows = []
+    with mpmath.workprec(qnum.PRECISION_BITS):
+        limit_norms = {p: ncpoly.lp_norm(P, p, None) for p in p_list}
         uppers = {} if args.no_rd else {
-            N: rapid_decay.rigorous_upper_bound(N, prec)[0] for N in N_list}
+            N: rapid_decay.rigorous_upper_bound(N)[0] for N in N_list}
         for N in N_list:
             PN = ncpoly.scaled_generators(P, N)
             try:
-                l2 = ncpoly.lp_norm(PN, 2, N, precision_bits=prec, kmax=args.kmax)
+                l2 = ncpoly.lp_norm(PN, 2, N, kmax=args.kmax)
             except ResourceLimitError:
                 l2 = None  # unread: each p below fails on (w* w)^(p/2), w a top-degree word
             for p in p_list:
                 try:
-                    fin = ncpoly.lp_norm(PN, p, N, precision_bits=prec, kmax=args.kmax)
+                    fin = ncpoly.lp_norm(PN, p, N, kmax=args.kmax)
                 except ResourceLimitError as exc:
                     rows.append({"N": str(N), "p": p,
                                  "lp_finite": f"error(k={exc.required_k},N={N})",
@@ -228,13 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--kmax": dict(type=int, default=weingarten.DEFAULT_KMAX),
-        "--precision-bits": dict(type=int, default=128, dest="precision_bits"),
         "--out": dict(default=None),
         "--format": dict(choices=["csv", "json"], default="csv"),
     }
 
     def common(p, *names):
-        """Register the shared options a subcommand reads (all four by default)."""
+        """Register the shared options a subcommand reads (all three by default)."""
         for name in names or options:
             p.add_argument(name, **options[name])
 
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="dimension; omit for the free limit")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--scale", action="store_true", help="substitute sqrt(N)-scaled generators")
-    common(p, "--kmax", "--precision-bits")
+    common(p, "--kmax")
     p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("dn", help="rapid decay constants D_N")
@@ -281,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selectp", help="even p achieving a (1+eps) L^p-L^inf bound")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    common(p, "--precision-bits")
     p.set_defaults(func=cmd_selectp)
 
     p = sub.add_parser("converge", help="finite-N vs free-limit L^p sweep")

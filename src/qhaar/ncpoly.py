@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import mpmath
 
-from . import freelimit, weingarten
+from . import freelimit, qnum, weingarten
 from .errors import InvalidArgumentError, ModelMismatchError, PolyParseError
 from .weingarten import Letter
 
@@ -141,11 +141,17 @@ class NCPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, m: int) -> "NCPolynomial":
+        """Square and multiply: about 2 log2(m) products instead of m."""
         if m < 0:
             raise ValueError("negative powers are not defined")
         out = NCPolynomial.constant(1, self.model)
-        for _ in range(m):
-            out = out * self
+        base = self
+        while m:
+            if m & 1:
+                out = out * base
+            m >>= 1
+            if m:
+                base = base * base
         return out
 
     def adjoint(self) -> "NCPolynomial":
@@ -215,11 +221,11 @@ def state_eval(a: NCPolynomial, N: Optional[int] = None,
 
 
 def lp_norm(a: NCPolynomial, p: int, N: Optional[int] = None,
-            precision_bits: int = 128, kmax: int = weingarten.DEFAULT_KMAX) -> mpmath.mpf:
+            kmax: int = weingarten.DEFAULT_KMAX) -> mpmath.mpf:
     """||a||_p = state((a* a)^(p/2))^(1/p) for even p >= 2.
 
     The inner moment is exact; only the final root is floating, computed at
-    the requested precision.
+    the working precision qnum.PRECISION_BITS.
     """
     if p < 2 or p % 2:
         raise InvalidArgumentError(f"p must be an even integer >= 2, got {p}")
@@ -228,7 +234,7 @@ def lp_norm(a: NCPolynomial, p: int, N: Optional[int] = None,
     value = state_eval(inner, N, kmax=kmax)
     if not value.is_real or value.re < 0:
         raise ValueError(f"(a* a)^m moment must be real nonnegative, got {value}")
-    with mpmath.workprec(precision_bits):
+    with mpmath.workprec(qnum.PRECISION_BITS):
         x = mpmath.mpf(value.re.numerator) / value.re.denominator
         return mpmath.root(x, 2 * m) if x else mpmath.mpf(0)
 

@@ -14,10 +14,12 @@ from math import isqrt
 
 from .errors import InvalidDimensionError
 
-DEFAULT_PRECISION_BITS = 128
+# The one working precision for every floating step: outputs print 25 decimal
+# digits (about 83 bits), and below about 100 bits those digits go wrong.
+PRECISION_BITS = 128
 
 
-def q_of_N(N: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
+def q_of_N(N: int, precision_bits: int = PRECISION_BITS) -> tuple[Fraction, Fraction]:
     """Bracket the root of q^2 - N*q + 1 = 0 lying in (0, 1].
 
     Returns (q_lower, q_upper) with q_upper - q_lower <= 2**-precision_bits.

@@ -1,4 +1,4 @@
-"""Three-vertex norms, rapid-decay constants D_N, and norm-inequality checks.
+"""Three-vertex norms, rapid-decay constants D_N, and the rapid-decay norm bound.
 
 The constant D_N is the supremum over admissible triples (n, k, l) of
 
@@ -15,13 +15,12 @@ throughout this module (q = 1 makes the tail products diverge).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath
 
-from . import ncpoly, qnum
+from . import qnum
 from .errors import AdmissibilityError, InvalidArgumentError, InvalidDimensionError
 
 # rigorous_upper_bound stops once its tail multiplier is below 1 + TAIL_TOL.
@@ -101,7 +100,6 @@ class RDBound:
     truncation: TruncationLimits
     tail_error: Fraction  # multiplicative tail slack minus 1, at q_upper
     rigorous_upper: Fraction
-    precision_bits: int = 128
 
 
 def _round_up(x: Fraction, bits: int = 96) -> Fraction:
@@ -109,8 +107,7 @@ def _round_up(x: Fraction, bits: int = 96) -> Fraction:
     return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
 
 
-def rigorous_upper_bound(N: int, precision_bits: int = qnum.DEFAULT_PRECISION_BITS
-                         ) -> tuple[Fraction, Fraction]:
+def rigorous_upper_bound(N: int) -> tuple[Fraction, Fraction]:
     """Rational upper bound for D_N and the tail multiplier slack.
 
     Bound: (1-q^2)^-1 * prod_{s<=S} (1-q^{2s})^-3 * tail, with S grown until
@@ -118,7 +115,7 @@ def rigorous_upper_bound(N: int, precision_bits: int = qnum.DEFAULT_PRECISION_BI
     of the q bracket and are rounded upward, so the result is a true bound.
     """
     _require_n(N)
-    _, q_hi = qnum.q_of_N(N, precision_bits)
+    _, q_hi = qnum.q_of_N(N)
     Q = _round_up(q_hi * q_hi)
     acc = _round_up(1 / (1 - Q))  # sqrt(radicand) <= (1 - q^2)^-1
     Qs = Fraction(1)
@@ -137,8 +134,7 @@ def rigorous_upper_bound(N: int, precision_bits: int = qnum.DEFAULT_PRECISION_BI
             raise ArithmeticError(f"tail bound did not converge for N={N}")
 
 
-def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits(),
-                precision_bits: int = qnum.DEFAULT_PRECISION_BITS) -> RDBound:
+def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RDBound:
     """Scanned maximum of the D_N objective over the truncated parameter space.
 
     The scan runs over r <= r_max and a = n-r, b = k-r on {0..nk_max, INF}
@@ -147,10 +143,10 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits(),
     scan is a lower estimate; rigorous comparisons must use `rigorous_upper`.
     """
     _require_n(N)
-    lo, hi = qnum.q_of_N(N, precision_bits)
+    lo, hi = qnum.q_of_N(N)
     rmax, amax = truncation.r_max, truncation.nk_max
     INF = 2 * amax + rmax + 2  # above every finite exponent
-    with mpmath.workprec(precision_bits + 16):
+    with mpmath.workprec(qnum.PRECISION_BITS + 16):
         q = (mpmath.mpf(lo.numerator) / lo.denominator
              + mpmath.mpf(hi.numerator) / hi.denominator) / 2
         Q = q * q
@@ -178,88 +174,54 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits(),
                         best2 = v2
                         best_arg = tuple(math.inf if x >= INF else x for x in (a + r, b + r, ab))
         value = mpmath.sqrt(best2)
-    upper, tail = rigorous_upper_bound(N, precision_bits)
+    upper, tail = rigorous_upper_bound(N)
     return RDBound(N=N, value=value, argmax=best_arg, truncation=truncation,
-                   tail_error=tail, rigorous_upper=upper,
-                   precision_bits=precision_bits)
+                   tail_error=tail, rigorous_upper=upper)
 
 
-def d_star_upper(precision_bits: int = qnum.DEFAULT_PRECISION_BITS) -> Fraction:
+def d_star_upper() -> Fraction:
     """Verified upper bound for sup_{N >= 3} D_N.
 
     The rigorous bound decreases in N (regression-checked), so the maximum
     over D_STAR_GRID, which starts at N = 3, dominates all N >= 3.
     """
-    return max(rigorous_upper_bound(N, precision_bits)[0] for N in D_STAR_GRID)
+    return max(rigorous_upper_bound(N)[0] for N in D_STAR_GRID)
 
 
-def select_p(degree: int, epsilon, d_star, precision_bits: int = 128) -> tuple[int, int, mpmath.mpf]:
+def select_p(degree: int, epsilon, d_star) -> tuple[int, int, mpmath.mpf]:
     """Smallest m with d_star^(1/2m) * (2*degree*m + 1)^(3/4m) <= 1 + epsilon.
 
     Returns (m, p, achieved) with p = 4m.  Such an m always exists since the
-    expression tends to 1.
+    expression tends to 1.  It does not increase in m, because
+    x/(1+x) < ln(1+x), so m is found by doubling and then bisection.
     """
     if degree < 0:
         raise InvalidArgumentError("degree must be >= 0")
-    with mpmath.workprec(precision_bits):
+    with mpmath.workprec(qnum.PRECISION_BITS):
         eps = mpmath.mpf(epsilon.numerator) / epsilon.denominator \
             if isinstance(epsilon, Fraction) else mpmath.mpf(epsilon)
-        if not eps > 0:  # also rejects NaN, for which the loop below never ends
-            raise InvalidArgumentError("epsilon must be positive")
+        if not 1 + eps > 1:  # also NaN, and an eps for which doubling never ends
+            raise InvalidArgumentError(f"epsilon must exceed 2^-{qnum.PRECISION_BITS}")
         D = mpmath.mpf(d_star.numerator) / d_star.denominator \
             if isinstance(d_star, Fraction) else mpmath.mpf(d_star)
         if not D >= 1:
             raise InvalidArgumentError("d_star must be >= 1")
-        m = 0
-        while True:
-            m += 1
-            achieved = D ** (mpmath.mpf(1) / (2 * m)) \
+
+        def achieved(m):
+            return D ** (mpmath.mpf(1) / (2 * m)) \
                 * mpmath.mpf(2 * degree * m + 1) ** (mpmath.mpf(3) / (4 * m))
-            if achieved <= 1 + eps:
-                return m, 4 * m, achieved
 
-
-@dataclass(frozen=True)
-class RDCheckRow:
-    p: int
-    lp_value: mpmath.mpf
-    bound: mpmath.mpf
-    margin: mpmath.mpf
-
-
-@dataclass(frozen=True)
-class RDCheckReport:
-    N: int
-    degree: int
-    d_upper: Fraction
-    rows: tuple[RDCheckRow, ...] = field(default_factory=tuple)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row.margin >= 0 for row in self.rows)
+        lo, hi = 0, 1  # invariant once doubling stops: lo fails (or is 0), hi fits
+        while achieved(hi) > 1 + eps:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if achieved(mid) <= 1 + eps else (mid, hi)
+        return hi, 4 * hi, achieved(hi)
 
 
 def rd_bound(d_upper: Fraction, degree: int, l2: mpmath.mpf) -> mpmath.mpf:
-    """RD bound D_upper * (degree + 1)^(3/2) * ||P||_2 at the working precision."""
+    """RD bound D_upper * (degree + 1)^(3/2) * ||P||_2, above every ||P||_p."""
     return (mpmath.mpf(d_upper.numerator) / d_upper.denominator) \
         * mpmath.power(degree + 1, mpmath.mpf(3) / 2) * l2
 
-
-def rd_check(P: "ncpoly.NCPolynomial", N: int, p_list: Sequence[int],
-             kmax: int = 12, precision_bits: int = 128) -> RDCheckReport:
-    """Check ||P||_p <= D_upper * (deg P + 1)^(3/2) * ||P||_2 for each p.
-
-    Valid because L^p <= L^infty and the representation length of P is at
-    most its degree.
-    """
-    _require_n(N)
-    d_upper, _ = rigorous_upper_bound(N, precision_bits)
-    deg = P.degree
-    with mpmath.workprec(precision_bits):
-        l2 = ncpoly.lp_norm(P, 2, N, precision_bits=precision_bits, kmax=kmax)
-        bound = rd_bound(d_upper, deg, l2)
-        rows = []
-        for p in p_list:
-            val = ncpoly.lp_norm(P, p, N, precision_bits=precision_bits, kmax=kmax)
-            rows.append(RDCheckRow(p=p, lp_value=val, bound=bound, margin=bound - val))
-    return RDCheckReport(N=N, degree=deg, d_upper=d_upper, rows=tuple(rows))

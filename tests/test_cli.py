@@ -130,6 +130,7 @@ def test_exit_code_config_error(capsys):
         ["wg", "--k", "3", "--N", "3"],
         ["selectp", "--degree", "-1", "--epsilon", "0.5"],
         ["selectp", "--degree", "2", "--epsilon", "nan"],
+        ["selectp", "--degree", "2", "--epsilon", "1e-40"],
         ["moment", "x[1,1]x[1,1]", "--N", "3"],
         ["dn", "--N-list", "3,x"],
         ["converge", "--poly", "x[1,1]", "--N-list", "4,y"],
@@ -146,6 +147,8 @@ def test_exit_code_config_error(capsys):
     ["lp", "x[1,1]", "--p", "2", "--model", "limit"],
     ["selectp", "--degree", "2", "--epsilon", "0.5", "--kmax", "14"],
     ["check", "--precision-bits", "64"],
+    ["lp", "x[1,1]", "--N", "3", "--p", "4", "--precision-bits", "64"],
+    ["dn", "--N-list", "3", "--precision-bits", "64"],
 ])
 def test_unread_option_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -166,6 +169,7 @@ def test_exit_code_resource_limit(capsys):
     for argv in (
         ["moment", "x[1,1]^14", "--N", "3", "--kmax", "12"],
         ["wg", "--k", "14", "--N", "3"],
+        ["gram", "--k", "20", "--N", "3"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 3, argv

@@ -46,6 +46,24 @@ class TestAlgebra:
         assert len(p.terms) == 4
         assert all(len(w) == 2 for w, _ in p.terms)
 
+    def test_power_squares_and_multiplies(self, monkeypatch):
+        calls = []
+        mul = NCPolynomial.__mul__
+        monkeypatch.setattr(NCPolynomial, "__mul__",
+                            lambda self, other: calls.append(1) or mul(self, other))
+        p = x(1, 1) ** 20000
+        assert list(p.terms) == [(((1, 1, "1"),) * 20000, 0)]
+        assert len(calls) <= 2 * (20000).bit_length()
+
+    def test_power_matches_repeated_product(self):
+        # term order too: the first word past kmax decides the reported k
+        p = x(1, 1) - Fraction(1, 2) * x(1, 2) + NCPolynomial.constant(3)
+        acc = NCPolynomial.constant(1)
+        for m in range(8):
+            q = p ** m
+            assert q == acc and list(q.terms) == list(acc.terms)
+            acc = acc * p
+
     def test_model_mismatch(self):
         with pytest.raises(ModelMismatchError):
             x(1, 1) * vgen(1, 1)

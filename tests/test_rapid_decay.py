@@ -115,17 +115,20 @@ class TestSelectP:
     def test_postcondition_and_minimality(self):
         d = rapid_decay.d_star_upper()
         for degree in (0, 1, 2):
-            for eps in (Fraction(1, 2), Fraction(1, 4)):
+            for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10 ** 9)):
                 m, p, achieved = rapid_decay.select_p(degree, eps, d)
                 assert p == 4 * m
-                assert achieved <= 1 + mpmath.mpf(eps.numerator) / eps.denominator
+                # the threshold at 53 bits would round 1 + 1e-9 up by 8e-17
+                with mpmath.workprec(qnum.PRECISION_BITS):
+                    target = 1 + mpmath.mpf(eps.numerator) / eps.denominator
+                assert achieved <= target
                 if m > 1:
-                    with mpmath.workprec(128):
+                    with mpmath.workprec(qnum.PRECISION_BITS):
                         D = mpmath.mpf(d.numerator) / d.denominator
                         prev = D ** (mpmath.mpf(1) / (2 * (m - 1))) \
                             * mpmath.mpf(2 * degree * (m - 1) + 1) \
                             ** (mpmath.mpf(3) / (4 * (m - 1)))
-                    assert prev > 1 + mpmath.mpf(eps.numerator) / eps.denominator
+                    assert prev > target
 
     def test_bad_inputs(self):
         d = rapid_decay.d_star_upper()
@@ -137,16 +140,22 @@ class TestSelectP:
             rapid_decay.select_p(2, Fraction(1, 2), Fraction(1, 2))
 
 
+def assert_below_rd_bound(P, N, p_list):
+    """||P||_p <= D_upper * (deg P + 1)^(3/2) * ||P||_2 for each p, at N."""
+    d_upper, _ = rapid_decay.rigorous_upper_bound(N)
+    with mpmath.workprec(qnum.PRECISION_BITS):
+        bound = rapid_decay.rd_bound(d_upper, P.degree, ncpoly.lp_norm(P, 2, N))
+        for p in p_list:
+            assert ncpoly.lp_norm(P, p, N) <= bound, p
+
+
 class TestRdCheck:
     def test_scaled_generator_passes(self):
         P = ncpoly.scaled_generators(ncpoly.NCPolynomial.generator(1, 1, "o+"), 5)
-        rep = rapid_decay.rd_check(P, 5, [2, 4, 6])
-        assert rep.degree == 1
-        assert rep.all_pass
-        assert [row.p for row in rep.rows] == [2, 4, 6]
+        assert P.degree == 1
+        assert_below_rd_bound(P, 5, [2, 4, 6])
 
     def test_sum_passes(self):
         g = ncpoly.NCPolynomial.generator
         P = ncpoly.scaled_generators(g(1, 1, "o+") + g(1, 2, "o+"), 4)
-        rep = rapid_decay.rd_check(P, 4, [2, 4])
-        assert rep.all_pass
+        assert_below_rd_bound(P, 4, [2, 4])

@@ -8,10 +8,32 @@ Two routes are provided for Gram-matrix work:
   Used for full Weingarten tables up to the configured k_max.
 
 * ``bilinear_solve`` -- exact evaluation of u^T A^{-1} v for an integer
-  matrix given as N**loops, via mod-p elimination (numpy), CRT and rational
+  matrix given as N**loops, modulo primes below 2**23, then CRT and rational
   reconstruction.  Used for single large-k moments where the full table is
-  out of reach.  The reconstruction is accepted only once it is stable
-  across two successive moduli and verified against one further prime.
+  out of reach.
+
+The modular route works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi
+and Pernet, ACM TOMS 35, 2008).  Per prime it eliminates the bordered matrix
+[[A mod p, v], [u^T, 0]] in blocks of BLOCK: invert the diagonal block mod p,
+form L = A21 inv mod p, update A22 <- A22 - L A12 mod p.  The last 1x1 Schur
+complement is -u^T A^{-1} v mod p, so no back substitution is needed.
+
+Exactness: residues are kept below p < 2**23 in size, and every product has
+inner dimension at most BLOCK, so every partial sum is an integer below
+BLOCK*(p-1)**2 + p < 2**52, which float64 holds exactly.  Reducing such an X
+as X - rint(X*(1/p))*p is then exact too, and leaves a residue of size at
+most p/2 + 1 with no correction step.
+
+No pivoting: the Gram matrix N**loops of non-crossing pairings is positive
+definite for N >= 2 (Temperley-Lieb at delta = N >= 2; a coloured Gram
+matrix is a principal submatrix of it), so every leading minor is a nonzero
+integer.  A prime is skipped only when a diagonal block is singular mod p,
+which happens for the finitely many primes dividing a leading minor; a
+skipped prime never changes the result.
+
+Acceptance: a reconstruction is a candidate once two successive moduli give
+the same rational; it is returned once further primes whose product reaches
+VERIFY_MODULUS all agree with it.
 """
 
 from __future__ import annotations
@@ -24,10 +46,14 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# First candidate prime: residue products stay below 2**62 and fit in int64.
-PRIME_START = (1 << 31) - 1
-# CRT primes combined before bilinear_solve gives up on reconstruction.
-MAX_PRIMES = 120
+# First candidate prime: BLOCK*(p-1)**2 + p < 2**52 keeps float64 matmuls exact.
+PRIME_START = (1 << 23) - 1
+# Side of the diagonal blocks in the modular elimination.
+BLOCK = 64
+# CRT primes combined before bilinear_solve gives up (a 3720-bit budget).
+MAX_PRIMES = 162
+# Product of the primes that must confirm a stable reconstruction.
+VERIFY_MODULUS = 1 << 31
 
 
 def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -90,34 +116,64 @@ def prime_stream():
         n -= 2
 
 
-def _solve_mod_prime(A: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Solve A x = b over GF(p); A, b are int64 arrays reduced mod p.
+def _reduce(X: np.ndarray, p: int) -> np.ndarray:
+    """Reduce X mod p in place to residues of size at most p/2 + 1 (so below p).
 
-    Returns None if A is singular mod p.
+    X holds integers below 2**52 in size: the float64 quotient X*(1/p) is then
+    within 1/p of X/p, so rounding it leaves a residue no larger than p/2 + 1.
+    """
+    q = X * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    X -= q
+    return X
+
+
+def _inverse_mod_prime(D: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """Inverse of a square block of residues mod p by pivot-free Gauss-Jordan.
+
+    Only the pivot row and the pivot column are reduced at each step; every
+    other entry takes at most BLOCK unreduced rank-1 updates.  Returns None if
+    a pivot vanishes mod p.
+    """
+    b = D.shape[0]
+    W = np.concatenate([D, np.eye(b)], axis=1)
+    for k in range(b):
+        row = _reduce(W[k], p)
+        pivot = int(row[k])
+        if pivot == 0:
+            return None
+        row *= pow(pivot, -1, p)
+        _reduce(row, p)
+        col = _reduce(W[:, k].copy(), p)
+        col[k] = 0  # row k is the normalized pivot row; leave it
+        W -= col[:, None] * row
+    return _reduce(W[:, b:], p)
+
+
+def _bilinear_mod_prime(A: np.ndarray, u_idx: Sequence[int], v_idx: Sequence[int],
+                        p: int) -> Optional[int]:
+    """u^T A^{-1} v mod p for a float64 matrix A of residues mod p.
+
+    Blocked Schur-complement elimination of the bordered matrix
+    [[A, v], [u^T, 0]]: its last Schur complement is -u^T A^{-1} v.  Returns
+    None if a diagonal block is singular mod p.
     """
     n = A.shape[0]
-    A = A.copy()
-    b = b.copy()
-    for col in range(n):
-        piv_rows = np.nonzero(A[col:, col])[0]
-        if piv_rows.size == 0:
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A
+    M[n, list(u_idx)] = 1
+    M[list(v_idx), n] = 1
+    for j0 in range(0, n, BLOCK):
+        j1 = min(j0 + BLOCK, n)
+        inv = _inverse_mod_prime(M[j0:j1, j0:j1], p)
+        if inv is None:
             return None
-        r = col + int(piv_rows[0])
-        if r != col:
-            A[[col, r]] = A[[r, col]]
-            b[[col, r]] = b[[r, col]]
-        inv = pow(int(A[col, col]), -1, p)
-        A[col, col:] = A[col, col:] * inv % p
-        b[col] = b[col] * inv % p
-        f = A[col + 1:, col].copy()  # view would be zeroed by the A update
-        if f.size:
-            A[col + 1:, col:] = (A[col + 1:, col:] - f[:, None] * A[col, col:]) % p
-            b[col + 1:] = (b[col + 1:] - f * b[col]) % p
-    x = np.zeros(n, dtype=object)
-    for row in range(n - 1, -1, -1):
-        acc = int(np.dot(A[row, row + 1:], x[row + 1:]) % p) if row + 1 < n else 0
-        x[row] = (int(b[row]) - acc) % p
-    return x
+        L = _reduce(M[j1:, j0:j1] @ inv, p)
+        trailing = M[j1:, j1:]
+        trailing -= L @ M[j0:j1, j1:]
+        _reduce(trailing, p)
+    return int(-M[n, n]) % p
 
 
 def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
@@ -143,24 +199,23 @@ def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
 
     loop_mat is a small-integer numpy array; u_idx and v_idx index its rows.
     """
-    n = loop_mat.shape[0]
     max_loops = int(loop_mat.max())
     residue, modulus, combined = 0, 1, 0
     last: Optional[Fraction] = None
     candidate: Optional[Fraction] = None
+    verified = 1
     for p in prime_stream():
-        pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.int64)
-        A = pows[loop_mat]
-        b = np.zeros(n, dtype=np.int64)
-        b[list(v_idx)] = 1
-        x = _solve_mod_prime(A, b, p)
-        if x is None:
-            continue  # p divides det; skip
-        h_p = int(sum(int(x[i]) for i in u_idx) % p)
+        pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
+        h_p = _bilinear_mod_prime(pows[loop_mat], u_idx, v_idx, p)
+        if h_p is None:
+            continue  # p divides a leading minor; skip
         if candidate is not None:
-            # Verification prime for the stable candidate.
+            # Verification primes for the stable candidate.
             if (candidate.numerator - h_p * candidate.denominator) % p == 0:
-                return candidate
+                verified *= p
+                if verified >= VERIFY_MODULUS:
+                    return candidate
+                continue
             candidate = None
         # CRT combine.
         inv = pow(modulus % p, -1, p)
@@ -169,7 +224,7 @@ def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
         residue %= modulus
         guess = rational_reconstruct(residue, modulus)
         if guess is not None and guess == last:
-            candidate = guess
+            candidate, verified = guess, 1
         last = guess
         combined += 1
         if combined >= MAX_PRIMES:

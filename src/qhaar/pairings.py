@@ -103,6 +103,20 @@ def word_pairings(k: int, pattern: Optional[tuple[str, ...]] = None
     return enumerate_nc_pairings(k) if pattern is None else enumerate_colored_nc_pairings(pattern)
 
 
+def canonical_pattern(pattern: Optional[tuple[str, ...]]) -> Optional[tuple[str, ...]]:
+    """The pattern, or None when it alternates.
+
+    Every non-crossing pair joins points an odd distance apart, so an
+    alternating pattern fits every pairing: word_pairings gives the full
+    canonical list in the same order, and the loop matrix and the Gram
+    matrix are the uncoloured ones.  Keying caches by this value lets an
+    alternating U_N^+ word share them with O_N^+ words.
+    """
+    if pattern is not None and all(a != b for a, b in zip(pattern, pattern[1:])):
+        return None
+    return pattern
+
+
 def compatible_indices(plist: Sequence[NCPairPartition], labels: Sequence) -> list[int]:
     """Positions in plist of the pairings whose every pair joins two equal labels.
 
@@ -185,4 +199,4 @@ def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None
     pat = tuple(pattern) if pattern is not None else None
     if pat is not None and (len(pat) != k or not enumerate_colored_nc_pairings(pat)):
         raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
-    return tuple(tuple(N ** l for l in row) for row in loop_matrix(k, pat))
+    return tuple(tuple(N ** l for l in row) for row in loop_matrix(k, canonical_pattern(pat)))

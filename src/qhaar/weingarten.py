@@ -110,7 +110,8 @@ def haar_moment(word: GeneratorWord, N: int, kmax: int = DEFAULT_KMAX) -> Fracti
     if k % 2:
         return Fraction(0)
 
-    pattern = tuple(eps for _, _, eps in letters) if model == "u+" else None
+    pattern = (pairings.canonical_pattern(tuple(eps for _, _, eps in letters))
+               if model == "u+" else None)
     rows, cols = [i for i, _, _ in letters], [j for _, j, _ in letters]
     if k > kmax:  # refuse a nonzero moment before listing its Catalan-many pairings
         if (pairings.has_compatible_pairing(rows, pattern)
@@ -129,7 +130,6 @@ def haar_moment(word: GeneratorWord, N: int, kmax: int = DEFAULT_KMAX) -> Fracti
         return Fraction(sum(num[p][q] for p in R for q in C), table.wg_den)
 
     # Large-k route: single exact bilinear solve, no full inverse.
-    log.warning("haar_moment at k=%d via modular solve (%d pairings)", k, len(plist))
     loops = pairings.loop_matrix(k, pattern)
     loop_arr = np.array(loops, dtype=np.int64)
     return exactla.bilinear_solve(loop_arr, N, R, C)

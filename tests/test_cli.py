@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qhaar
 from qhaar import cli
 
 
@@ -188,3 +193,16 @@ def test_check_exit_4_on_failure(capsys, monkeypatch):
     code, out, err = run(["check"], capsys)
     assert code == 4
     assert "FAIL" in out
+
+
+def test_large_moment_writes_nothing_to_stderr():
+    # A separate process, so no test harness handler hides a logged warning.
+    word = "*".join(["x[1,1]", "x[1,2]", "x[2,2]", "x[2,1]"] * 3 + ["x[1,1]", "x[1,1]"])
+    src = str(pathlib.Path(qhaar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "qhaar.cli", "moment", word, "--N", "3",
+                           "--kmax", "14"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip()
+    assert proc.stderr == ""

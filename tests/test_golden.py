@@ -2,9 +2,10 @@
 
 The expected files under golden/ were recorded from the CLI before the
 pairing core, the Weingarten cache and the RD-bound formula were merged, so
-they pin that refactors leave every printed byte unchanged.  A case whose
-argv contains OUT writes through --out; its file is compared instead of
-stdout.
+they pin that refactors leave every printed byte unchanged.  The two order-16
+cases were recorded from the int64 modular elimination, before the float64
+kernel replaced it.  A case whose argv contains OUT writes through --out;
+its file is compared instead of stdout.
 """
 
 import pathlib
@@ -18,6 +19,8 @@ OUT = "{out}"
 K14_X = "*".join(["x[1,1]", "x[1,2]", "x[2,2]", "x[2,1]"] * 3 + ["x[1,1]", "x[1,1]"])
 K14_V = ("v[2,2]*v*[1,2]*v[1,1]*v*[2,2]*v*[2,1]*v[1,2]*v*[1,1]"
          "*v[1,1]*v*[1,2]*v[2,1]*v[2,2]*v*[1,1]*v[1,2]*v*[2,2]")
+# Criterion 7's order-16 word (x22 x11 x11 x22)^4: (P* P)^4 for P = x11 x22, at p = 8.
+K16_X = "*".join(["x[2,2]", "x[1,1]", "x[1,1]", "x[2,2]"] * 4)
 
 CASES = {
     "dim_csv": ["dim", "--N", "3", "--kmax", "6"],
@@ -43,6 +46,8 @@ CASES = {
     "moment_v_unbalanced": ["moment", "v[1,1]*v[1,1]*v[1,1]*v*[1,1]", "--N", "3"],
     "moment_x_k14": ["moment", K14_X, "--N", "3", "--kmax", "14"],
     "moment_v_k14": ["moment", K14_V, "--N", "3", "--kmax", "14"],
+    "moment_x_k16_N3": ["moment", K16_X, "--N", "3", "--kmax", "16"],
+    "moment_x_k16_N8": ["moment", K16_X, "--N", "8", "--kmax", "16"],
     "lp_finite": ["lp", "x[1,1]+x[1,2]", "--N", "3", "--p", "4", "--scale"],
     "lp_unscaled": ["lp", "x[1,1]*x[1,2]", "--N", "4", "--p", "6"],
     "lp_limit": ["lp", "x[1,1]+x[1,2]", "--p", "6"],

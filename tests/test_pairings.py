@@ -158,3 +158,17 @@ def test_gram_symmetric_and_positive_definite():
 def test_gram_rejects_bad_dimension():
     with pytest.raises(InvalidDimensionError):
         pairings.gram_matrix(4, 1)
+
+
+def test_alternating_pattern_shares_the_uncoloured_matrices():
+    # Non-crossing pairs join points an odd distance apart, so every pairing
+    # fits an alternating pattern, and no other pattern.
+    for k in (2, 4, 6, 8):
+        for pattern in (("1", "*") * (k // 2), ("*", "1") * (k // 2)):
+            assert pairings.canonical_pattern(pattern) is None
+            assert pairings.word_pairings(k, pattern) == pairings.enumerate_nc_pairings(k)
+            assert pairings.loop_matrix(k, pattern) == pairings.loop_matrix(k, None)
+    for pattern in (("1", "1", "*", "*"), ("1", "*", "*", "1")):
+        assert pairings.canonical_pattern(pattern) == pattern
+        assert len(pairings.word_pairings(4, pattern)) < len(pairings.enumerate_nc_pairings(4))
+    assert pairings.canonical_pattern(None) is None

@@ -225,6 +225,19 @@ def test_modular_route_matches_table_route():
         assert got == weingarten.haar_moment(gw(word, model), N)
 
 
+def test_alternating_unitary_word_reuses_the_orthogonal_loop_matrix(monkeypatch):
+    # The k=14 U_N^+ word alternates v / v*, so its modular solve asks for
+    # loop_matrix(14, None), the matrix O_N^+ words of length 14 use.
+    calls = []
+    real = pairings.loop_matrix
+    monkeypatch.setattr(pairings, "loop_matrix", lambda *a: calls.append(a) or real(*a))
+    word = [v(1, 1), v(1, 2, True), v(2, 2), v(2, 1, True)] * 3 + [v(1, 1), v(1, 1, True)]
+    h = weingarten.haar_moment(gw(word, "u+"), 3, kmax=14)
+    assert calls == [(14, None)]
+    x_word = [u(i, j) for i, j, _ in word]
+    assert h == weingarten.haar_moment(gw(x_word, "o+"), 3, kmax=14)
+
+
 def test_cache_returns_same_object():
     a = weingarten.weingarten_table(4, 6)
     b = weingarten.weingarten_table(4, 6)

@@ -1,14 +1,14 @@
 """Alternating parent/change benchmark pairs, written to one BENCH JSON file.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --seeds 501,502 \
-        --out BENCH.json [--order16] [--criterion7]
+        --out BENCH.json
 
-DIR is the root of a qhaar checkout.  For each seed and each workload,
-`perfbench/run.py` runs in both checkouts, one after the other, and the
-one that goes first alternates from seed to seed.  Then each checkout gets
-one `--trace 1` run per workload.  `--order16` times criterion 7's order-16
-moment at N = 3 and N = 8 in a fresh process per checkout, after building
-`loop_matrix(16)`; `--criterion7` times criterion 7 run alone under pytest.
+DIR is the root of a qhaar checkout.  For each seed and each of the four
+workloads, `perfbench/run.py` runs in both checkouts, one after the other,
+and the one that goes first alternates from seed to seed.  Then each
+checkout gets one `--trace 1` run per workload, one timing of criterion 7's
+order-16 moment at N = 3 and N = 8 in a fresh process after building
+`loop_matrix(16)`, and one timing of criterion 7 run alone under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, and one table line per workload and metric: the
 parent's median and quartiles, the change's median, and the number of
@@ -26,6 +26,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+WORKLOADS = ("moment_modular", "lp_table", "lp_words", "dn_scan")
 
 ORDER16 = """
 import json, time
@@ -66,10 +68,10 @@ def timed(argv: list[str], tree: str) -> tuple[float, str]:
     return time.perf_counter() - t, proc.stdout
 
 
-def median_table(pairs: list[dict], workloads: list[str]) -> list[str]:
+def median_table(pairs: list[dict]) -> list[str]:
     lines = [f"{'workload':15s} {'metric':12s} {'parent q1':>10s} {'parent':>10s} "
              f"{'parent q3':>10s} {'change':>10s} lower"]
-    for workload in workloads:
+    for workload in WORKLOADS:
         mine = [p for p in pairs if p["workload"] == workload]
         for metric in mine[0]["parent"]["metrics"]:
             par = [p["parent"]["metrics"][metric] for p in mine]
@@ -92,35 +94,29 @@ def main() -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--seeds", required=True, help="comma-separated perfbench seeds")
-    ap.add_argument("--workloads", default="moment_modular,lp_table,lp_words,dn_scan")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--order16", action="store_true")
-    ap.add_argument("--criterion7", action="store_true")
     args = ap.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     import numpy
     result: dict = {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "pairs": []}
-    workloads = args.workloads.split(",")
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in workloads:
+        for workload in WORKLOADS:
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run(trees[side], workload, seed, 0)
             result["pairs"].append(pair)
-        result["median_table"] = median_table(result["pairs"], workloads)
+        result["median_table"] = median_table(result["pairs"])
         save(result, args.out)
-    result["traced"] = {side: {w: run(tree, w, 0, 1)["metrics"] for w in workloads}
+    result["traced"] = {side: {w: run(tree, w, 0, 1)["metrics"] for w in WORKLOADS}
                         for side, tree in trees.items()}
-    if args.order16:
-        result["order16"] = {side: json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
-                             for side, tree in trees.items()}
-    if args.criterion7:
-        result["criterion7_s"] = {
-            side: timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                         "tests/test_acceptance.py", "-k", "criterion_7"], tree)[0]
-            for side, tree in trees.items()}
+    result["order16"] = {side: json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
+                         for side, tree in trees.items()}
+    result["criterion7_s"] = {
+        side: timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                     "tests/test_acceptance.py", "-k", "criterion_7"], tree)[0]
+        for side, tree in trees.items()}
     save(result, args.out)
     return 0
 

@@ -27,9 +27,10 @@ most p/2 + 1 with no correction step.
 No pivoting: the Gram matrix N**loops of non-crossing pairings is positive
 definite for N >= 2 (Temperley-Lieb at delta = N >= 2; a coloured Gram
 matrix is a principal submatrix of it), so every leading minor is a nonzero
-integer.  A prime is skipped only when a diagonal block is singular mod p,
-which happens for the finitely many primes dividing a leading minor; a
-skipped prime never changes the result.
+integer.  A prime is skipped when a leading minor of A vanishes mod p, since
+the pivot-free elimination then meets a zero pivot; only the finitely many
+primes dividing a leading minor do that, and a skipped prime never changes
+the result.
 
 Acceptance: a reconstruction is a candidate once two successive moduli give
 the same rational; it is returned once further primes whose product reaches
@@ -157,7 +158,7 @@ def _bilinear_mod_prime(A: np.ndarray, u_idx: Sequence[int], v_idx: Sequence[int
 
     Blocked Schur-complement elimination of the bordered matrix
     [[A, v], [u^T, 0]]: its last Schur complement is -u^T A^{-1} v.  Returns
-    None if a diagonal block is singular mod p.
+    None if a leading minor of A vanishes mod p.
     """
     n = A.shape[0]
     M = np.zeros((n + 1, n + 1))

@@ -8,7 +8,8 @@ workloads, `perfbench/run.py` runs in both checkouts, one after the other,
 and the one that goes first alternates from seed to seed.  Then each
 checkout gets one `--trace 1` run per workload, one timing of criterion 7's
 order-16 moment at N = 3 and N = 8 in a fresh process after building
-`loop_matrix(16)`, and one timing of criterion 7 run alone under pytest.
+`loop_matrix(16)`, and one timing each of criterion 7 and criterion 9 (the
+k <= 12 Weingarten tables at N = 2..10) run alone under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, and one table line per workload and metric: the
 parent's median and quartiles, the change's median, and the number of
@@ -33,7 +34,7 @@ ORDER16 = """
 import json, time
 from qhaar import pairings, weingarten
 t = time.perf_counter()
-pairings.loop_matrix(16, None)  # the cache key haar_moment uses
+pairings.loop_matrix(16, None)  # the cache key haar_moment uses in older trees
 out = {"loop_matrix_s": time.perf_counter() - t}
 w = weingarten.GeneratorWord(tuple([(2, 2, "1"), (1, 1, "1"), (1, 1, "1"), (2, 2, "1")] * 4), "o+")
 for N in (3, 8):
@@ -113,10 +114,11 @@ def main() -> int:
                         for side, tree in trees.items()}
     result["order16"] = {side: json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
                          for side, tree in trees.items()}
-    result["criterion7_s"] = {
-        side: timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                     "tests/test_acceptance.py", "-k", "criterion_7"], tree)[0]
-        for side, tree in trees.items()}
+    for num in (7, 9):
+        result[f"criterion{num}_s"] = {
+            side: timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                         "tests/test_acceptance.py", "-k", f"criterion_{num}"], tree)[0]
+            for side, tree in trees.items()}
     save(result, args.out)
     return 0
 

@@ -1,22 +1,21 @@
-"""Exact linear algebra: fraction-free inversion and modular bilinear solves.
+"""Exact linear algebra mod primes: certified inverses and bilinear solves.
 
-Two routes are provided for Gram-matrix work:
+Both routes share one kernel and work modulo primes below 2**23:
 
-* ``fraction_free_inverse`` -- Bareiss/Montante fraction-free Gauss-Jordan
-  over big integers.  Returns the inverse as (integer matrix, determinant);
-  intermediate entries are minors of the input, so everything stays integral.
-  Used for full Weingarten tables up to the configured k_max.
+* ``fraction_free_inverse`` -- the exact inverse X/D of an integer matrix,
+  with A X = D I proved by a certificate (see its docstring) rather than
+  assumed from a bound on D.  Used for full Weingarten tables.
 
 * ``bilinear_solve`` -- exact evaluation of u^T A^{-1} v for an integer
-  matrix given as N**loops, modulo primes below 2**23, then CRT and rational
-  reconstruction.  Used for single large-k moments where the full table is
-  out of reach.
+  matrix given as N**loops, then CRT and rational reconstruction.  Used for
+  single large-k moments where the full table is out of reach.
 
-The modular route works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi
-and Pernet, ACM TOMS 35, 2008).  Per prime it eliminates the bordered matrix
-[[A mod p, v], [u^T, 0]] in blocks of BLOCK: invert the diagonal block mod p,
-form L = A21 inv mod p, update A22 <- A22 - L A12 mod p.  The last 1x1 Schur
-complement is -u^T A^{-1} v mod p, so no back substitution is needed.
+The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
+Pernet, ACM TOMS 35, 2008).  Per prime it eliminates the bordered matrix
+[[A mod p, V], [U, 0]] in blocks of BLOCK: invert the diagonal block mod p,
+form L = A21 inv mod p, update A22 <- A22 - L A12 mod p.  The trailing Schur
+complement is -U A^{-1} V mod p, so no back substitution is needed: U = u^T
+and V = v give the bilinear form, U = V = I the whole inverse.
 
 Exactness: residues are kept below p < 2**23 in size, and every product has
 inner dimension at most BLOCK, so every partial sum is an integer below
@@ -32,13 +31,14 @@ the pivot-free elimination then meets a zero pivot; only the finitely many
 primes dividing a leading minor do that, and a skipped prime never changes
 the result.
 
-Acceptance: a reconstruction is a candidate once two successive moduli give
-the same rational; it is returned once further primes whose product reaches
-VERIFY_MODULUS all agree with it.
+Acceptance in bilinear_solve: a reconstruction is a candidate once two
+successive moduli give the same rational; it is returned once further
+primes whose product reaches VERIFY_MODULUS all agree with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -51,37 +51,10 @@ from .errors import SingularMatrixError
 PRIME_START = (1 << 23) - 1
 # Side of the diagonal blocks in the modular elimination.
 BLOCK = 64
-# CRT primes combined before bilinear_solve gives up (a 3720-bit budget).
+# Primes combined (bilinear_solve) or drawn (fraction_free_inverse) before giving up.
 MAX_PRIMES = 162
 # Product of the primes that must confirm a stable reconstruction.
 VERIFY_MODULUS = 1 << 31
-
-
-def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Invert an integer matrix exactly; returns (M, det) with inv = M/det.
-
-    Fraction-free Gauss-Jordan (Montante): every division is exact and every
-    intermediate entry is a minor of A.  No pivoting is performed; intended
-    for positive definite inputs whose leading minors are nonzero.
-    """
-    n = len(A)
-    M = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A)]
-    prev = 1
-    for col in range(n):
-        pivot = M[col][col]
-        if pivot == 0:
-            raise SingularMatrixError(f"zero pivot at step {col}")
-        row_p = M[col]
-        for i in range(n):
-            if i == col:
-                continue
-            row_i = M[i]
-            f = row_i[col]
-            M[i] = [(pivot * row_i[j] - f * row_p[j]) // prev for j in range(2 * n)]
-        prev = pivot
-    det = M[n - 1][n - 1]
-    inv_num = [M[i][n:] for i in range(n)]
-    return inv_num, det
 
 
 def _is_prime(n: int) -> bool:
@@ -152,19 +125,18 @@ def _inverse_mod_prime(D: np.ndarray, p: int) -> Optional[np.ndarray]:
     return _reduce(W[:, b:], p)
 
 
-def _bilinear_mod_prime(A: np.ndarray, u_idx: Sequence[int], v_idx: Sequence[int],
-                        p: int) -> Optional[int]:
-    """u^T A^{-1} v mod p for a float64 matrix A of residues mod p.
+def _schur_mod_prime(A: np.ndarray, U: np.ndarray, V: np.ndarray,
+                     p: int) -> Optional[np.ndarray]:
+    """-U A^{-1} V mod p for a float64 matrix A of residues mod p.
 
     Blocked Schur-complement elimination of the bordered matrix
-    [[A, v], [u^T, 0]]: its last Schur complement is -u^T A^{-1} v.  Returns
-    None if a leading minor of A vanishes mod p.
+    [[A, V], [U, 0]] (U and V hold residues too): its trailing Schur
+    complement is -U A^{-1} V, returned unnormalized (entries of size at most
+    p/2 + 1).  Returns None if a leading minor of A vanishes mod p.
     """
-    n = A.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[n, list(u_idx)] = 1
-    M[list(v_idx), n] = 1
+    n, m = A.shape[0], V.shape[1]
+    M = np.zeros((n + U.shape[0], n + m))
+    M[:n, :n], M[:n, n:], M[n:, :n] = A, V, U
     for j0 in range(0, n, BLOCK):
         j1 = min(j0 + BLOCK, n)
         inv = _inverse_mod_prime(M[j0:j1, j0:j1], p)
@@ -174,7 +146,7 @@ def _bilinear_mod_prime(A: np.ndarray, u_idx: Sequence[int], v_idx: Sequence[int
         trailing = M[j1:, j1:]
         trailing -= L @ M[j0:j1, j1:]
         _reduce(trailing, p)
-    return int(-M[n, n]) % p
+    return M[n:, n:].copy()  # not a view: M is freed on return
 
 
 def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
@@ -194,6 +166,62 @@ def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+def _certified(W: np.ndarray, M: int, scale: int) -> Optional[tuple[int, np.ndarray]]:
+    """(D, X) with X = D W mod M in (-M/2, M/2] and M > scale max|X| + D, or None.
+
+    From D = 1, each failed certificate multiplies D by the denominator that
+    rational reconstruction gives for the first entry of X too large to be
+    an integer; that at least doubles D, until D reaches M.
+    """
+    bound = math.isqrt(M // 2)
+    D = 1
+    while True:
+        X = D * W % M
+        X[X > M // 2] -= M
+        size = abs(X)
+        if M > scale * int(size.max()) + D:
+            return D, X
+        big = np.flatnonzero(size > bound)
+        f = rational_reconstruct(int(X.flat[big[0]]), M) if big.size and D < M else None
+        if f is None:
+            return None
+        D *= f.denominator
+
+
+def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Invert an integer matrix exactly; returns (X, D) with inv = X/D, reduced.
+
+    Per prime p, the kernel eliminates [[A mod p, I], [I, 0]], whose trailing
+    Schur complement is -A^{-1} mod p; CRT combines the residues into
+    W = A^{-1} mod M, and _certified proposes D and X = D W mod M.
+
+    Certificate: (X, D) is accepted only if M > n max|A| max|X| + D.
+    Proof: A W = I (mod M), so A X = D I (mod M) by construction, and every
+    entry of A X - D I is at most n max|A| max|X| + D < M in absolute value,
+    so it is 0: A X = D I exactly, however D was found.  Otherwise another
+    prime is drawn.  Dividing by gcd(D, X) leaves D the least common
+    denominator.  Like the kernel, it needs nonzero leading minors.
+    """
+    A = np.array(A, dtype=object)
+    n = A.shape[0]
+    scale = n * int(abs(A).max())
+    eye = np.eye(n)
+    W, M = np.zeros((n, n), dtype=object), 1
+    for p in itertools.islice(prime_stream(), MAX_PRIMES):
+        T = _schur_mod_prime((A % p).astype(np.float64), eye, eye, p)
+        if T is None:
+            continue  # p divides a leading minor; skip
+        r = np.mod(-T, p).astype(np.int64).astype(object)
+        W += M * ((r - W % p) * pow(M, -1, p) % p)
+        M *= p
+        found = _certified(W, M, scale)
+        if found is not None:
+            D, X = found
+            g = math.gcd(D, *X.flat)
+            return [[int(x) // g for x in row] for row in X], D // g
+    raise SingularMatrixError("no certified inverse within MAX_PRIMES primes")
+
+
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
                    v_idx: Sequence[int]) -> Fraction:
     """Exact u^T A^{-1} v for A[i,j] = N**loop_mat[i,j], u/v 0-1 indicators.
@@ -201,15 +229,20 @@ def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
     loop_mat is a small-integer numpy array; u_idx and v_idx index its rows.
     """
     max_loops = int(loop_mat.max())
+    n = loop_mat.shape[0]
+    U, V = np.zeros((1, n)), np.zeros((n, 1))
+    U[0, list(u_idx)] = 1
+    V[list(v_idx), 0] = 1
     residue, modulus, combined = 0, 1, 0
     last: Optional[Fraction] = None
     candidate: Optional[Fraction] = None
     verified = 1
     for p in prime_stream():
         pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
-        h_p = _bilinear_mod_prime(pows[loop_mat], u_idx, v_idx, p)
-        if h_p is None:
+        T = _schur_mod_prime(pows[loop_mat], U, V, p)
+        if T is None:
             continue  # p divides a leading minor; skip
+        h_p = int(-T[0, 0]) % p
         if candidate is not None:
             # Verification primes for the stable candidate.
             if (candidate.numerator - h_p * candidate.denominator) % p == 0:

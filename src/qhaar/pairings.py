@@ -172,9 +172,17 @@ def loops_from_partners(mp: list[int], mq: list[int], k: int) -> int:
     return cycles // 2
 
 
-@lru_cache(maxsize=None)
 def loop_matrix(k: int, pattern: Optional[tuple[str, ...]] = None) -> tuple[tuple[int, ...], ...]:
-    """Pairwise loop counts over the (colored) canonical pairing list."""
+    """Pairwise loop counts over the (colored) canonical pairing list.
+
+    Cached by (k, pattern) whatever the call form, so loop_matrix(16) and
+    loop_matrix(16, None) share one entry; cache_info() reports that cache.
+    """
+    return _loop_matrix(k, pattern)
+
+
+@lru_cache(maxsize=None)
+def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> tuple[tuple[int, ...], ...]:
     plist = [p.partners() for p in word_pairings(k, pattern)]
     n = len(plist)
     rows = []
@@ -187,6 +195,9 @@ def loop_matrix(k: int, pattern: Optional[tuple[str, ...]] = None) -> tuple[tupl
         for b in range(a):
             rows[a][b] = rows[b][a]
     return tuple(tuple(r) for r in rows)
+
+
+loop_matrix.cache_info = _loop_matrix.cache_info
 
 
 def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None

@@ -6,14 +6,14 @@ A moment of a generator word of even length k is the double sum over
     delta_p(row indices) * delta_q(column indices) * Wg(p, q),
 
 where Wg is the exact rational inverse of the Gram matrix N**loops.  Tables
-are built by fraction-free elimination and cached; words longer than
-TABLE_KMAX are evaluated through a modular bilinear solve instead of a full
-table.
+are built by exactla's certified modular inverse, which proves
+gram * wg_num = wg_den * I exactly before it returns, and are cached; words
+longer than TABLE_KMAX are evaluated through a modular bilinear solve instead
+of a full table.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,9 +25,7 @@ from . import exactla, pairings
 from .errors import (InvalidArgumentError, InvalidDimensionError, InvalidIndexError,
                      ResourceLimitError)
 
-log = logging.getLogger(__name__)
-
-# Largest k for which a full table is built (Gram size 132 at k=12).
+# Largest k whose moments haar_moment reads from a full table (Gram size 132 at k=12).
 TABLE_KMAX = 12
 # Hard default admission limit; callers may raise it explicitly.
 DEFAULT_KMAX = 12
@@ -82,9 +80,6 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
         raise InvalidArgumentError(f"need even k, got {k}")
     if k > kmax:
         raise ResourceLimitError(f"k={k} exceeds kmax={kmax}", required_k=k)
-    if k > TABLE_KMAX:
-        log.warning("building full Weingarten table at k=%d (size %d); this is costly",
-                    k, len(pairings.enumerate_nc_pairings(k)))
     return _build_table(k, N, tuple(pattern) if pattern is not None else None)
 
 

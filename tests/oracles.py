@@ -126,3 +126,28 @@ def three_vertex_norm_inv_product(params, N: int) -> Fraction:
             qnum.q_int(l + 1 + s, N) * qnum.q_int(s, N) ** 2,
         )
     return out
+
+
+def bareiss_inverse(A):
+    """Exact inverse of an integer matrix by fraction-free Gauss-Jordan (Montante).
+
+    Returns (M, det) with inverse M/det.  Every division is exact and every
+    intermediate entry is a minor of A.  No pivoting: the leading minors must
+    be nonzero, as they are for positive definite Gram matrices.
+    """
+    n = len(A)
+    M = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
+    for col in range(n):
+        pivot = M[col][col]
+        if pivot == 0:
+            raise ZeroDivisionError(f"zero pivot at step {col}")
+        row_p = M[col]
+        for i in range(n):
+            if i == col:
+                continue
+            row_i = M[i]
+            f = row_i[col]
+            M[i] = [(pivot * row_i[j] - f * row_p[j]) // prev for j in range(2 * n)]
+        prev = pivot
+    return [M[i][n:] for i in range(n)], M[n - 1][n - 1]

@@ -1,6 +1,9 @@
-"""The modular kernel of exactla: exact float64 elimination mod p < 2**23."""
+"""The exactla kernel (exact float64 elimination mod p < 2**23) and its certified inverse."""
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhaar import exactla, pairings, weingarten
 
+import oracles
 
-def bilinear_mod_reference(A, u_idx, v_idx, p):
-    """u^T A^{-1} v mod p by Python-int Gauss-Jordan with row pivoting."""
+
+def inverse_mod_reference(A, p):
+    """A^{-1} mod p by Python-int Gauss-Jordan with row pivoting."""
     n = len(A)
-    M = [[int(a) % p for a in row] + [1 if i in v_idx else 0] for i, row in enumerate(A)]
+    M = [[int(a) % p for a in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     for col in range(n):
         r = next(i for i in range(col, n) if M[i][col])
         M[col], M[r] = M[r], M[col]
@@ -22,19 +27,54 @@ def bilinear_mod_reference(A, u_idx, v_idx, p):
             if i != col and M[i][col]:
                 f = M[i][col]
                 M[i] = [(x - f * y) % p for x, y in zip(M[i], M[col])]
-    return sum(M[i][n] for i in u_idx) % p
+    return [row[n:] for row in M]
+
+
+def indicators(n, u_idx, v_idx):
+    U, V = np.zeros((1, n)), np.zeros((n, 1))
+    U[0, u_idx] = 1
+    V[v_idx, 0] = 1
+    return U, V
+
+
+def block_edge_matrix(n):
+    # Entries in [p-64, p) give the largest products the exactness bound allows.
+    p = next(exactla.prime_stream())
+    rng = random.Random(n)
+    return [[rng.randrange(p - 64, p) for _ in range(n)] for _ in range(n)], p, rng
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_kernel_matches_reference_at_block_edges(n):
-    # Entries in [p-64, p) give the largest products the exactness bound allows.
-    p = next(exactla.prime_stream())
-    rng = random.Random(n)
-    A = [[rng.randrange(p - 64, p) for _ in range(n)] for _ in range(n)]
+    A, p, rng = block_edge_matrix(n)
     u_idx = sorted(rng.sample(range(n), max(1, n // 3)))
     v_idx = sorted(rng.sample(range(n), max(1, n // 2)))
-    got = exactla._bilinear_mod_prime(np.array(A, dtype=np.float64), u_idx, v_idx, p)
-    assert got == bilinear_mod_reference(A, u_idx, v_idx, p)
+    T = exactla._schur_mod_prime(np.array(A, dtype=np.float64), *indicators(n, u_idx, v_idx), p)
+    ref = inverse_mod_reference(A, p)
+    assert int(-T[0, 0]) % p == sum(ref[i][j] for i in u_idx for j in v_idx) % p
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_full_inverse_kernel_matches_reference_at_block_edges(n):
+    A, p, _ = block_edge_matrix(n)
+    eye = np.eye(n)
+    T = exactla._schur_mod_prime(np.array(A, dtype=np.float64), eye, eye, p)
+    assert np.abs(T).max() <= p // 2 + 1
+    assert np.mod(-T, p).astype(np.int64).tolist() == inverse_mod_reference(A, p)
+
+
+def counting_stream(monkeypatch, first=()):
+    """Patch exactla.prime_stream to yield `first`, then the real stream; count draws."""
+    drawn = []
+    real_stream = exactla.prime_stream
+
+    def stream():
+        for p in itertools.chain(first, real_stream()):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(exactla, "prime_stream", stream)
+    return drawn
 
 
 def test_exactness_inequality():
@@ -45,18 +85,68 @@ def test_prime_dividing_a_leading_minor_is_skipped(monkeypatch):
     # The k=4 Gram matrix at N=3 is [[9, 3], [3, 9]]: its leading entry vanishes mod 3.
     gram = np.array(pairings.gram_matrix(4, 3), dtype=np.float64)
     assert gram[0, 0] == 9
-    assert exactla._bilinear_mod_prime(gram % 3, [0], [0, 1], 3) is None
-    real_stream = exactla.prime_stream
-
-    def stream():
-        yield 3
-        yield from real_stream()
-
-    monkeypatch.setattr(exactla, "prime_stream", stream)
+    assert exactla._schur_mod_prime(gram % 3, *indicators(2, [0], [0, 1]), 3) is None
+    counting_stream(monkeypatch, first=(3,))
     loops = np.array(pairings.loop_matrix(4), dtype=np.int64)
     table = weingarten.weingarten_table(4, 3)
     want = sum(table.wg(0, q) for q in (0, 1))
     assert exactla.bilinear_solve(loops, 3, [0], [0, 1]) == want
+
+
+def same_inverse(got, want):
+    """(X, D) and (Y, E) give the same inverse: X/D == Y/E entrywise, as Fractions."""
+    (X, D), (Y, E) = got, want
+    return all(x * E == y * D for rx, ry in zip(X, Y) for x, y in zip(rx, ry))
+
+
+def test_prime_three_is_skipped_for_the_k4_table(monkeypatch):
+    gram = pairings.gram_matrix(4, 3)
+    assert exactla._schur_mod_prime(np.array(gram) % 3.0, np.eye(2), np.eye(2), 3) is None
+    drawn = counting_stream(monkeypatch, first=(3,))
+    assert exactla.fraction_free_inverse(gram) == ([[3, -1], [-1, 3]], 24)
+    assert drawn[0] == 3 and len(drawn) >= 2
+
+
+def test_wrong_candidate_denominator_is_rejected(monkeypatch):
+    gram = pairings.gram_matrix(10, 3)
+    want = oracles.bareiss_inverse(gram)
+    drawn = counting_stream(monkeypatch)
+    assert same_inverse(exactla.fraction_free_inverse(gram), want)
+    honest, accepted_at = len(drawn), math.prod(drawn)
+    # Where the honest run was accepted, the first denominator returned is
+    # multiplied by the modulus: then D W = 0 mod M, so X = 0 would be
+    # accepted but for the certificate's + D term.
+    real_reconstruct, lies = exactla.rational_reconstruct, []
+
+    def wrong_first(a, m):
+        f = real_reconstruct(a, m)
+        if m == accepted_at and f is not None and not lies:
+            lies.append(f)
+            return Fraction(f.numerator, f.denominator * m)
+        return f
+
+    monkeypatch.setattr(exactla, "rational_reconstruct", wrong_first)
+    drawn.clear()
+    got = exactla.fraction_free_inverse(gram)
+    assert lies
+    assert same_inverse(got, want) and got[1] == want[1] // math.gcd(want[1], *sum(want[0], []))
+    assert len(drawn) > honest
+
+
+def test_certified_inverse_matches_bareiss_oracle():
+    rng = random.Random(7)
+    cases = [(k, None) for k in range(2, 11, 2)]
+    for k in range(4, 11, 2):
+        for _ in range(2):
+            pattern = ["1", "*"] * (k // 2)
+            rng.shuffle(pattern)
+            cases.append((k, tuple(pattern)))
+    for k, pattern in cases:
+        for N in range(2, 7):
+            gram = pairings.gram_matrix(k, N, pattern)
+            assert same_inverse(exactla.fraction_free_inverse(gram), oracles.bareiss_inverse(gram))
+    gram = pairings.gram_matrix(12, 3)
+    assert same_inverse(exactla.fraction_free_inverse(gram), oracles.bareiss_inverse(gram))
 
 
 @settings(deadline=None, max_examples=60)

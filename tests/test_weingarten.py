@@ -1,4 +1,5 @@
 import itertools
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +237,17 @@ def test_alternating_unitary_word_reuses_the_orthogonal_loop_matrix(monkeypatch)
     assert calls == [(14, None)]
     x_word = [u(i, j) for i, j, _ in word]
     assert h == weingarten.haar_moment(gw(x_word, "o+"), 3, kmax=14)
+
+
+def test_k14_table_is_built_silently_and_exactly(caplog):
+    caplog.set_level(logging.DEBUG)
+    t = weingarten.weingarten_table(14, 3, kmax=14)
+    assert not caplog.records
+    assert t.size == 429
+    for i in (0, 1, 200, 428):
+        for j in range(t.size):
+            s = sum(t.wg_num[i][x] * t.gram[x][j] for x in range(t.size))
+            assert s == (t.wg_den if i == j else 0)
 
 
 def test_cache_returns_same_object():

@@ -43,6 +43,8 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.of(other)
+        if not (self.im or other.im):  # real-only fast path
+            return GaussianRational(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -55,6 +57,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = GaussianRational.of(other)
+        if not (self.im or other.im):  # real-only fast path
+            return GaussianRational(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -208,7 +212,8 @@ def state_eval(a: NCPolynomial, N: Optional[int] = None,
                 m = freelimit.semicircular_moment([(i, j) for i, j, _ in word])
             else:
                 m = freelimit.circular_moment([((i, j), eps) for i, j, eps in word])
-            total = total + c * Fraction(m)
+            if m:
+                total = total + c * Fraction(m)
         else:
             w = weingarten.GeneratorWord(word, a.model)
             mom = weingarten.haar_moment(w, N, kmax=kmax)

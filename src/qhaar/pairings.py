@@ -14,8 +14,9 @@ loop matrices and the free limits all go through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InvalidArgumentError, InvalidDimensionError
@@ -29,6 +30,9 @@ class NCPairPartition:
 
     k: int
     pairs: tuple[Pair, ...]
+    # Label getters for the left and right ends of the pairs, built once; see
+    # compatible_indices.
+    _ends: tuple[itemgetter, itemgetter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -43,6 +47,9 @@ class NCPairPartition:
             for c, d in self.pairs:
                 if a < c < b < d:
                     raise ValueError(f"crossing pairs ({a},{b}) and ({c},{d})")
+        if self.pairs:
+            object.__setattr__(self, "_ends", (itemgetter(*(a - 1 for a, _ in self.pairs)),
+                                               itemgetter(*(b - 1 for _, b in self.pairs))))
 
     def partners(self) -> list[int]:
         """0-based partner array: partners()[i] is the point matched to i."""
@@ -90,7 +97,11 @@ def _checked(pattern: tuple[str, ...]) -> tuple[str, ...]:
 
 def enumerate_colored_nc_pairings(pattern: Sequence[str]) -> tuple[NCPairPartition, ...]:
     """Non-crossing matchings of a {1,*} pattern joining each '1' to a '*'."""
-    pattern = _checked(tuple(pattern))
+    return _colored_nc_pairings(_checked(tuple(pattern)))
+
+
+@lru_cache(maxsize=None)
+def _colored_nc_pairings(pattern: tuple[str, ...]) -> tuple[NCPairPartition, ...]:
     if pattern.count("1") != pattern.count("*"):
         return ()
     return tuple(p for p in enumerate_nc_pairings(len(pattern))
@@ -124,9 +135,18 @@ def compatible_indices(plist: Sequence[NCPairPartition], labels: Sequence) -> li
     moment sums Wg over (row-compatible) x (column-compatible) pairings, and
     its free limit counts those compatible with both, i.e. with the
     (row, column) labels.
+
+    A word that does not cancel has no compatible pairing, so the O(k) stack
+    of has_compatible_pairing returns [] without touching plist; a colored
+    compatible pairing is also an uncolored one, so this holds for colored
+    lists too.  Otherwise each pairing compares the labels at its left pair
+    ends with those at its right ends, in one pass of two itemgetters.
     """
-    return [a for a, p in enumerate(plist)
-            if all(labels[x - 1] == labels[y - 1] for x, y in p.pairs)]
+    if not has_compatible_pairing(labels):
+        return []
+    if not labels:
+        return list(range(len(plist)))  # the empty pairing fits the empty word
+    return [a for a, p in enumerate(plist) if p._ends[0](labels) == p._ends[1](labels)]
 
 
 def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] = None) -> bool:
@@ -134,14 +154,21 @@ def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] 
 
     Decided without listing pairings: a stack cancels adjacent equal labels (of
     opposite colours under a pattern), and since free-product rewriting is
-    confluent, such a pairing exists iff the word cancels completely.
+    confluent, such a pairing exists iff the word cancels completely.  It runs
+    in O(k) for every word: compatible_indices calls it first, and haar_moment
+    uses it to refuse words past kmax, up to k of about 10^4.
     """
+    if pattern is None:
+        keys = mates = labels
+    else:
+        keys = list(zip(labels, _checked(pattern)))
+        mates = [(x, "*" if c == "1" else "1") for x, c in keys]
     stack = []
-    for x in zip(labels, (None,) * len(labels) if pattern is None else _checked(pattern)):
-        if stack and stack[-1][0] == x[0] and (x[1] is None or stack[-1][1] != x[1]):
+    for key, mate in zip(keys, mates):
+        if stack and stack[-1] == mate:
             stack.pop()
         else:
-            stack.append(x)
+            stack.append(key)
     return not stack
 
 

@@ -115,8 +115,8 @@ def haar_moment(word: GeneratorWord, N: int, kmax: int = DEFAULT_KMAX) -> Fracti
         return Fraction(0)
     plist = pairings.word_pairings(k, pattern)
     R = pairings.compatible_indices(plist, rows)
-    C = pairings.compatible_indices(plist, cols)
-    if not R or not C:
+    C = pairings.compatible_indices(plist, cols) if R else None
+    if not C:
         return Fraction(0)
 
     if k <= TABLE_KMAX:

@@ -112,6 +112,16 @@ def brute_haar_moment_via_deltas(word, N: int, wg_lookup) -> Fraction:
     return total
 
 
+def compatible_indices_scan(plist, labels) -> list:
+    """Positions in plist of the pairings whose every pair joins two equal labels.
+
+    The plain scan over every pair of every pairing, with no cancellation
+    shortcut; `pairings.compatible_indices` must return the same list.
+    """
+    return [a for a, p in enumerate(plist)
+            if all(labels[x - 1] == labels[y - 1] for x, y in p.pairs)]
+
+
 def three_vertex_norm_inv_product(params, N: int) -> Fraction:
     """Inverse squared three-vertex norm via the telescoped product over s = 1..r.
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from qhaar import ncpoly
 from qhaar.errors import ModelMismatchError, PolyParseError
@@ -16,7 +17,29 @@ def vgen(i, j, star=False):
     return NCPolynomial.generator(i, j, "u+", star=star)
 
 
+FRACTIONS = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+NONZERO = FRACTIONS.filter(bool)
+
+
 class TestGaussianRational:
+    @given(st.sampled_from(["real-real", "real-complex", "complex-real", "complex-complex"]),
+           FRACTIONS, NONZERO, FRACTIONS, NONZERO)
+    def test_fast_path_equals_the_general_formula(self, case, a, b, c, d):
+        b = b if case.startswith("complex") else Fraction(0)
+        d = d if case.endswith("complex") else Fraction(0)
+        x, y = GaussianRational(a, b), GaussianRational(c, d)
+        s, p = x + y, x * y
+        assert (s.re, s.im) == (a + c, b + d)
+        assert (p.re, p.im) == (a * c - b * d, a * d + b * c)
+        if case == "real-real":
+            assert s.im == 0 and p.im == 0 and s.is_real and p.is_real
+        elif case != "complex-complex":
+            assert p.im != 0 or a == 0 or c == 0
+            assert s.im != 0
+        for z in (a, int(c)):  # plain numbers on either side
+            assert x + z == z + x == GaussianRational(a + z, b)
+            assert x * z == z * x == GaussianRational(a * z, b * z)
+
     def test_arithmetic(self):
         a = GaussianRational(Fraction(1, 2), Fraction(1))
         b = GaussianRational(Fraction(1), Fraction(-2))

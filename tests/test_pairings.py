@@ -70,6 +70,55 @@ def test_compatible_indices():
     assert pairings.compatible_indices(plist, "abab") == []
 
 
+LABELS = {"str": st.sampled_from("abc"), "int": st.integers(1, 3),
+          "tuple": st.tuples(st.integers(1, 2), st.integers(1, 2))}
+
+
+@pytest.mark.parametrize("kind", sorted(LABELS))
+@settings(deadline=None, max_examples=300)
+@given(m=st.integers(0, 6), data=st.data())
+def test_compatible_indices_matches_the_scan(kind, m, data):
+    k = 2 * m
+    labels = data.draw(st.lists(LABELS[kind], min_size=k, max_size=k))
+    if kind == "str":
+        labels = "".join(labels)
+    pattern = data.draw(st.none() | st.lists(st.sampled_from("1*"), min_size=k, max_size=k)
+                        .map(tuple))
+    plist = pairings.word_pairings(k, pattern)
+    assert pairings.compatible_indices(plist, labels) == oracles.compatible_indices_scan(
+        plist, labels)
+
+
+@pytest.mark.parametrize("labels", ["aa", "ab", [1, 1], [1, 2], [(1, 2), (1, 2)],
+                                    [(1, 2), (2, 1)]])
+@pytest.mark.parametrize("pattern", [None, ("1", "*"), ("*", "1"), ("1", "1")])
+def test_compatible_indices_on_single_pair_words(labels, pattern):
+    plist = pairings.word_pairings(2, pattern)
+    assert pairings.compatible_indices(plist, labels) == oracles.compatible_indices_scan(
+        plist, labels)
+
+
+class Untouchable:
+    """A list element that raises on any attribute access."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"pairing read: .{name}")
+
+
+def test_zero_words_make_no_scan():
+    plist = [Untouchable(), Untouchable()]
+    assert pairings.compatible_indices(plist, "abab") == []
+    assert pairings.compatible_indices(plist, [(1, 2), (2, 1), (1, 2), (2, 1)]) == []
+    assert pairings.compatible_indices([Untouchable()], "aaa") == []
+
+
+def test_compatible_indices_empty_and_odd_words():
+    assert pairings.compatible_indices(pairings.enumerate_nc_pairings(0), []) == [0]
+    assert pairings.compatible_indices(pairings.enumerate_nc_pairings(0), "") == [0]
+    for k in (1, 3, 5):
+        assert pairings.compatible_indices(pairings.enumerate_nc_pairings(k), "a" * k) == []
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.integers(0, 6), st.data())
 def test_has_compatible_pairing_matches_listing(m, data):
@@ -77,7 +126,7 @@ def test_has_compatible_pairing_matches_listing(m, data):
     labels = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     pattern = data.draw(st.none() | st.lists(st.sampled_from("1*"), min_size=k, max_size=k)
                         .map(tuple))
-    listed = pairings.compatible_indices(pairings.word_pairings(k, pattern), labels)
+    listed = oracles.compatible_indices_scan(pairings.word_pairings(k, pattern), labels)
     assert pairings.has_compatible_pairing(labels, pattern) == bool(listed)
 
 
@@ -92,6 +141,25 @@ def test_has_compatible_pairing_odd_length_and_bad_symbol():
 def test_gram_rejects_pattern_not_fitting_k(k, pattern):
     with pytest.raises(InvalidArgumentError):
         pairings.gram_matrix(k, 3, pattern)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from("1*"), max_size=12))
+def test_colored_list_is_cached_and_equals_the_filter(pattern):
+    expected = tuple(p for p in pairings.enumerate_nc_pairings(len(pattern))
+                     if all(pattern[a - 1] != pattern[b - 1] for a, b in p.pairs))
+    if pattern.count("1") != pattern.count("*"):
+        expected = ()
+    got = pairings.enumerate_colored_nc_pairings(pattern)
+    assert got == expected
+    assert pairings.enumerate_colored_nc_pairings(tuple(pattern)) is got
+
+
+def test_colored_list_rejects_a_bad_symbol_after_caching():
+    pairings.enumerate_colored_nc_pairings(("1", "*"))
+    for bad in (("1", "x"), ["*", 1], "1x"):
+        with pytest.raises(InvalidArgumentError):
+            pairings.enumerate_colored_nc_pairings(bad)
 
 
 def test_colored_alternating_count_is_catalan():

@@ -97,11 +97,7 @@ def _checked(pattern: tuple[str, ...]) -> tuple[str, ...]:
 
 def enumerate_colored_nc_pairings(pattern: Sequence[str]) -> tuple[NCPairPartition, ...]:
     """Non-crossing matchings of a {1,*} pattern joining each '1' to a '*'."""
-    return _colored_nc_pairings(_checked(tuple(pattern)))
-
-
-@lru_cache(maxsize=None)
-def _colored_nc_pairings(pattern: tuple[str, ...]) -> tuple[NCPairPartition, ...]:
+    pattern = _checked(tuple(pattern))
     if pattern.count("1") != pattern.count("*"):
         return ()
     return tuple(p for p in enumerate_nc_pairings(len(pattern))

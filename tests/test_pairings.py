@@ -143,25 +143,6 @@ def test_gram_rejects_pattern_not_fitting_k(k, pattern):
         pairings.gram_matrix(k, 3, pattern)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.sampled_from("1*"), max_size=12))
-def test_colored_list_is_cached_and_equals_the_filter(pattern):
-    expected = tuple(p for p in pairings.enumerate_nc_pairings(len(pattern))
-                     if all(pattern[a - 1] != pattern[b - 1] for a, b in p.pairs))
-    if pattern.count("1") != pattern.count("*"):
-        expected = ()
-    got = pairings.enumerate_colored_nc_pairings(pattern)
-    assert got == expected
-    assert pairings.enumerate_colored_nc_pairings(tuple(pattern)) is got
-
-
-def test_colored_list_rejects_a_bad_symbol_after_caching():
-    pairings.enumerate_colored_nc_pairings(("1", "*"))
-    for bad in (("1", "x"), ["*", 1], "1x"):
-        with pytest.raises(InvalidArgumentError):
-            pairings.enumerate_colored_nc_pairings(bad)
-
-
 def test_colored_alternating_count_is_catalan():
     for m in range(1, 7):
         pattern = ("1", "*") * m

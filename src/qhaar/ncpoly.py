@@ -1,6 +1,8 @@
 """Noncommutative *-polynomials over generator letters, states and L^p norms.
 
-Coefficients are Gaussian rationals (a + b*i with exact rational a, b).  The
+Coefficients are Gaussian rationals (a + b*i with exact rational a, b); each
+part stays a Python int while it is integral and becomes a Fraction only when
+it is not, so expanding an integer polynomial does no Fraction arithmetic.  The
 sqrt(N) normalization of generators is carried symbolically as an integer
 power of sqrt(N) attached to each word, so every state evaluation is an
 exact rational times an explicit power of N; floating point enters only when
@@ -15,7 +17,6 @@ Example: ``x[1,1]*x[1,2] - 1/2*x[2,2]``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -28,18 +29,34 @@ from .weingarten import Letter
 TermKey = tuple[tuple[Letter, ...], int]  # (word, power of sqrt(N))
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex rational a + b*i."""
+def _part(x) -> Union[int, Fraction]:
+    """x as an int when it is integral, else as a Fraction."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+
+class GaussianRational:
+    """Exact complex rational a + b*i; immutable by convention.
+
+    Each part is an int while it is integral and a Fraction only when it is
+    not, so the integral coefficients of an expansion cost C-level int
+    arithmetic.  Equality, hashing and str() depend on the values alone.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = _part(re)
+        self.im = _part(im)
 
     @classmethod
     def of(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
+        if value.__class__ is GaussianRational:
             return value
-        return cls(Fraction(value))
+        return cls(value)
 
     def __add__(self, other):
         other = GaussianRational.of(other)
@@ -76,6 +93,17 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
+    def __eq__(self, other):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -83,8 +111,8 @@ class GaussianRational:
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
 
 
 class NCPolynomial:
@@ -125,7 +153,7 @@ class NCPolynomial:
         return NCPolynomial(self.model, out)
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + other.scale(GaussianRational(Fraction(-1)))
+        return self + other.scale(GaussianRational(-1))
 
     def scale(self, value) -> "NCPolynomial":
         c0 = GaussianRational.of(value)
@@ -213,7 +241,7 @@ def state_eval(a: NCPolynomial, N: Optional[int] = None,
             else:
                 m = freelimit.circular_moment([((i, j), eps) for i, j, eps in word])
             if m:
-                total = total + c * Fraction(m)
+                total = total + c * m
         else:
             w = weingarten.GeneratorWord(word, a.model)
             mom = weingarten.haar_moment(w, N, kmax=kmax)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InvalidArgumentError, InvalidDimensionError
@@ -30,9 +29,9 @@ class NCPairPartition:
 
     k: int
     pairs: tuple[Pair, ...]
-    # Label getters for the left and right ends of the pairs, built once; see
+    # Pair-slot bitmask: bit (a-1)*k + (b-1) is set for each pair (a, b); see
     # compatible_indices.
-    _ends: tuple[itemgetter, itemgetter] = field(init=False, repr=False, compare=False)
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -47,9 +46,8 @@ class NCPairPartition:
             for c, d in self.pairs:
                 if a < c < b < d:
                     raise ValueError(f"crossing pairs ({a},{b}) and ({c},{d})")
-        if self.pairs:
-            object.__setattr__(self, "_ends", (itemgetter(*(a - 1 for a, _ in self.pairs)),
-                                               itemgetter(*(b - 1 for _, b in self.pairs))))
+        object.__setattr__(self, "bits", sum(1 << ((a - 1) * self.k + b - 1)
+                                             for a, b in self.pairs))
 
     def partners(self) -> list[int]:
         """0-based partner array: partners()[i] is the point matched to i."""
@@ -135,14 +133,20 @@ def compatible_indices(plist: Sequence[NCPairPartition], labels: Sequence) -> li
     A word that does not cancel has no compatible pairing, so the O(k) stack
     of has_compatible_pairing returns [] without touching plist; a colored
     compatible pairing is also an uncolored one, so this holds for colored
-    lists too.  Otherwise each pairing compares the labels at its left pair
-    ends with those at its right ends, in one pass of two itemgetters.
+    lists too.  Otherwise one bitmask `good` sets slot i*k + j for every two
+    0-based positions i, j with equal labels, and a pairing fits iff its own
+    slot mask lies inside `good`.  The labels must be hashable.
     """
     if not has_compatible_pairing(labels):
         return []
-    if not labels:
-        return list(range(len(plist)))  # the empty pairing fits the empty word
-    return [a for a, p in enumerate(plist) if p._ends[0](labels) == p._ends[1](labels)]
+    k = len(labels)
+    at: dict = {}  # label -> bitmask of its positions
+    for j, x in enumerate(labels):
+        at[x] = at.get(x, 0) | 1 << j
+    good = 0
+    for i, x in enumerate(labels):
+        good |= at[x] << i * k
+    return [a for a, p in enumerate(plist) if p.bits & good == p.bits]
 
 
 def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] = None) -> bool:
@@ -154,12 +158,16 @@ def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] 
     in O(k) for every word: compatible_indices calls it first, and haar_moment
     uses it to refuse words past kmax, up to k of about 10^4.
     """
-    if pattern is None:
-        keys = mates = labels
-    else:
-        keys = list(zip(labels, _checked(pattern)))
-        mates = [(x, "*" if c == "1" else "1") for x, c in keys]
     stack = []
+    if pattern is None:
+        for x in labels:
+            if stack and stack[-1] == x:
+                stack.pop()
+            else:
+                stack.append(x)
+        return not stack
+    keys = list(zip(labels, _checked(pattern)))
+    mates = [(x, "*" if c == "1" else "1") for x, c in keys]
     for key, mate in zip(keys, mates):
         if stack and stack[-1] == mate:
             stack.pop()

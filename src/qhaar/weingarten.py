@@ -43,7 +43,7 @@ class GeneratorWord:
     def __post_init__(self):
         if self.model not in ("o+", "u+"):
             raise ValueError(f"unknown model {self.model!r}")
-        for i, j, eps in self.letters:
+        for i, j, eps in dict.fromkeys(self.letters):  # each distinct letter once
             if i < 1 or j < 1:
                 raise InvalidIndexError(f"indices must be >= 1: ({i},{j})")
             if eps not in ("1", "*"):

@@ -122,6 +122,23 @@ def compatible_indices_scan(plist, labels) -> list:
             if all(labels[x - 1] == labels[y - 1] for x, y in p.pairs)]
 
 
+def expand_power(terms: dict, m: int) -> dict:
+    """The m-th power of a polynomial by m plain products, in Fraction pairs only.
+
+    terms maps each word (a tuple of letters) to its coefficient as a pair
+    (re, im) of Fractions; the result has the same form, without zero terms.
+    """
+    out = {(): (Fraction(1), Fraction(0))}
+    for _ in range(m):
+        nxt = {}
+        for w1, (a, b) in out.items():
+            for w2, (c, d) in terms.items():
+                re, im = nxt.get(w1 + w2, (Fraction(0), Fraction(0)))
+                nxt[w1 + w2] = (re + a * c - b * d, im + a * d + b * c)
+        out = {w: z for w, z in nxt.items() if any(z)}
+    return out
+
+
 def three_vertex_norm_inv_product(params, N: int) -> Fraction:
     """Inverse squared three-vertex norm via the telescoped product over s = 1..r.
 

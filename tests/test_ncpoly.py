@@ -8,6 +8,8 @@ from qhaar import ncpoly
 from qhaar.errors import ModelMismatchError, PolyParseError
 from qhaar.ncpoly import GaussianRational, NCPolynomial
 
+import oracles
+
 
 def x(i, j):
     return NCPolynomial.generator(i, j, "o+")
@@ -18,19 +20,36 @@ def vgen(i, j, star=False):
 
 
 FRACTIONS = st.fractions(min_value=-100, max_value=100, max_denominator=50)
-NONZERO = FRACTIONS.filter(bool)
+PARTS = FRACTIONS | st.integers(-100, 100)  # coefficient parts come as both types
+NONZERO = PARTS.filter(bool)
+
+
+def fraction_str(re, im) -> str:
+    """str() of a coefficient whose parts were both kept as Fractions."""
+    return str(Fraction(re)) if im == 0 else f"{Fraction(re)}+{Fraction(im)}i"
+
+
+def assert_parts(z: GaussianRational, re, im):
+    """z equals re + im*i, with int parts exactly where they are integral."""
+    assert (z.re, z.im) == (re, im)
+    for part in (z.re, z.im):
+        assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+    assert str(z) == fraction_str(re, im)
+    assert z == GaussianRational(Fraction(re), Fraction(im))
+    assert hash(z) == hash(GaussianRational(Fraction(re), Fraction(im)))
 
 
 class TestGaussianRational:
     @given(st.sampled_from(["real-real", "real-complex", "complex-real", "complex-complex"]),
-           FRACTIONS, NONZERO, FRACTIONS, NONZERO)
-    def test_fast_path_equals_the_general_formula(self, case, a, b, c, d):
-        b = b if case.startswith("complex") else Fraction(0)
-        d = d if case.endswith("complex") else Fraction(0)
+           PARTS, NONZERO, PARTS, NONZERO, st.sampled_from([0, Fraction(0)]))
+    def test_fast_path_equals_the_general_formula(self, case, a, b, c, d, zero):
+        b = b if case.startswith("complex") else zero
+        d = d if case.endswith("complex") else zero
         x, y = GaussianRational(a, b), GaussianRational(c, d)
+        assert_parts(x, a, b)
         s, p = x + y, x * y
-        assert (s.re, s.im) == (a + c, b + d)
-        assert (p.re, p.im) == (a * c - b * d, a * d + b * c)
+        assert_parts(s, a + c, b + d)
+        assert_parts(p, a * c - b * d, a * d + b * c)
         if case == "real-real":
             assert s.im == 0 and p.im == 0 and s.is_real and p.is_real
         elif case != "complex-complex":
@@ -39,6 +58,14 @@ class TestGaussianRational:
         for z in (a, int(c)):  # plain numbers on either side
             assert x + z == z + x == GaussianRational(a + z, b)
             assert x * z == z * x == GaussianRational(a * z, b * z)
+            assert_parts(x * z, a * z, b * z)
+
+    def test_integral_fractions_become_ints(self):
+        z = GaussianRational(Fraction(1, 2), Fraction(3, 2)) + GaussianRational(
+            Fraction(1, 2), Fraction(1, 2))
+        assert_parts(z, 1, 2)
+        assert_parts(GaussianRational(Fraction(2, 3)) * 3, 2, 0)
+        assert str(GaussianRational(Fraction(4, 2), Fraction(-6, 3))) == "2+-2i"
 
     def test_arithmetic(self):
         a = GaussianRational(Fraction(1, 2), Fraction(1))
@@ -50,6 +77,21 @@ class TestGaussianRational:
         a = GaussianRational(Fraction(1, 3), Fraction(2))
         assert a.conjugate().im == -2
         assert str(GaussianRational(Fraction(3, 4))) == "3/4"
+
+
+def test_expansion_matches_a_fraction_only_expansion():
+    a = ncpoly.parse_poly("1/2*x[1,1] - 2/3i*x[1,2] + x[2,1]")
+    terms = {w: (Fraction(c.re), Fraction(c.im)) for (w, _), c in a.terms.items()}
+    star = {tuple(reversed(w)): (re, -im) for w, (re, im) in terms.items()}
+    star_a = {w1 + w2: (p * r - q * s, p * s + q * r)
+              for w1, (p, q) in star.items() for w2, (r, s) in terms.items()}
+    want = oracles.expand_power(star_a, 3)
+    got = (a.adjoint() * a) ** 3
+    assert set(got.terms) == {(w, 0) for w in want}
+    for (w, _), c in got.terms.items():
+        assert_parts(c, *want[w])
+    assert any(type(c.re) is int for c in got.terms.values())
+    assert any(type(c.re) is Fraction for c in got.terms.values())
 
 
 class TestAlgebra:

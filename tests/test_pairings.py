@@ -89,6 +89,23 @@ def test_compatible_indices_matches_the_scan(kind, m, data):
         plist, labels)
 
 
+@pytest.mark.parametrize("k", [14, 16])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_compatible_indices_matches_the_scan_at_high_order(k, data):
+    # Labels (and colours) laid pair by pair on a random pairing, so the word
+    # cancels and the slot masks, up to k*k = 256 bits, decide the result.
+    pairs = data.draw(st.sampled_from(pairings.enumerate_nc_pairings(k))).pairs
+    labels, colours = [None] * k, [None] * k
+    for a, b in pairs:
+        labels[a - 1] = labels[b - 1] = data.draw(st.integers(1, 3))
+        colours[a - 1], colours[b - 1] = data.draw(st.sampled_from([("1", "*"), ("*", "1")]))
+    pattern = data.draw(st.sampled_from([None, tuple(colours)]))
+    plist = pairings.word_pairings(k, pattern)
+    got = pairings.compatible_indices(plist, labels)
+    assert got and got == oracles.compatible_indices_scan(plist, labels)
+
+
 @pytest.mark.parametrize("labels", ["aa", "ab", [1, 1], [1, 2], [(1, 2), (1, 2)],
                                     [(1, 2), (2, 1)]])
 @pytest.mark.parametrize("pattern", [None, ("1", "*"), ("*", "1"), ("1", "1")])

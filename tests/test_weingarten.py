@@ -88,6 +88,18 @@ def test_index_beyond_N_rejected():
         weingarten.haar_moment(gw([u(1, 5), u(1, 5)], "o+"), 4)
 
 
+@pytest.mark.parametrize("letters, model, error", [
+    ([u(1, 1), (0, 1, "1"), (1, 1, "x"), u(1, 1), (0, 1, "1")], "u+", InvalidIndexError),
+    ([u(1, 1), (1, 1, "x"), (0, 1, "1"), (1, 1, "x")], "u+", ValueError),
+    ([u(2, 1), v(1, 1, True), (0, 1, "1"), v(1, 1, True)], "o+", ValueError),
+])
+def test_word_rejects_its_first_bad_letter(letters, model, error):
+    # repeated letters are checked once; the first bad one still decides the error
+    with pytest.raises(error) as exc:
+        gw(letters, model)
+    assert type(exc.value) is error
+
+
 def test_odd_k_table_rejected():
     with pytest.raises(ValueError):
         weingarten.weingarten_table(3, 4)

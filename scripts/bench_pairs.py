@@ -6,15 +6,18 @@
 DIR is the root of a qhaar checkout.  For each seed and each of the four
 workloads, `perfbench/run.py` runs in both checkouts, one after the other,
 and the one that goes first alternates from seed to seed.  Then each
-checkout gets one `--trace 1` run per workload, one timing of criterion 7's
-order-16 moment at N = 3 and N = 8 in a fresh process after building
-`loop_matrix(16)`, and one timing each of criterion 7 and criterion 9 (the
-k <= 12 Weingarten tables at N = 2..10) run alone under pytest.
+checkout gets one `--trace 1` run per workload.  Last come three pairs of
+the timings outside perfbench, again alternating which checkout goes
+first: criterion 7's order-16 moment at N = 3 and N = 8 in a fresh process
+after building `loop_matrix(16)`, and criterion 7 and criterion 9 (the
+k <= 12 Weingarten tables at N = 2..10) each run alone under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
-and `correct` flag, and one table line per workload and metric: the
-parent's median and quartiles, the change's median, and the number of
-pairs in which the change read lower.  The file is rewritten after every
-seed, so an interrupted run keeps its finished pairs.
+and `correct` flag, every timing run, and one table line per workload and
+metric: the parent's median and quartiles, the change's median, and the
+number of pairs in which the change read lower; the timings outside
+perfbench get the median and range of each side and the same count.  The
+file is rewritten after every seed and every timing pair, so an
+interrupted run keeps its finished pairs.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def timed(argv: list[str], tree: str) -> tuple[float, str]:
     return time.perf_counter() - t, proc.stdout
 
 
-def median_table(pairs: list[dict]) -> list[str]:
+def median_table(pairs: list[dict], timing_pairs: list[dict]) -> list[str]:
     lines = [f"{'workload':15s} {'metric':12s} {'parent q1':>10s} {'parent':>10s} "
              f"{'parent q3':>10s} {'change':>10s} lower"]
     for workload in WORKLOADS:
@@ -81,7 +84,28 @@ def median_table(pairs: list[dict]) -> list[str]:
             lower = sum(c < a for a, c in zip(par, chg))
             lines.append(f"{workload:15s} {metric:12s} {q1:>10.5g} {statistics.median(par):>10.5g} "
                          f"{q3:>10.5g} {statistics.median(chg):>10.5g} {lower}/{len(mine)}")
+    if timing_pairs:
+        lines.append(f"{'timing':15s} {'parent':>10s} {'parent range':>17s} "
+                     f"{'change':>10s} {'change range':>17s} lower")
+        for metric in (m for m in timing_pairs[0]["parent"] if m.endswith("_s")):
+            par = [p["parent"][metric] for p in timing_pairs]
+            chg = [p["change"][metric] for p in timing_pairs]
+            lower = sum(c < a for a, c in zip(par, chg))
+            par_range, chg_range = (f"{min(xs):.4g}-{max(xs):.4g}" for xs in (par, chg))
+            lines.append(f"{metric:15s} {statistics.median(par):>10.4g} {par_range:>17s} "
+                         f"{statistics.median(chg):>10.4g} {chg_range:>17s} "
+                         f"{lower}/{len(timing_pairs)}")
     return lines
+
+
+def timing_run(tree: str) -> dict:
+    """The order-16 moment and criteria 7 and 9, timed once in `tree`."""
+    out = json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
+    for num in (7, 9):
+        out[f"criterion{num}_s"] = timed(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_acceptance.py", "-k", f"criterion_{num}"], tree)[0]
+    return out
 
 
 def save(result: dict, path: str):
@@ -100,7 +124,7 @@ def main() -> int:
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     import numpy
     result: dict = {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "pairs": []}
+                    "numpy": numpy.__version__, "pairs": [], "timing_pairs": []}
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in WORKLOADS:
@@ -108,18 +132,18 @@ def main() -> int:
             for side in order:
                 pair[side] = run(trees[side], workload, seed, 0)
             result["pairs"].append(pair)
-        result["median_table"] = median_table(result["pairs"])
+        result["median_table"] = median_table(result["pairs"], result["timing_pairs"])
         save(result, args.out)
     result["traced"] = {side: {w: run(tree, w, 0, 1)["metrics"] for w in WORKLOADS}
                         for side, tree in trees.items()}
-    result["order16"] = {side: json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
-                         for side, tree in trees.items()}
-    for num in (7, 9):
-        result[f"criterion{num}_s"] = {
-            side: timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                         "tests/test_acceptance.py", "-k", f"criterion_{num}"], tree)[0]
-            for side, tree in trees.items()}
-    save(result, args.out)
+    for i in range(3):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = timing_run(trees[side])
+        result["timing_pairs"].append(pair)
+        result["median_table"] = median_table(result["pairs"], result["timing_pairs"])
+        save(result, args.out)
     return 0
 
 

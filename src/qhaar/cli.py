@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dn", help="rapid decay constants D_N")
     p.add_argument("--N-list", dest="N_list", default="3,5,10,20,50")
-    p.add_argument("--rmax", type=int, default=64)
-    p.add_argument("--nkmax", type=int, default=32)
+    p.add_argument("--rmax", type=int, default=rapid_decay.TruncationLimits.r_max)
+    p.add_argument("--nkmax", type=int, default=rapid_decay.TruncationLimits.nk_max)
     common(p)
     p.set_defaults(func=cmd_dn)
 

@@ -14,11 +14,7 @@ class InvalidArgumentError(QhaarError, ValueError):
 
 
 class InvalidIndexError(QhaarError):
-    """Raised when a generator index exceeds the dimension N."""
-
-
-class AdmissibilityError(QhaarError):
-    """Raised for an inadmissible (n, k, l) three-vertex triple."""
+    """Raised when a generator index is below 1 or exceeds the dimension N."""
 
 
 class ModelMismatchError(QhaarError):

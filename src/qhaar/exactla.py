@@ -7,8 +7,12 @@ Both routes share one kernel and work modulo primes below 2**23:
   assumed from a bound on D.  Used for full Weingarten tables.
 
 * ``bilinear_solve`` -- exact evaluation of u^T A^{-1} v for an integer
-  matrix given as N**loops, then CRT and rational reconstruction.  Used for
-  single large-k moments where the full table is out of reach.
+  matrix given as N**loops, by rational reconstruction.  Used for single
+  large-k moments where the full table is out of reach.
+
+Both draw their primes through one CRT driver, ``_crt``: it runs the kernel
+mod each prime, skips the primes described below, combines the residues by
+CRT and hands each new (W, M) to the caller's acceptance test.
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
 Pernet, ACM TOMS 35, 2008).  Per prime it eliminates the bordered matrix
@@ -32,8 +36,9 @@ primes dividing a leading minor do that, and a skipped prime never changes
 the result.
 
 Acceptance in bilinear_solve: a reconstruction is a candidate once two
-successive moduli give the same rational; it is returned once further
-primes whose product reaches VERIFY_MODULUS all agree with it.
+successive moduli give the same rational; it is returned once the modulus
+has grown by a factor VERIFY_MODULUS beyond the candidate's with every
+reconstruction unchanged.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ from .errors import SingularMatrixError
 PRIME_START = (1 << 23) - 1
 # Side of the diagonal blocks in the modular elimination.
 BLOCK = 64
-# Primes combined (bilinear_solve) or drawn (fraction_free_inverse) before giving up.
+# Primes drawn before giving up.
 MAX_PRIMES = 162
-# Product of the primes that must confirm a stable reconstruction.
+# Factor by which the modulus must grow while a stable reconstruction holds.
 VERIFY_MODULUS = 1 << 31
 
 
@@ -188,11 +193,36 @@ def _certified(W: np.ndarray, M: int, scale: int) -> Optional[tuple[int, np.ndar
         D *= f.denominator
 
 
+def _crt(residues, U: np.ndarray, V: np.ndarray):
+    """Yield (W, M) with W = U A^{-1} V mod M, one more usable prime each time.
+
+    residues(p) gives A mod p as a float64 matrix.  Draws at most MAX_PRIMES
+    primes from prime_stream(), skips each prime at which a leading minor of
+    A vanishes, and combines the kernel's -T mod p into W by CRT.  W is a
+    flat row-major list of ints in [0, M).  Raises SingularMatrixError when
+    the primes run out.
+    """
+    W, M = [0] * (U.shape[0] * V.shape[1]), 1
+    for p in itertools.islice(prime_stream(), MAX_PRIMES):
+        T = _schur_mod_prime(residues(p), U, V, p)
+        if T is None:
+            continue  # p divides a leading minor; skip
+        # w + M ((w + t) c mod p), c = -1/M mod p, is w mod M and -t mod p.
+        # Plain ints, not numpy object arrays: small numpy buffers made here,
+        # between two eliminations, raised the peak RSS of order-14 moment
+        # runs by about 0.25 MB.
+        c = -pow(M, -1, p) % p
+        W = [w + M * ((w + t) * c % p) for w, t in zip(W, map(int, T.ravel().tolist()))]
+        M *= p
+        yield W, M
+    raise SingularMatrixError(f"no exact result within {MAX_PRIMES} primes")
+
+
 def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Invert an integer matrix exactly; returns (X, D) with inv = X/D, reduced.
 
     Per prime p, the kernel eliminates [[A mod p, I], [I, 0]], whose trailing
-    Schur complement is -A^{-1} mod p; CRT combines the residues into
+    Schur complement is -A^{-1} mod p; _crt combines the residues into
     W = A^{-1} mod M, and _certified proposes D and X = D W mod M.
 
     Certificate: (X, D) is accepted only if M > n max|A| max|X| + D.
@@ -206,20 +236,12 @@ def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
     n = A.shape[0]
     scale = n * int(abs(A).max())
     eye = np.eye(n)
-    W, M = np.zeros((n, n), dtype=object), 1
-    for p in itertools.islice(prime_stream(), MAX_PRIMES):
-        T = _schur_mod_prime((A % p).astype(np.float64), eye, eye, p)
-        if T is None:
-            continue  # p divides a leading minor; skip
-        r = np.mod(-T, p).astype(np.int64).astype(object)
-        W += M * ((r - W % p) * pow(M, -1, p) % p)
-        M *= p
-        found = _certified(W, M, scale)
+    for W, M in _crt(lambda p: (A % p).astype(np.float64), eye, eye):
+        found = _certified(np.array(W, dtype=object).reshape(n, n), M, scale)
         if found is not None:
             D, X = found
             g = math.gcd(D, *X.flat)
             return [[int(x) // g for x in row] for row in X], D // g
-    raise SingularMatrixError("no certified inverse within MAX_PRIMES primes")
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
@@ -227,40 +249,27 @@ def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
     """Exact u^T A^{-1} v for A[i,j] = N**loop_mat[i,j], u/v 0-1 indicators.
 
     loop_mat is a small-integer numpy array; u_idx and v_idx index its rows.
+    A reconstruction is a candidate once two successive moduli give the same
+    rational; it is returned once M has grown by VERIFY_MODULUS beyond the
+    candidate's modulus with every reconstruction unchanged.
     """
     max_loops = int(loop_mat.max())
     n = loop_mat.shape[0]
     U, V = np.zeros((1, n)), np.zeros((n, 1))
     U[0, list(u_idx)] = 1
     V[list(v_idx), 0] = 1
-    residue, modulus, combined = 0, 1, 0
-    last: Optional[Fraction] = None
-    candidate: Optional[Fraction] = None
-    verified = 1
-    for p in prime_stream():
+
+    def residues(p):
         pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
-        T = _schur_mod_prime(pows[loop_mat], U, V, p)
-        if T is None:
-            continue  # p divides a leading minor; skip
-        h_p = int(-T[0, 0]) % p
-        if candidate is not None:
-            # Verification primes for the stable candidate.
-            if (candidate.numerator - h_p * candidate.denominator) % p == 0:
-                verified *= p
-                if verified >= VERIFY_MODULUS:
-                    return candidate
-                continue
-            candidate = None
-        # CRT combine.
-        inv = pow(modulus % p, -1, p)
-        residue = residue + modulus * ((h_p - residue) * inv % p)
-        modulus *= p
-        residue %= modulus
-        guess = rational_reconstruct(residue, modulus)
-        if guess is not None and guess == last:
-            candidate, verified = guess, 1
-        last = guess
-        combined += 1
-        if combined >= MAX_PRIMES:
-            raise SingularMatrixError("rational reconstruction did not converge")
-    raise SingularMatrixError("prime stream exhausted")
+        return pows[loop_mat]
+
+    last: Optional[Fraction] = None
+    since = 0  # modulus at which `last` became a candidate, 0 if it is none
+    for W, M in _crt(residues, U, V):
+        guess = rational_reconstruct(W[0], M)
+        if guess is None or guess != last:
+            last, since = guess, 0
+        elif not since:
+            since = M
+        elif M >= since * VERIFY_MODULUS:
+            return guess

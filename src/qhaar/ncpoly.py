@@ -23,7 +23,7 @@ from typing import Optional, Union
 import mpmath
 
 from . import freelimit, qnum, weingarten
-from .errors import InvalidArgumentError, ModelMismatchError, PolyParseError
+from .errors import InvalidArgumentError, InvalidIndexError, ModelMismatchError, PolyParseError
 from .weingarten import Letter
 
 TermKey = tuple[tuple[Letter, ...], int]  # (word, power of sqrt(N))
@@ -135,6 +135,8 @@ class NCPolynomial:
 
     @classmethod
     def generator(cls, i: int, j: int, model: str = "o+", star: bool = False) -> "NCPolynomial":
+        if i < 1 or j < 1:
+            raise InvalidIndexError(f"indices must be >= 1: ({i},{j})")
         if star and model == "o+":
             star = False  # orthogonal generators are self-adjoint
         letter: Letter = (i, j, "*" if star else "1")

@@ -1,4 +1,4 @@
-"""Three-vertex norms, rapid-decay constants D_N, and the rapid-decay norm bound.
+"""Rapid-decay constants D_N, and the rapid-decay norm bound.
 
 The constant D_N is the supremum over admissible triples (n, k, l) of
 
@@ -8,7 +8,9 @@ with r = (n + k - l) / 2.  It is reported as a bracket: a scanned maximum
 over a finite truncation of the parameter space (a lower estimate, computed
 at working precision) together with a rigorous rational upper bound built
 from the closed-form product bounds, evaluated with the directed bracket of
-q so that every downstream inequality is one-sided safe.  N = 2 is rejected
+q so that every downstream inequality is one-sided safe.  The scan evaluates
+the objective by one formula, objective_squares, in the factors 1 - q^(2e);
+the tests check it against exact q-integer oracles.  N = 2 is rejected
 throughout this module (q = 1 makes the tail products diverge).
 """
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 import mpmath
 
 from . import qnum
-from .errors import AdmissibilityError, InvalidArgumentError, InvalidDimensionError
+from .errors import InvalidArgumentError, InvalidDimensionError
 
 # rigorous_upper_bound stops once its tail multiplier is below 1 + TAIL_TOL.
 TAIL_TOL = Fraction(1, 10 ** 12)
@@ -29,52 +31,9 @@ TAIL_TOL = Fraction(1, 10 ** 12)
 D_STAR_GRID = range(3, 11)
 
 
-@dataclass(frozen=True)
-class ThreeVertexParams:
-    """Admissible triple (n, k, l) with derived r = (n + k - l) / 2."""
-
-    n: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if min(self.n, self.k, self.l) < 0:
-            raise AdmissibilityError(f"negative parameter in {(self.n, self.k, self.l)}")
-        if (self.n + self.k - self.l) % 2:
-            raise AdmissibilityError(f"parity mismatch in {(self.n, self.k, self.l)}")
-        r = (self.n + self.k - self.l) // 2
-        if not 0 <= r <= min(self.n, self.k):
-            raise AdmissibilityError(f"r={r} out of range for {(self.n, self.k, self.l)}")
-
-    @property
-    def r(self) -> int:
-        return (self.n + self.k - self.l) // 2
-
-
 def _require_n(N: int):
     if N < 3:
         raise InvalidDimensionError(f"rapid decay requires N >= 3, got {N}")
-
-
-def three_vertex_norm_inv_factorial(params: ThreeVertexParams, N: int) -> Fraction:
-    """Inverse squared three-vertex norm, q-factorial closed form."""
-    _require_n(N)
-    n, k, l, r = params.n, params.k, params.l, params.r
-    num = qnum.q_int(r + 1, N) * qnum.q_factorial(l + 1, N) \
-        * qnum.q_factorial(n, N) * qnum.q_factorial(k, N)
-    den = qnum.q_factorial(l + 1 + r, N) * qnum.q_factorial(n - r, N) \
-        * qnum.q_factorial(k - r, N) * qnum.q_factorial(r, N)
-    return Fraction(num, den)
-
-
-def prefactor_radicand(params: ThreeVertexParams, N: int) -> Fraction:
-    """Radicand [k+1][n+1] / ([l+1][r+1]^2); callers take the square root."""
-    _require_n(N)
-    n, k, l, r = params.n, params.k, params.l, params.r
-    return Fraction(
-        qnum.q_int(k + 1, N) * qnum.q_int(n + 1, N),
-        qnum.q_int(l + 1, N) * qnum.q_int(r + 1, N) ** 2,
-    )
 
 
 @dataclass(frozen=True)
@@ -134,45 +93,67 @@ def rigorous_upper_bound(N: int) -> tuple[Fraction, Fraction]:
             raise ArithmeticError(f"tail bound did not converge for N={N}")
 
 
+def factor_table(N: int, length: int) -> list:
+    """[1 - q^(2e) for e < length], q the midpoint of its bracket, at the caller's precision.
+
+    Each power of q^2 is the previous one times q^2, as the scan reads them.
+    """
+    lo, hi = qnum.q_of_N(N)
+    q = (mpmath.mpf(lo.numerator) / lo.denominator
+         + mpmath.mpf(hi.numerator) / hi.denominator) / 2
+    Q = q * q
+    one = Qe = mpmath.mpf(1)
+    omq = []
+    for _ in range(length):
+        omq.append(one - Qe)
+        Qe = Qe * Q
+    return omq
+
+
+def objective_squares(omq: list, a: int, b: int, r_max: int):
+    """Yield the squared D_N objective at (n, k, l) = (a + r, b + r, a + b), r = 0..r_max.
+
+    That is radicand * prod**2: the radicand [k+1][n+1] / ([l+1][r+1]^2) and
+    the inverse squared three-vertex norm
+    prod = prod_{s<=r} [1+s][a+s][b+s] / ([l+1+s][s]^2), each in the form
+    prod (1 - q^(2e)) read from omq[e] (the powers of q cancel).  The product
+    is carried from one r to the next; arithmetic is at the caller's precision.
+    """
+    ab = a + b
+    prod = mpmath.mpf(1)
+    for r in range(r_max + 1):
+        if r > 0:
+            prod *= omq[r + 1] * omq[a + r] * omq[b + r] \
+                / (omq[ab + 1 + r] * omq[r] ** 2)
+        radicand = omq[1] * omq[a + r + 1] * omq[b + r + 1] \
+            / (omq[r + 1] ** 2 * omq[ab + 1])
+        yield radicand * prod * prod
+
+
 def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RDBound:
     """Scanned maximum of the D_N objective over the truncated parameter space.
 
     The scan runs over r <= r_max and a = n-r, b = k-r on {0..nk_max, INF}
-    and reads each factor 1 - q^{2e} from one table, which holds the supremum
-    1 for every e >= INF; the argmax reports such entries as math.inf.  The
-    scan is a lower estimate; rigorous comparisons must use `rigorous_upper`.
+    and takes the maximum of objective_squares, whose factor table holds the
+    supremum 1 for every exponent e >= INF; the argmax reports such entries
+    as math.inf.  The scan is a lower estimate; rigorous comparisons must use
+    `rigorous_upper`.
     """
     _require_n(N)
-    lo, hi = qnum.q_of_N(N)
     rmax, amax = truncation.r_max, truncation.nk_max
     INF = 2 * amax + rmax + 2  # above every finite exponent
     with mpmath.workprec(qnum.PRECISION_BITS + 16):
-        q = (mpmath.mpf(lo.numerator) / lo.denominator
-             + mpmath.mpf(hi.numerator) / hi.denominator) / 2
-        Q = q * q
-        one = Qe = mpmath.mpf(1)
-        omq = []  # omq[e] = 1 - Q**e, exactly 1 from INF on
-        for _ in range(INF):
-            omq.append(one - Qe)
-            Qe = Qe * Q
-        omq += [one] * (INF + rmax + 2)
+        omq = factor_table(N, INF) + [mpmath.mpf(1)] * (INF + rmax + 2)
         grid = list(range(amax + 1)) + [INF]
         best2 = mpmath.mpf(0)
         best_arg = (0, 0, 0)
         for a in grid:
             for b in grid:
-                ab = a + b
-                prod = one  # three-vertex product up to current r
-                for r in range(rmax + 1):
-                    if r > 0:
-                        prod *= omq[r + 1] * omq[a + r] * omq[b + r] \
-                            / (omq[ab + 1 + r] * omq[r] ** 2)
-                    radicand = omq[1] * omq[a + r + 1] * omq[b + r + 1] \
-                        / (omq[r + 1] ** 2 * omq[ab + 1])
-                    v2 = radicand * prod * prod
+                for r, v2 in enumerate(objective_squares(omq, a, b, rmax)):
                     if v2 > best2:
                         best2 = v2
-                        best_arg = tuple(math.inf if x >= INF else x for x in (a + r, b + r, ab))
+                        best_arg = tuple(math.inf if x >= INF else x
+                                         for x in (a + r, b + r, a + b))
         value = mpmath.sqrt(best2)
     upper, tail = rigorous_upper_bound(N)
     return RDBound(N=N, value=value, argmax=best_arg, truncation=truncation,

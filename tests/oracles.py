@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own enumeration and
 evaluation paths: matchings are generated exhaustively and filtered, the
 semicircle moments come from numerical quadrature, and the three-vertex norm
-is a telescoped product of quantum integers.
+is a telescoped product, or a ratio of q-factorials, of exact quantum integers.
 """
 
 from __future__ import annotations
@@ -139,13 +139,12 @@ def expand_power(terms: dict, m: int) -> dict:
     return out
 
 
-def three_vertex_norm_inv_product(params, N: int) -> Fraction:
+def three_vertex_norm_inv_product(n: int, k: int, l: int, N: int) -> Fraction:
     """Inverse squared three-vertex norm via the telescoped product over s = 1..r.
 
-    Cross-checks the q-factorial closed form
-    `rapid_decay.three_vertex_norm_inv_factorial`.
+    r = (n + k - l) / 2; cross-checks `three_vertex_norm_inv_factorial`.
     """
-    n, k, l, r = params.n, params.k, params.l, params.r
+    r = (n + k - l) // 2
     out = Fraction(1)
     for s in range(1, r + 1):
         out *= Fraction(
@@ -153,6 +152,25 @@ def three_vertex_norm_inv_product(params, N: int) -> Fraction:
             qnum.q_int(l + 1 + s, N) * qnum.q_int(s, N) ** 2,
         )
     return out
+
+
+def three_vertex_norm_inv_factorial(n: int, k: int, l: int, N: int) -> Fraction:
+    """Inverse squared three-vertex norm, q-factorial closed form, r = (n + k - l) / 2."""
+    r = (n + k - l) // 2
+    num = qnum.q_int(r + 1, N) * qnum.q_factorial(l + 1, N) \
+        * qnum.q_factorial(n, N) * qnum.q_factorial(k, N)
+    den = qnum.q_factorial(l + 1 + r, N) * qnum.q_factorial(n - r, N) \
+        * qnum.q_factorial(k - r, N) * qnum.q_factorial(r, N)
+    return Fraction(num, den)
+
+
+def prefactor_radicand(n: int, k: int, l: int, N: int) -> Fraction:
+    """Radicand [k+1][n+1] / ([l+1][r+1]^2) of the D_N objective, r = (n + k - l) / 2."""
+    r = (n + k - l) // 2
+    return Fraction(
+        qnum.q_int(k + 1, N) * qnum.q_int(n + 1, N),
+        qnum.q_int(l + 1, N) * qnum.q_int(r + 1, N) ** 2,
+    )
 
 
 def bareiss_inverse(A):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 
-from qhaar import cli, freelimit, ncpoly, pairings, rapid_decay, weingarten
+from qhaar import cli, freelimit, ncpoly, pairings, qnum, rapid_decay, weingarten
 
 import oracles
 
@@ -112,17 +112,34 @@ def test_criterion_4_three_vertex_two_formulas():
         for n in range(0, 13):
             for k in range(0, 13):
                 for l in range(abs(n - k), n + k + 1, 2):
-                    params = rapid_decay.ThreeVertexParams(n, k, l)
                     for N in range(3, 9):
-                        a = rapid_decay.three_vertex_norm_inv_factorial(params, N)
-                        assert a == oracles.three_vertex_norm_inv_product(params, N)
-                        if params.r == 0:
+                        a = oracles.three_vertex_norm_inv_factorial(n, k, l, N)
+                        assert a == oracles.three_vertex_norm_inv_product(n, k, l, N)
+                        if l == n + k:  # r = 0
                             assert a == 1
         for N in range(3, 9):
-            assert rapid_decay.three_vertex_norm_inv_factorial(
-                rapid_decay.ThreeVertexParams(1, 1, 0), N) == 1
+            assert oracles.three_vertex_norm_inv_factorial(1, 1, 0, N) == 1
+        # The scan's formula at the scan's q and precision, on every admissible
+        # triple with n, k <= 12 (819 per N): (n, k, l) = (a + r, b + r, a + b).
+        checked = 0
+        for N in range(3, 9):
+            with mpmath.workprec(qnum.PRECISION_BITS + 16):
+                omq = rapid_decay.factor_table(N, 26)
+                tol = mpmath.mpf(10) ** -30
+                for a in range(13):
+                    for b in range(13):
+                        values = rapid_decay.objective_squares(omq, a, b, 12 - max(a, b))
+                        for r, got in enumerate(values):
+                            n, k, l = a + r, b + r, a + b
+                            want = oracles.prefactor_radicand(n, k, l, N) \
+                                * oracles.three_vertex_norm_inv_product(n, k, l, N) ** 2
+                            exact = mpmath.mpf(want.numerator) / want.denominator
+                            assert abs(got - exact) <= tol * exact, (n, k, l, N)
+                            checked += 1
+        assert checked == 6 * 819
 
-    _criterion(4, "three-vertex norm factorial/product agreement, n,k <= 12", 60, body)
+    _criterion(4, "three-vertex norm: factorial = product = the scan's formula, n,k <= 12", 60,
+               body)
 
 
 def test_criterion_5_dn_behavior():

@@ -140,6 +140,8 @@ def test_exit_code_config_error(capsys):
         ["dn", "--N-list", "3,x"],
         ["converge", "--poly", "x[1,1]", "--N-list", "4,y"],
         ["dn", "--N-list", "3", "--rmax", "-1"],
+        ["lp", "x[0,0]", "--p", "2"],
+        ["lp", "v[1,0]", "--p", "2"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 2, argv

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qhaar import exactla, pairings, weingarten
+from qhaar.errors import SingularMatrixError
 
 import oracles
 
@@ -173,3 +174,37 @@ def test_modular_route_matches_table_route_on_random_words(model, N, data):
     loops = np.array(pairings.loop_matrix(k, pattern), dtype=np.int64)
     want = weingarten.haar_moment(weingarten.GeneratorWord(tuple(letters), model), N)
     assert exactla.bilinear_solve(loops, N, R, C) == want
+
+
+def k8_moment_inputs():
+    """Loop matrix, row and column indices and table value of a nonzero k = 8 word at N = 3."""
+    letters = ((1, 2, "1"), (2, 2, "1"), (2, 2, "1"), (1, 2, "1")) * 2
+    plist = pairings.word_pairings(8)
+    R = pairings.compatible_indices(plist, [i for i, _, _ in letters])
+    C = pairings.compatible_indices(plist, [j for _, j, _ in letters])
+    loops = np.array(pairings.loop_matrix(8), dtype=np.int64)
+    return loops, R, C, weingarten.haar_moment(weingarten.GeneratorWord(letters, "o+"), 3)
+
+
+def test_verification_primes_reject_a_wrong_stable_candidate(monkeypatch):
+    loops, R, C, want = k8_moment_inputs()
+    wrong = Fraction(1, 7)
+    assert want != wrong
+    real_reconstruct, calls = exactla.rational_reconstruct, []
+
+    def wrong_twice(a, m):
+        calls.append(m)
+        return wrong if len(calls) <= 2 else real_reconstruct(a, m)
+
+    monkeypatch.setattr(exactla, "rational_reconstruct", wrong_twice)
+    assert exactla.bilinear_solve(loops, 3, R, C) == want
+    assert len(calls) > 2
+
+
+def test_both_routes_give_up_after_max_primes(monkeypatch):
+    monkeypatch.setattr(exactla, "MAX_PRIMES", 1)
+    with pytest.raises(SingularMatrixError):
+        exactla.fraction_free_inverse(pairings.gram_matrix(12, 3))
+    loops, R, C, _ = k8_moment_inputs()
+    with pytest.raises(SingularMatrixError):
+        exactla.bilinear_solve(loops, 3, R, C)

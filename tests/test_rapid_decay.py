@@ -5,63 +5,59 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhaar import ncpoly, qnum, rapid_decay
-from qhaar.errors import AdmissibilityError, InvalidDimensionError
-from qhaar.rapid_decay import ThreeVertexParams, TruncationLimits
+from qhaar.errors import InvalidDimensionError
+from qhaar.rapid_decay import TruncationLimits
 
 import oracles
 
 
-class TestThreeVertexParams:
-    def test_r_property(self):
-        assert ThreeVertexParams(2, 2, 2).r == 1
-        assert ThreeVertexParams(3, 1, 4).r == 0
-        assert ThreeVertexParams(5, 5, 0).r == 5
+# The scan's working precision, and the agreement the exact oracles demand of it.
+SCAN_BITS = qnum.PRECISION_BITS + 16
+REL_TOL = mpmath.mpf(10) ** -30
 
-    def test_parity_mismatch(self):
-        with pytest.raises(AdmissibilityError):
-            ThreeVertexParams(2, 2, 3)
 
-    def test_r_out_of_range(self):
-        with pytest.raises(AdmissibilityError):
-            ThreeVertexParams(1, 1, 4)
-        with pytest.raises(AdmissibilityError):
-            ThreeVertexParams(2, 2, 8)
-
-    def test_negative(self):
-        with pytest.raises(AdmissibilityError):
-            ThreeVertexParams(-2, 2, 0)
+def scan_matches(n, k, l, N):
+    """objective_squares at (n, k, l), on the scan's own factor table, is radicand * inv_norm^2."""
+    r = (n + k - l) // 2
+    want = oracles.prefactor_radicand(n, k, l, N) \
+        * oracles.three_vertex_norm_inv_product(n, k, l, N) ** 2
+    with mpmath.workprec(SCAN_BITS):
+        omq = rapid_decay.factor_table(N, n + k + 2)
+        got = list(rapid_decay.objective_squares(omq, n - r, k - r, r))[r]
+        exact = mpmath.mpf(want.numerator) / want.denominator
+        return abs(got - exact) <= REL_TOL * exact
 
 
 class TestThreeVertexNorm:
     def test_example_222(self):
-        p = ThreeVertexParams(2, 2, 2)
-        assert rapid_decay.three_vertex_norm_inv_factorial(p, 3) == Fraction(9, 7)
-        assert oracles.three_vertex_norm_inv_product(p, 3) == Fraction(9, 7)
+        assert oracles.three_vertex_norm_inv_factorial(2, 2, 2, 3) == Fraction(9, 7)
+        assert oracles.three_vertex_norm_inv_product(2, 2, 2, 3) == Fraction(9, 7)
+        assert scan_matches(2, 2, 2, 3)
 
     def test_r0_is_one(self):
         for n in range(0, 6):
             for k in range(0, 6):
-                p = ThreeVertexParams(n, k, n + k)
-                assert rapid_decay.three_vertex_norm_inv_factorial(p, 4) == 1
-                assert oracles.three_vertex_norm_inv_product(p, 4) == 1
+                assert oracles.three_vertex_norm_inv_factorial(n, k, n + k, 4) == 1
+                assert oracles.three_vertex_norm_inv_product(n, k, n + k, 4) == 1
+                assert scan_matches(n, k, n + k, 4)
 
     def test_110_is_one(self):
-        p = ThreeVertexParams(1, 1, 0)
         for N in (3, 5, 8):
-            assert rapid_decay.three_vertex_norm_inv_factorial(p, N) == 1
+            assert oracles.three_vertex_norm_inv_factorial(1, 1, 0, N) == 1
+            assert scan_matches(1, 1, 0, N)
 
     def test_radicand_example(self):
         # [2][2] / ([3][1]^2) at N = 3: 3*3 / 8
-        p = ThreeVertexParams(1, 1, 2)
-        assert rapid_decay.prefactor_radicand(p, 3) == Fraction(9, 8)
+        assert oracles.prefactor_radicand(1, 1, 2, 3) == Fraction(9, 8)
+        assert scan_matches(1, 1, 2, 3)
 
     def test_radicand_trivial_triple(self):
-        assert rapid_decay.prefactor_radicand(ThreeVertexParams(0, 0, 0), 5) == 1
+        assert oracles.prefactor_radicand(0, 0, 0, 5) == 1
+        assert scan_matches(0, 0, 0, 5)
 
     def test_n2_rejected(self):
-        p = ThreeVertexParams(2, 2, 2)
         with pytest.raises(InvalidDimensionError):
-            rapid_decay.three_vertex_norm_inv_factorial(p, 2)
+            rapid_decay.rigorous_upper_bound(2)
         with pytest.raises(InvalidDimensionError):
             rapid_decay.dn_constant(2)
 
@@ -70,12 +66,11 @@ class TestThreeVertexNorm:
     def test_two_formulas_agree(self, n, k, data):
         l = data.draw(st.sampled_from(qnum.fusion_summands(n, k)))
         N = data.draw(st.sampled_from([3, 4, 7]))
-        p = ThreeVertexParams(n, k, l)
-        a = rapid_decay.three_vertex_norm_inv_factorial(p, N)
-        b = oracles.three_vertex_norm_inv_product(p, N)
-        assert a == b
+        a = oracles.three_vertex_norm_inv_factorial(n, k, l, N)
+        assert a == oracles.three_vertex_norm_inv_product(n, k, l, N)
         assert a > 0
-        assert rapid_decay.prefactor_radicand(p, N) > 0
+        assert oracles.prefactor_radicand(n, k, l, N) > 0
+        assert scan_matches(n, k, l, N)
 
 
 QUICK = TruncationLimits(r_max=24, nk_max=12)

@@ -1,25 +1,30 @@
 """Exact linear algebra mod primes: certified inverses and bilinear solves.
 
-Both routes share one kernel and work modulo primes below 2**23:
+Both routes are one certified solve of A X = D V, modulo primes below 2**23:
 
-* ``fraction_free_inverse`` -- the exact inverse X/D of an integer matrix,
-  with A X = D I proved by a certificate (see its docstring) rather than
-  assumed from a bound on D.  Used for full Weingarten tables.
+* ``fraction_free_inverse`` -- V = I: the exact inverse X/D of an integer
+  matrix.  Used for full Weingarten tables.
 
-* ``bilinear_solve`` -- exact evaluation of u^T A^{-1} v for an integer
-  matrix given as N**loops, by rational reconstruction.  Used for single
-  large-k moments where the full table is out of reach.
+* ``bilinear_solve`` -- V = v, a 0-1 indicator column: the exact value of
+  u^T A^{-1} v = sum(X[r] for r in u) / D for an integer matrix given as
+  N**loops.  Used for single large-k moments where the full table is out of
+  reach.
 
-Both draw their primes through one CRT driver, ``_crt``: it runs the kernel
-mod each prime, skips the primes described below, combines the residues by
-CRT and hands each new (W, M) to the caller's acceptance test.
+Both go through one CRT driver, ``_crt``: it runs the kernel mod each
+prime, skips the primes described below, and combines the residues by CRT
+into W = A^{-1} V mod M.  After each prime it tries one certificate,
+``_certified``: rational reconstruction proposes a denominator D, and
+X = D W mod M (symmetric residues) is accepted only when
+M > n max|A| max|X| + D.  Proof: A W = V (mod M), so A X = D V (mod M), and
+every entry of A X - D V is at most n max|A| max|X| + D < M in absolute
+value (V is a 0-1 matrix), so it is 0: A X = D V exactly, however D was
+found.
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
-Pernet, ACM TOMS 35, 2008).  Per prime it eliminates the bordered matrix
-[[A mod p, V], [U, 0]] in blocks of BLOCK: invert the diagonal block mod p,
-form L = A21 inv mod p, update A22 <- A22 - L A12 mod p.  The trailing Schur
-complement is -U A^{-1} V mod p, so no back substitution is needed: U = u^T
-and V = v give the bilinear form, U = V = I the whole inverse.
+Pernet, ACM TOMS 35, 2008).  Per prime it takes [A mod p | V] to
+[I | A^{-1} V mod p] by Gauss-Jordan elimination in blocks of BLOCK: invert
+the diagonal block mod p, normalize its block row, and subtract multiples of
+that row from every other row, mod p.
 
 Exactness: residues are kept below p < 2**23 in size, and every product has
 inner dimension at most BLOCK, so every partial sum is an integer below
@@ -34,11 +39,6 @@ integer.  A prime is skipped when a leading minor of A vanishes mod p, since
 the pivot-free elimination then meets a zero pivot; only the finitely many
 primes dividing a leading minor do that, and a skipped prime never changes
 the result.
-
-Acceptance in bilinear_solve: a reconstruction is a candidate once two
-successive moduli give the same rational; it is returned once the modulus
-has grown by a factor VERIFY_MODULUS beyond the candidate's with every
-reconstruction unchanged.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ PRIME_START = (1 << 23) - 1
 BLOCK = 64
 # Primes drawn before giving up.
 MAX_PRIMES = 162
-# Factor by which the modulus must grow while a stable reconstruction holds.
-VERIFY_MODULUS = 1 << 31
 
 
 def _is_prime(n: int) -> bool:
@@ -130,28 +128,32 @@ def _inverse_mod_prime(D: np.ndarray, p: int) -> Optional[np.ndarray]:
     return _reduce(W[:, b:], p)
 
 
-def _schur_mod_prime(A: np.ndarray, U: np.ndarray, V: np.ndarray,
-                     p: int) -> Optional[np.ndarray]:
-    """-U A^{-1} V mod p for a float64 matrix A of residues mod p.
+def _solve_mod_prime(A: np.ndarray, V: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """A^{-1} V mod p for float64 matrices A (n x n) and V (n x m) of residues mod p.
 
-    Blocked Schur-complement elimination of the bordered matrix
-    [[A, V], [U, 0]] (U and V hold residues too): its trailing Schur
-    complement is -U A^{-1} V, returned unnormalized (entries of size at most
-    p/2 + 1).  Returns None if a leading minor of A vanishes mod p.
+    Blocked pivot-free Gauss-Jordan elimination of [A | V], in place on one
+    copy: each diagonal block is inverted mod p, its block row is normalized
+    to R = inv [A12 | V1] mod p, and every other row loses its multiple of R.
+    The result has entries of size at most p/2 + 1.  Returns None if a
+    leading minor of A vanishes mod p.
     """
-    n, m = A.shape[0], V.shape[1]
-    M = np.zeros((n + U.shape[0], n + m))
-    M[:n, :n], M[:n, n:], M[n:, :n] = A, V, U
+    n = A.shape[0]
+    M = np.concatenate([A, V], axis=1)
+    del A  # the caller's residue matrix: hold only [A | V] while eliminating
     for j0 in range(0, n, BLOCK):
         j1 = min(j0 + BLOCK, n)
         inv = _inverse_mod_prime(M[j0:j1, j0:j1], p)
         if inv is None:
             return None
-        L = _reduce(M[j1:, j0:j1] @ inv, p)
-        trailing = M[j1:, j1:]
-        trailing -= L @ M[j0:j1, j1:]
-        _reduce(trailing, p)
-    return M[n:, n:].copy()  # not a view: M is freed on return
+        # With the block row set to [-I | 0], one update of all rows leaves
+        # R in the block row and eliminates the block column everywhere else.
+        R = _reduce(inv @ M[j0:j1, j1:], p)
+        M[j0:j1, j0:j1] = -np.eye(j1 - j0)
+        M[j0:j1, j1:] = 0
+        rest = M[:, j1:]
+        rest -= M[:, j0:j1] @ R
+        _reduce(rest, p)
+    return M[:, n:].copy()  # not a view: M is freed on return
 
 
 def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
@@ -193,55 +195,46 @@ def _certified(W: np.ndarray, M: int, scale: int) -> Optional[tuple[int, np.ndar
         D *= f.denominator
 
 
-def _crt(residues, U: np.ndarray, V: np.ndarray):
-    """Yield (W, M) with W = U A^{-1} V mod M, one more usable prime each time.
+def _crt(residues, V: np.ndarray, scale: int) -> tuple[int, np.ndarray]:
+    """(D, X) with A X = D V exactly, X shaped like V; scale is n max|A|.
 
     residues(p) gives A mod p as a float64 matrix.  Draws at most MAX_PRIMES
     primes from prime_stream(), skips each prime at which a leading minor of
-    A vanishes, and combines the kernel's -T mod p into W by CRT.  W is a
-    flat row-major list of ints in [0, M).  Raises SingularMatrixError when
-    the primes run out.
+    A vanishes, combines the kernel's T mod p by CRT into W = A^{-1} V mod M
+    (a flat row-major list of ints in [0, M)), and returns once _certified
+    accepts D and X = D W mod M, which the module docstring shows proves
+    A X = D V.  Raises SingularMatrixError when the primes run out.
     """
-    W, M = [0] * (U.shape[0] * V.shape[1]), 1
+    W, M = [0] * V.size, 1
     for p in itertools.islice(prime_stream(), MAX_PRIMES):
-        T = _schur_mod_prime(residues(p), U, V, p)
+        T = _solve_mod_prime(residues(p), V, p)
         if T is None:
             continue  # p divides a leading minor; skip
-        # w + M ((w + t) c mod p), c = -1/M mod p, is w mod M and -t mod p.
+        # w + M ((w - t) c mod p), c = -1/M mod p, is w mod M and t mod p.
         # Plain ints, not numpy object arrays: small numpy buffers made here,
         # between two eliminations, raised the peak RSS of order-14 moment
         # runs by about 0.25 MB.
         c = -pow(M, -1, p) % p
-        W = [w + M * ((w + t) * c % p) for w, t in zip(W, map(int, T.ravel().tolist()))]
+        W = [w + M * ((w - t) * c % p) for w, t in zip(W, map(int, T.ravel().tolist()))]
         M *= p
-        yield W, M
+        found = _certified(np.array(W, dtype=object).reshape(V.shape), M, scale)
+        if found is not None:
+            return found
     raise SingularMatrixError(f"no exact result within {MAX_PRIMES} primes")
 
 
 def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Invert an integer matrix exactly; returns (X, D) with inv = X/D, reduced.
 
-    Per prime p, the kernel eliminates [[A mod p, I], [I, 0]], whose trailing
-    Schur complement is -A^{-1} mod p; _crt combines the residues into
-    W = A^{-1} mod M, and _certified proposes D and X = D W mod M.
-
-    Certificate: (X, D) is accepted only if M > n max|A| max|X| + D.
-    Proof: A W = I (mod M), so A X = D I (mod M) by construction, and every
-    entry of A X - D I is at most n max|A| max|X| + D < M in absolute value,
-    so it is 0: A X = D I exactly, however D was found.  Otherwise another
-    prime is drawn.  Dividing by gcd(D, X) leaves D the least common
-    denominator.  Like the kernel, it needs nonzero leading minors.
+    The certified solve with V = I proves A X = D I.  Dividing by gcd(D, X)
+    leaves D the least common denominator.  Like the kernel, it needs
+    nonzero leading minors.
     """
     A = np.array(A, dtype=object)
     n = A.shape[0]
-    scale = n * int(abs(A).max())
-    eye = np.eye(n)
-    for W, M in _crt(lambda p: (A % p).astype(np.float64), eye, eye):
-        found = _certified(np.array(W, dtype=object).reshape(n, n), M, scale)
-        if found is not None:
-            D, X = found
-            g = math.gcd(D, *X.flat)
-            return [[int(x) // g for x in row] for row in X], D // g
+    D, X = _crt(lambda p: (A % p).astype(np.float64), np.eye(n), n * int(abs(A).max()))
+    g = math.gcd(D, *X.flat)
+    return [[int(x) // g for x in row] for row in X], D // g
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
@@ -249,27 +242,17 @@ def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
     """Exact u^T A^{-1} v for A[i,j] = N**loop_mat[i,j], u/v 0-1 indicators.
 
     loop_mat is a small-integer numpy array; u_idx and v_idx index its rows.
-    A reconstruction is a candidate once two successive moduli give the same
-    rational; it is returned once M has grown by VERIFY_MODULUS beyond the
-    candidate's modulus with every reconstruction unchanged.
+    The certified solve with V = v proves A X = D v, so the value is
+    sum(X[r] for r in u_idx) / D.
     """
     max_loops = int(loop_mat.max())
     n = loop_mat.shape[0]
-    U, V = np.zeros((1, n)), np.zeros((n, 1))
-    U[0, list(u_idx)] = 1
-    V[list(v_idx), 0] = 1
+    v = np.zeros((n, 1))
+    v[list(v_idx), 0] = 1
 
     def residues(p):
         pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
         return pows[loop_mat]
 
-    last: Optional[Fraction] = None
-    since = 0  # modulus at which `last` became a candidate, 0 if it is none
-    for W, M in _crt(residues, U, V):
-        guess = rational_reconstruct(W[0], M)
-        if guess is None or guess != last:
-            last, since = guess, 0
-        elif not since:
-            since = M
-        elif M >= since * VERIFY_MODULUS:
-            return guess
+    D, X = _crt(residues, v, n * N ** max_loops)
+    return Fraction(sum(X[r, 0] for r in u_idx), D)

@@ -40,11 +40,3 @@ def circular_moment(letters: Sequence[tuple[Label, str]]) -> int:
     plist = pairings.word_pairings(len(letters), tuple(e for _, e in letters))
     return len(pairings.compatible_indices(plist, [label for label, _ in letters]))
 
-
-def semicircle_moment_single(k: int) -> int:
-    """k-th moment of the standard semicircle law: Catalan(k/2) for even k."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if k % 2:
-        return 0
-    return catalan(k // 2)

@@ -176,13 +176,6 @@ def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] 
     return not stack
 
 
-def loop_count(p: NCPairPartition, q: NCPairPartition) -> int:
-    """Number of loops when the diagram of p is glued to the reflection of q."""
-    if p.k != q.k:
-        raise ValueError(f"mismatched sizes {p.k} != {q.k}")
-    return loops_from_partners(p.partners(), q.partners(), p.k)
-
-
 def loops_from_partners(mp: list[int], mq: list[int], k: int) -> int:
     """Loop count from two 0-based partner arrays.
 

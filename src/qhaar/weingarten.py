@@ -5,11 +5,12 @@ A moment of a generator word of even length k is the double sum over
 
     delta_p(row indices) * delta_q(column indices) * Wg(p, q),
 
-where Wg is the exact rational inverse of the Gram matrix N**loops.  Tables
-are built by exactla's certified modular inverse, which proves
-gram * wg_num = wg_den * I exactly before it returns, and are cached; words
-longer than TABLE_KMAX are evaluated through a modular bilinear solve instead
-of a full table.
+where Wg is the exact rational inverse of the Gram matrix G = N**loops.
+Both routes are exactla's one certified solve of G X = D V, which proves the
+identity exactly before it returns.  Tables (V = I, so wg_num = X and
+wg_den = D) are cached; a word longer than TABLE_KMAX is instead one solve
+with V the indicator column of its column-compatible pairings, summed over
+its row-compatible pairings.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ class GeneratorWord:
 
 @dataclass(frozen=True)
 class WeingartenTable:
-    """Gram matrix and its exact inverse num/den over the canonical pairings."""
+    """Exact inverse num/den of the Gram matrix over the canonical pairings."""
 
     k: int
     N: int
     pattern: Optional[tuple[str, ...]]
-    gram: tuple[tuple[int, ...], ...]
     wg_num: tuple[tuple[int, ...], ...]
     wg_den: int
 
@@ -85,9 +85,8 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
 
 @lru_cache(maxsize=None)
 def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> WeingartenTable:
-    gram = pairings.gram_matrix(k, N, pattern)
-    num, den = exactla.fraction_free_inverse(gram)
-    return WeingartenTable(k=k, N=N, pattern=pattern, gram=gram,
+    num, den = exactla.fraction_free_inverse(pairings.gram_matrix(k, N, pattern))
+    return WeingartenTable(k=k, N=N, pattern=pattern,
                            wg_num=tuple(tuple(r) for r in num), wg_den=den)
 
 

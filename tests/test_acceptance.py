@@ -244,7 +244,7 @@ def test_criterion_9_oracle_equivalence():
             for N in range(2, 11):
                 t = weingarten.weingarten_table(k, N)
                 n = t.size
-                gram = t.gram
+                gram = pairings.gram_matrix(k, N)
                 for i in range(n):
                     row = t.wg_num[i]
                     for j in range(n):

@@ -31,11 +31,10 @@ def inverse_mod_reference(A, p):
     return [row[n:] for row in M]
 
 
-def indicators(n, u_idx, v_idx):
-    U, V = np.zeros((1, n)), np.zeros((n, 1))
-    U[0, u_idx] = 1
-    V[v_idx, 0] = 1
-    return U, V
+def indicator(n, idx):
+    V = np.zeros((n, 1))
+    V[idx, 0] = 1
+    return V
 
 
 def block_edge_matrix(n):
@@ -45,23 +44,27 @@ def block_edge_matrix(n):
     return [[rng.randrange(p - 64, p) for _ in range(n)] for _ in range(n)], p, rng
 
 
+def solve_reference(A, V, p):
+    """A^{-1} V mod p, by the pivoting Python-int reference inverse."""
+    ref = inverse_mod_reference(A, p)
+    return [[sum(r * int(v) for r, v in zip(row, col)) % p for col in V.T] for row in ref]
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_kernel_matches_reference_at_block_edges(n):
     A, p, rng = block_edge_matrix(n)
-    u_idx = sorted(rng.sample(range(n), max(1, n // 3)))
-    v_idx = sorted(rng.sample(range(n), max(1, n // 2)))
-    T = exactla._schur_mod_prime(np.array(A, dtype=np.float64), *indicators(n, u_idx, v_idx), p)
-    ref = inverse_mod_reference(A, p)
-    assert int(-T[0, 0]) % p == sum(ref[i][j] for i in u_idx for j in v_idx) % p
+    V = indicator(n, sorted(rng.sample(range(n), max(1, n // 2))))
+    T = exactla._solve_mod_prime(np.array(A, dtype=np.float64), V, p)
+    assert np.abs(T).max() <= p // 2 + 1
+    assert np.mod(T, p).astype(np.int64).tolist() == solve_reference(A, V, p)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_full_inverse_kernel_matches_reference_at_block_edges(n):
     A, p, _ = block_edge_matrix(n)
-    eye = np.eye(n)
-    T = exactla._schur_mod_prime(np.array(A, dtype=np.float64), eye, eye, p)
+    T = exactla._solve_mod_prime(np.array(A, dtype=np.float64), np.eye(n), p)
     assert np.abs(T).max() <= p // 2 + 1
-    assert np.mod(-T, p).astype(np.int64).tolist() == inverse_mod_reference(A, p)
+    assert np.mod(T, p).astype(np.int64).tolist() == inverse_mod_reference(A, p)
 
 
 def counting_stream(monkeypatch, first=()):
@@ -86,7 +89,7 @@ def test_prime_dividing_a_leading_minor_is_skipped(monkeypatch):
     # The k=4 Gram matrix at N=3 is [[9, 3], [3, 9]]: its leading entry vanishes mod 3.
     gram = np.array(pairings.gram_matrix(4, 3), dtype=np.float64)
     assert gram[0, 0] == 9
-    assert exactla._schur_mod_prime(gram % 3, *indicators(2, [0], [0, 1]), 3) is None
+    assert exactla._solve_mod_prime(gram % 3, indicator(2, [0, 1]), 3) is None
     counting_stream(monkeypatch, first=(3,))
     loops = np.array(pairings.loop_matrix(4), dtype=np.int64)
     table = weingarten.weingarten_table(4, 3)
@@ -102,7 +105,7 @@ def same_inverse(got, want):
 
 def test_prime_three_is_skipped_for_the_k4_table(monkeypatch):
     gram = pairings.gram_matrix(4, 3)
-    assert exactla._schur_mod_prime(np.array(gram) % 3.0, np.eye(2), np.eye(2), 3) is None
+    assert exactla._solve_mod_prime(np.array(gram) % 3.0, np.eye(2), 3) is None
     drawn = counting_stream(monkeypatch, first=(3,))
     assert exactla.fraction_free_inverse(gram) == ([[3, -1], [-1, 3]], 24)
     assert drawn[0] == 3 and len(drawn) >= 2
@@ -186,23 +189,35 @@ def k8_moment_inputs():
     return loops, R, C, weingarten.haar_moment(weingarten.GeneratorWord(letters, "o+"), 3)
 
 
-def test_verification_primes_reject_a_wrong_stable_candidate(monkeypatch):
+def test_certificate_rejects_a_wrong_vector_denominator(monkeypatch):
     loops, R, C, want = k8_moment_inputs()
-    wrong = Fraction(1, 7)
-    assert want != wrong
-    real_reconstruct, calls = exactla.rational_reconstruct, []
-
-    def wrong_twice(a, m):
-        calls.append(m)
-        return wrong if len(calls) <= 2 else real_reconstruct(a, m)
-
-    monkeypatch.setattr(exactla, "rational_reconstruct", wrong_twice)
+    drawn = counting_stream(monkeypatch)
     assert exactla.bilinear_solve(loops, 3, R, C) == want
-    assert len(calls) > 2
+    honest, accepted_at = len(drawn), math.prod(drawn)
+    # Where the honest run was accepted, the first denominator returned is
+    # multiplied by the modulus: then D W = 0 mod M, so X = 0 (a moment of
+    # 0) would be accepted but for the certificate's + D term.
+    real_reconstruct, lies = exactla.rational_reconstruct, []
+
+    def wrong_first(a, m):
+        f = real_reconstruct(a, m)
+        if m == accepted_at and f is not None and not lies:
+            lies.append(f)
+            return Fraction(f.numerator, f.denominator * m)
+        return f
+
+    monkeypatch.setattr(exactla, "rational_reconstruct", wrong_first)
+    drawn.clear()
+    assert exactla.bilinear_solve(loops, 3, R, C) == want
+    assert lies
+    assert len(drawn) > honest
 
 
 def test_both_routes_give_up_after_max_primes(monkeypatch):
+    # 3 divides the leading entry N**(k/2) of both Gram matrices at N = 3, so
+    # the one prime allowed is skipped and no residue is ever combined.
     monkeypatch.setattr(exactla, "MAX_PRIMES", 1)
+    counting_stream(monkeypatch, first=(3,))
     with pytest.raises(SingularMatrixError):
         exactla.fraction_free_inverse(pairings.gram_matrix(12, 3))
     loops, R, C, _ = k8_moment_inputs()

@@ -10,19 +10,19 @@ def test_single_variable_moments_are_catalan():
     assert [freelimit.semicircular_moment([(1, 1)] * k) for k in (2, 4, 6)] == [1, 2, 5]
     for k in range(0, 17):
         assert freelimit.semicircular_moment([(1, 1)] * k) \
-            == freelimit.semicircle_moment_single(k)
+            == (0 if k % 2 else freelimit.catalan(k // 2))
 
 
 def test_semicircle_single_values():
-    assert freelimit.semicircle_moment_single(0) == 1
-    assert freelimit.semicircle_moment_single(2) == 1
-    assert freelimit.semicircle_moment_single(7) == 0
-    assert freelimit.semicircle_moment_single(10) == 42
+    assert freelimit.catalan(0) == 1
+    assert freelimit.catalan(1) == 1
+    assert freelimit.semicircular_moment([(1, 1)] * 7) == 0
+    assert freelimit.catalan(5) == 42
 
 
 def test_semicircle_single_matches_quadrature():
     for k in range(0, 11):
-        got = freelimit.semicircle_moment_single(k)
+        got = freelimit.semicircular_moment([(1, 1)] * k)
         assert abs(got - oracles.quadrature_semicircle_moment(k)) < 1e-7
 
 
@@ -62,4 +62,4 @@ def test_circular_matches_brute_force(letters):
 
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
-        freelimit.semicircle_moment_single(-1)
+        freelimit.catalan(-1)

@@ -137,7 +137,8 @@ def cmd_dn(args) -> int:
 def cmd_selectp(args) -> int:
     m, p, achieved = rapid_decay.select_p(args.degree, args.epsilon,
                                           rapid_decay.d_star_upper())
-    print(f"m={m} p={p} achieved={_fmt_real(achieved)}")
+    with mpmath.workprec(qnum.PRECISION_BITS):
+        print(f"m={m} p={p} achieved={_fmt_real(achieved)}")
     return 0
 
 

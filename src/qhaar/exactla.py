@@ -1,14 +1,15 @@
 """Exact linear algebra mod primes: certified inverses and bilinear solves.
 
-Both routes are one certified solve of A X = D V, modulo primes below 2**23:
+Both routes are one certified solve of A X = D V, modulo primes below 2**23,
+for the Gram matrix A = N**loops taken as (loop_mat, N), loop_mat from
+pairings.loop_matrix; ``_gram_solve`` builds A mod p, and no bigint A exists.
 
-* ``fraction_free_inverse`` -- V = I: the exact inverse X/D of an integer
-  matrix.  Used for full Weingarten tables.
+* ``fraction_free_inverse`` -- V = I: the exact inverse X/D of A.  Used for
+  full Weingarten tables.
 
 * ``bilinear_solve`` -- V = v, a 0-1 indicator column: the exact value of
-  u^T A^{-1} v = sum(X[r] for r in u) / D for an integer matrix given as
-  N**loops.  Used for single large-k moments where the full table is out of
-  reach.
+  u^T A^{-1} v = sum(X[r] for r in u) / D.  Used for single large-k moments
+  where the full table is out of reach.
 
 Both go through one CRT driver, ``_crt``: it runs the kernel mod each
 prime, skips the primes described below, and combines the residues by CRT
@@ -223,36 +224,36 @@ def _crt(residues, V: np.ndarray, scale: int) -> tuple[int, np.ndarray]:
     raise SingularMatrixError(f"no exact result within {MAX_PRIMES} primes")
 
 
-def fraction_free_inverse(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Invert an integer matrix exactly; returns (X, D) with inv = X/D, reduced.
+def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray) -> tuple[int, np.ndarray]:
+    """(D, X) with G X = D V exactly for G = N**loop_mat, whose mod-p residues index N**l mod p."""
+    max_loops = int(loop_mat.max())
 
-    The certified solve with V = I proves A X = D I.  Dividing by gcd(D, X)
-    leaves D the least common denominator.  Like the kernel, it needs
-    nonzero leading minors.
+    def residues(p):
+        pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
+        return pows[loop_mat]
+
+    return _crt(residues, V, loop_mat.shape[0] * N ** max_loops)
+
+
+def fraction_free_inverse(loop_mat: np.ndarray, N: int) -> tuple[list[list[int]], int]:
+    """Invert G = N**loop_mat exactly; returns (X, D) with G^{-1} = X/D, reduced.
+
+    The certified solve with V = I proves G X = D I.  Dividing by gcd(D, X)
+    leaves D the least common denominator.
     """
-    A = np.array(A, dtype=object)
-    n = A.shape[0]
-    D, X = _crt(lambda p: (A % p).astype(np.float64), np.eye(n), n * int(abs(A).max()))
+    D, X = _gram_solve(loop_mat, N, np.eye(loop_mat.shape[0]))
     g = math.gcd(D, *X.flat)
     return [[int(x) // g for x in row] for row in X], D // g
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
                    v_idx: Sequence[int]) -> Fraction:
-    """Exact u^T A^{-1} v for A[i,j] = N**loop_mat[i,j], u/v 0-1 indicators.
+    """Exact u^T G^{-1} v for G = N**loop_mat, u/v 0-1 indicators.
 
-    loop_mat is a small-integer numpy array; u_idx and v_idx index its rows.
-    The certified solve with V = v proves A X = D v, so the value is
-    sum(X[r] for r in u_idx) / D.
+    u_idx and v_idx index the rows of loop_mat.  The certified solve with
+    V = v proves G X = D v, so the value is sum(X[r] for r in u_idx) / D.
     """
-    max_loops = int(loop_mat.max())
-    n = loop_mat.shape[0]
-    v = np.zeros((n, 1))
+    v = np.zeros((loop_mat.shape[0], 1))
     v[list(v_idx), 0] = 1
-
-    def residues(p):
-        pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
-        return pows[loop_mat]
-
-    D, X = _crt(residues, v, n * N ** max_loops)
+    D, X = _gram_solve(loop_mat, N, v)
     return Fraction(sum(X[r, 0] for r in u_idx), D)

@@ -116,7 +116,10 @@ I = GaussianRational(0, 1)
 
 
 class NCPolynomial:
-    """Formal *-polynomial; immutable by convention."""
+    """Formal *-polynomial; immutable by convention.
+
+    The constructor takes ownership of the term dict and drops its zero terms in place.
+    """
 
     __slots__ = ("model", "terms")
 
@@ -124,9 +127,10 @@ class NCPolynomial:
         if model not in ("o+", "u+"):
             raise ValueError(f"unknown model {model!r}")
         self.model = model
-        self.terms: dict[TermKey, GaussianRational] = {
-            key: c for key, c in (terms or {}).items() if c
-        }
+        terms = {} if terms is None else terms
+        for key in [key for key, c in terms.items() if not c]:
+            del terms[key]
+        self.terms: dict[TermKey, GaussianRational] = terms
 
     # -- constructors -----------------------------------------------------
     @classmethod

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidArgumentError, InvalidDimensionError
 
 Pair = tuple[int, int]
@@ -196,29 +198,27 @@ def loops_from_partners(mp: list[int], mq: list[int], k: int) -> int:
     return cycles // 2
 
 
-def loop_matrix(k: int, pattern: Optional[tuple[str, ...]] = None) -> tuple[tuple[int, ...], ...]:
+def loop_matrix(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
     """Pairwise loop counts over the (colored) canonical pairing list.
 
-    Cached by (k, pattern) whatever the call form, so loop_matrix(16) and
-    loop_matrix(16, None) share one entry; cache_info() reports that cache.
+    The one form of the Gram matrix N**loops, as a read-only int8 array, and
+    the one check of a pattern against k.  Cached by (k, canonical pattern), so
+    (k, None) and alternating patterns share one object; see cache_info().
     """
-    return _loop_matrix(k, pattern)
+    pat = tuple(pattern) if pattern is not None else None
+    if pat is not None and (len(pat) != k or not enumerate_colored_nc_pairings(pat)):
+        raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
+    return _loop_matrix(k, canonical_pattern(pat))
 
 
 @lru_cache(maxsize=None)
-def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> tuple[tuple[int, ...], ...]:
+def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
     plist = [p.partners() for p in word_pairings(k, pattern)]
-    n = len(plist)
-    rows = []
-    for a in range(n):
-        row = [0] * n
-        for b in range(a, n):
-            row[b] = loops_from_partners(plist[a], plist[b], k)
-        rows.append(row)
-    for a in range(n):
-        for b in range(a):
-            rows[a][b] = rows[b][a]
-    return tuple(tuple(r) for r in rows)
+    L = np.zeros((len(plist),) * 2, dtype=np.int8)  # at most k/2 loops; k is far below 256
+    for a, mp in enumerate(plist):
+        L[a, a:] = L[a:, a] = [loops_from_partners(mp, mq, k) for mq in plist[a:]]
+    L.flags.writeable = False
+    return L
 
 
 loop_matrix.cache_info = _loop_matrix.cache_info
@@ -231,7 +231,4 @@ def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None
         raise InvalidDimensionError(f"need N >= 2, got {N}")
     if k < 0 or k % 2:
         raise InvalidArgumentError(f"need even k >= 0, got {k}")
-    pat = tuple(pattern) if pattern is not None else None
-    if pat is not None and (len(pat) != k or not enumerate_colored_nc_pairings(pat)):
-        raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
-    return tuple(tuple(N ** l for l in row) for row in loop_matrix(k, canonical_pattern(pat)))
+    return tuple(tuple(N ** l for l in row) for row in loop_matrix(k, pattern).tolist())

@@ -27,8 +27,6 @@ from .errors import InvalidArgumentError, InvalidDimensionError
 
 # rigorous_upper_bound stops once its tail multiplier is below 1 + TAIL_TOL.
 TAIL_TOL = Fraction(1, 10 ** 12)
-# d_star_upper maximizes over this grid; the rigorous bound decreases in N.
-D_STAR_GRID = range(3, 11)
 
 
 def _require_n(N: int):
@@ -61,9 +59,9 @@ class RDBound:
     rigorous_upper: Fraction
 
 
-def _round_up(x: Fraction, bits: int = 96) -> Fraction:
-    scaled = x * (1 << bits)
-    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
+def _round_up(x: Fraction) -> Fraction:
+    scaled = x * (1 << 96)
+    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << 96)
 
 
 def rigorous_upper_bound(N: int) -> tuple[Fraction, Fraction]:
@@ -161,12 +159,14 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RD
 
 
 def d_star_upper() -> Fraction:
-    """Verified upper bound for sup_{N >= 3} D_N.
+    """Upper bound for sup_{N >= 3} D_N: exactly rigorous_upper_bound(3)[0].
 
-    The rigorous bound decreases in N (regression-checked), so the maximum
-    over D_STAR_GRID, which starts at N = 3, dominates all N >= 3.
+    Proof.  B(Q) = (1-Q)^-1 prod_{s>=1} (1-Q^s)^-3 increases in Q on [0, 1),
+    D_N <= B(q(N)^2), and rigorous_upper_bound(N) evaluates B at some
+    Q >= q(N)^2.  As q(N) decreases in N, every N >= 3 has
+    D_N <= B(q(N)^2) <= B(q(3)^2) <= rigorous_upper_bound(3)[0].
     """
-    return max(rigorous_upper_bound(N)[0] for N in D_STAR_GRID)
+    return rigorous_upper_bound(3)[0]
 
 
 def select_p(degree: int, epsilon, d_star) -> tuple[int, int, mpmath.mpf]:

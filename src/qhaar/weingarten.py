@@ -6,11 +6,11 @@ A moment of a generator word of even length k is the double sum over
     delta_p(row indices) * delta_q(column indices) * Wg(p, q),
 
 where Wg is the exact rational inverse of the Gram matrix G = N**loops.
-Both routes are exactla's one certified solve of G X = D V, which proves the
-identity exactly before it returns.  Tables (V = I, so wg_num = X and
-wg_den = D) are cached; a word longer than TABLE_KMAX is instead one solve
-with V the indicator column of its column-compatible pairings, summed over
-its row-compatible pairings.
+Both routes pass pairings.loop_matrix and N to exactla's one certified solve
+of G X = D V, which proves the identity before it returns.  Tables (V = I,
+so wg_num = X and wg_den = D) are cached; a word longer than TABLE_KMAX is
+instead one solve with V the indicator column of its column-compatible
+pairings, summed over its row-compatible pairings.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import exactla, pairings
 from .errors import (InvalidArgumentError, InvalidDimensionError, InvalidIndexError,
@@ -76,8 +74,8 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
     """Build (or fetch) the exact Weingarten table for (k, N, pattern)."""
     if N < 2:
         raise InvalidDimensionError(f"need N >= 2, got {N}")
-    if k % 2:
-        raise InvalidArgumentError(f"need even k, got {k}")
+    if k < 0 or k % 2:
+        raise InvalidArgumentError(f"need even k >= 0, got {k}")
     if k > kmax:
         raise ResourceLimitError(f"k={k} exceeds kmax={kmax}", required_k=k)
     return _build_table(k, N, tuple(pattern) if pattern is not None else None)
@@ -85,7 +83,7 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
 
 @lru_cache(maxsize=None)
 def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> WeingartenTable:
-    num, den = exactla.fraction_free_inverse(pairings.gram_matrix(k, N, pattern))
+    num, den = exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N)
     return WeingartenTable(k=k, N=N, pattern=pattern,
                            wg_num=tuple(tuple(r) for r in num), wg_den=den)
 
@@ -124,9 +122,7 @@ def haar_moment(word: GeneratorWord, N: int, kmax: int = DEFAULT_KMAX) -> Fracti
         return Fraction(sum(num[p][q] for p in R for q in C), table.wg_den)
 
     # Large-k route: single exact bilinear solve, no full inverse.
-    loops = pairings.loop_matrix(k, pattern)
-    loop_arr = np.array(loops, dtype=np.int64)
-    return exactla.bilinear_solve(loop_arr, N, R, C)
+    return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N, R, C)
 
 
 def unitarity_contraction(word: GeneratorWord, N: int, position: int,

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,14 @@ def test_selectp(capsys):
     assert out.startswith("m=")
     achieved = float(out.strip().split("achieved=")[1])
     assert achieved <= 1.5
+
+
+def test_selectp_prints_achieved_at_working_precision(capsys):
+    # At 53 bits the printed value was 1.000000001000000082740371, above 1 + epsilon.
+    code, out, _ = run(["selectp", "--degree", "2", "--epsilon", "1e-9"], capsys)
+    assert code == 0
+    achieved = Fraction(out.strip().split("achieved=")[1])
+    assert achieved <= 1 + Fraction(1, 10 ** 9)
 
 
 def test_dn_sweep(capsys):

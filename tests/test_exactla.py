@@ -107,7 +107,7 @@ def test_prime_three_is_skipped_for_the_k4_table(monkeypatch):
     gram = pairings.gram_matrix(4, 3)
     assert exactla._solve_mod_prime(np.array(gram) % 3.0, np.eye(2), 3) is None
     drawn = counting_stream(monkeypatch, first=(3,))
-    assert exactla.fraction_free_inverse(gram) == ([[3, -1], [-1, 3]], 24)
+    assert exactla.fraction_free_inverse(pairings.loop_matrix(4), 3) == ([[3, -1], [-1, 3]], 24)
     assert drawn[0] == 3 and len(drawn) >= 2
 
 
@@ -115,7 +115,7 @@ def test_wrong_candidate_denominator_is_rejected(monkeypatch):
     gram = pairings.gram_matrix(10, 3)
     want = oracles.bareiss_inverse(gram)
     drawn = counting_stream(monkeypatch)
-    assert same_inverse(exactla.fraction_free_inverse(gram), want)
+    assert same_inverse(exactla.fraction_free_inverse(pairings.loop_matrix(10), 3), want)
     honest, accepted_at = len(drawn), math.prod(drawn)
     # Where the honest run was accepted, the first denominator returned is
     # multiplied by the modulus: then D W = 0 mod M, so X = 0 would be
@@ -131,7 +131,7 @@ def test_wrong_candidate_denominator_is_rejected(monkeypatch):
 
     monkeypatch.setattr(exactla, "rational_reconstruct", wrong_first)
     drawn.clear()
-    got = exactla.fraction_free_inverse(gram)
+    got = exactla.fraction_free_inverse(pairings.loop_matrix(10), 3)
     assert lies
     assert same_inverse(got, want) and got[1] == want[1] // math.gcd(want[1], *sum(want[0], []))
     assert len(drawn) > honest
@@ -148,9 +148,11 @@ def test_certified_inverse_matches_bareiss_oracle():
     for k, pattern in cases:
         for N in range(2, 7):
             gram = pairings.gram_matrix(k, N, pattern)
-            assert same_inverse(exactla.fraction_free_inverse(gram), oracles.bareiss_inverse(gram))
+            assert same_inverse(exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N),
+                                oracles.bareiss_inverse(gram))
     gram = pairings.gram_matrix(12, 3)
-    assert same_inverse(exactla.fraction_free_inverse(gram), oracles.bareiss_inverse(gram))
+    assert same_inverse(exactla.fraction_free_inverse(pairings.loop_matrix(12), 3),
+                        oracles.bareiss_inverse(gram))
 
 
 @settings(deadline=None, max_examples=60)
@@ -219,7 +221,7 @@ def test_both_routes_give_up_after_max_primes(monkeypatch):
     monkeypatch.setattr(exactla, "MAX_PRIMES", 1)
     counting_stream(monkeypatch, first=(3,))
     with pytest.raises(SingularMatrixError):
-        exactla.fraction_free_inverse(pairings.gram_matrix(12, 3))
+        exactla.fraction_free_inverse(pairings.loop_matrix(12), 3)
     loops, R, C, _ = k8_moment_inputs()
     with pytest.raises(SingularMatrixError):
         exactla.bilinear_solve(loops, 3, R, C)

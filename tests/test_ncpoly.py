@@ -126,6 +126,17 @@ class TestAlgebra:
             assert q == acc and list(q.terms) == list(acc.terms)
             acc = acc * p
 
+    def test_cancelled_terms_are_dropped(self):
+        one = NCPolynomial.constant(1)
+        cases = [(x(1, 1) * x(1, 2) - x(1, 1) * x(1, 2), {}),
+                 ((x(1, 1) + x(1, 2)) - (x(1, 1) + x(1, 2)), {}),
+                 # x11 x11 cancels: x11 x11 - x11 + x11^3 - x11 x11
+                 ((x(1, 1) + x(1, 1) * x(1, 1)) * (x(1, 1) - one),
+                  (x(1, 1) ** 3 - x(1, 1)).terms)]
+        for p, want in cases:
+            assert p.terms == want
+            assert all(c for c in p.terms.values())
+
     def test_model_mismatch(self):
         with pytest.raises(ModelMismatchError):
             x(1, 1) * vgen(1, 1)

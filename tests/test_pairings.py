@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +159,8 @@ def test_has_compatible_pairing_odd_length_and_bad_symbol():
 def test_gram_rejects_pattern_not_fitting_k(k, pattern):
     with pytest.raises(InvalidArgumentError):
         pairings.gram_matrix(k, 3, pattern)
+    with pytest.raises(InvalidArgumentError):
+        pairings.loop_matrix(k, tuple(pattern))
 
 
 def test_colored_alternating_count_is_catalan():
@@ -230,7 +233,7 @@ def test_alternating_pattern_shares_the_uncoloured_matrices():
         for pattern in (("1", "*") * (k // 2), ("*", "1") * (k // 2)):
             assert pairings.canonical_pattern(pattern) is None
             assert pairings.word_pairings(k, pattern) == pairings.enumerate_nc_pairings(k)
-            assert pairings.loop_matrix(k, pattern) == pairings.loop_matrix(k, None)
+            assert pairings.loop_matrix(k, pattern) is pairings.loop_matrix(k, None)
     for pattern in (("1", "1", "*", "*"), ("1", "*", "*", "1")):
         assert pairings.canonical_pattern(pattern) == pattern
         assert len(pairings.word_pairings(4, pattern)) < len(pairings.enumerate_nc_pairings(4))
@@ -245,3 +248,23 @@ def test_loop_matrix_call_forms_share_one_cache_entry():
     assert pairings.loop_matrix(10, None) is a
     assert pairings.loop_matrix(k=10, pattern=None) is a
     assert info().misses - misses <= 1
+
+
+def test_loop_matrix_is_a_read_only_int8_array():
+    L = pairings.loop_matrix(6)
+    assert isinstance(L, np.ndarray) and L.dtype == np.int8
+    with pytest.raises(ValueError):
+        L[0, 0] = 0
+    assert L[0, 0] == 3
+
+
+def test_loop_matrix_matches_the_walk():
+    # Every k <= 10 uncoloured, and one non-alternating pattern at k = 8.
+    cases = [(k, None) for k in range(0, 11, 2)] + [(8, tuple("11*1**1*"))]
+    for k, pattern in cases:
+        plist = pairings.word_pairings(k, pattern)
+        L = pairings.loop_matrix(k, pattern)
+        assert L.shape == (len(plist), len(plist)) and (L == L.T).all()
+        assert (L.diagonal() == k // 2).all()
+        assert L.tolist() == [[loop_count(p, q) for q in plist] for p in plist]
+    assert len(plist) < len(pairings.enumerate_nc_pairings(8))

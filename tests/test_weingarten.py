@@ -52,6 +52,16 @@ def test_wg_times_gram_is_identity_small():
                     assert s == (t.wg_den if i == j else 0)
 
 
+def test_tables_never_build_the_bigint_gram_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gram_matrix called")
+
+    weingarten._build_table.cache_clear()
+    monkeypatch.setattr(pairings, "gram_matrix", refuse)
+    t = weingarten.weingarten_table(8, 5)
+    assert t.size == 14 and t.wg(0, 0) > 0
+
+
 def test_moment_examples():
     assert weingarten.haar_moment(gw([u(1, 1)] * 2, "o+"), 5) == Fraction(1, 5)
     assert weingarten.haar_moment(gw([u(1, 1), u(1, 2)], "o+"), 3) == 0

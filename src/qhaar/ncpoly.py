@@ -236,7 +236,15 @@ def scaled_generators(P: NCPolynomial, N: int) -> NCPolynomial:
 
 def state_eval(a: NCPolynomial, N: Optional[int] = None,
                kmax: int = weingarten.DEFAULT_KMAX) -> GaussianRational:
-    """Haar state (finite N) or free limit state (N=None), extended linearly."""
+    """Haar state (finite N) or free limit state (N=None), extended linearly.
+
+    At finite N the distinct letters of all the words are checked once, and
+    each word's moment is then taken from its rows, columns and colours.
+    """
+    if N is not None and a.terms:
+        letters = dict.fromkeys(x for word, _ in a.terms for x in word)
+        weingarten.check_letters(letters, a.model)
+        weingarten.check_dimension(letters, N)
     total = ZERO
     for (word, h), c in a.terms.items():
         if N is None:
@@ -249,8 +257,9 @@ def state_eval(a: NCPolynomial, N: Optional[int] = None,
             if m:
                 total = total + c * m
         else:
-            w = weingarten.GeneratorWord(word, a.model)
-            mom = weingarten.haar_moment(w, N, kmax=kmax)
+            mom = weingarten._moment([i for i, _, _ in word], [j for _, j, _ in word],
+                                     tuple(eps for _, _, eps in word) if a.model == "u+" else None,
+                                     N, kmax)
             if not mom:
                 continue
             if h % 2:

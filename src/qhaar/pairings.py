@@ -7,6 +7,11 @@ obtained by gluing one diagram to the reflection of the other; for pair
 partitions this equals the number of connected components of the union
 multigraph, which is what we compute.
 
+loop_matrix builds that count for all pairs by dihedral orbits: rotating
+or reflecting the k points (by a map that fixes the colour pattern) only
+relabels the union multigraph and permutes the canonical list, so one walked
+row per orbit, permuted, gives every other row of the orbit.
+
 `word_pairings` and `compatible_indices` are the one place that lists the
 pairings indexing a word and filters them by its labels; finite-N moments,
 loop matrices and the free limits all go through them.
@@ -181,8 +186,9 @@ def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] 
 def loops_from_partners(mp: list[int], mq: list[int], k: int) -> int:
     """Loop count from two 0-based partner arrays.
 
-    The union of two perfect matchings decomposes into even cycles; walking
-    mq∘mp visits each union-cycle twice, so components = (#orbit cycles)/2.
+    The union of two perfect matchings decomposes into even cycles.  Walking
+    mq∘mp from s alternates a p-edge x -> mp[x] and a q-edge, so it goes round
+    the whole union-cycle of s once, meeting every point of it as x or mp[x].
     """
     seen = 0
     cycles = 0
@@ -191,32 +197,114 @@ def loops_from_partners(mp: list[int], mq: list[int], k: int) -> int:
             cycles += 1
             x = s
             while True:
-                seen |= 1 << x
-                x = mq[mp[x]]
+                y = mp[x]
+                seen |= 1 << x | 1 << y
+                x = mq[y]
                 if x == s:
                     break
-    return cycles // 2
+    return cycles
 
 
 def loop_matrix(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
     """Pairwise loop counts over the (colored) canonical pairing list.
 
     The one form of the Gram matrix N**loops, as a read-only int8 array, and
-    the one check of a pattern against k.  Cached by (k, canonical pattern), so
-    (k, None) and alternating patterns share one object; see cache_info().
+    the one check of a pattern against k: the O(k) stack of
+    has_compatible_pairing on k equal labels decides whether any pairing
+    fits it.  Cached by (k, canonical pattern), so (k, None) and alternating
+    patterns share one object; see cache_info().
     """
     pat = tuple(pattern) if pattern is not None else None
-    if pat is not None and (len(pat) != k or not enumerate_colored_nc_pairings(pat)):
+    if pat is not None and (len(pat) != k or not has_compatible_pairing([0] * k, pat)):
         raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
     return _loop_matrix(k, canonical_pattern(pat))
 
 
+def _symmetries(k: int, pattern: Optional[tuple[str, ...]]
+                ) -> tuple[list[int], Optional[list[int]]]:
+    """Dihedral maps of the k points (0-based) that fix the pattern.
+
+    Returns (rotation, reflection): rotation is i -> i + d mod k for the
+    pattern's smallest period d (1 for None), and reflection is some
+    i -> s - i mod k that fixes the pattern, or None if none does.
+    """
+    if pattern is None:
+        d, s = 1, 0
+    else:
+        d = next(d for d in range(1, k + 1) if pattern[d:] + pattern[:d] == pattern)
+        s = next((s for s in range(k)
+                  if all(pattern[(s - i) % k] == c for i, c in enumerate(pattern))), None)
+    return [(i + d) % k for i in range(k)], None if s is None else [(s - i) % k for i in range(k)]
+
+
+def _index_map(plist: Sequence[NCPairPartition], index: dict, g: list[int]) -> list[int]:
+    """Position in plist of the image under the point map g of each pairing in plist.
+
+    index maps each pairing's slot mask (NCPairPartition.bits) to its position.
+    """
+    k = len(g)
+    out = []
+    for p in plist:
+        mask = 0
+        for a, b in p.pairs:
+            x, y = g[a - 1], g[b - 1]
+            mask |= 1 << (x * k + y if x < y else y * k + x)
+        out.append(index[mask])
+    return out
+
+
 @lru_cache(maxsize=None)
 def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
-    plist = [p.partners() for p in word_pairings(k, pattern)]
-    L = np.zeros((len(plist),) * 2, dtype=np.int8)  # at most k/2 loops; k is far below 256
-    for a, mp in enumerate(plist):
-        L[a, a:] = L[a:, a] = [loops_from_partners(mp, mq, k) for mq in plist[a:]]
+    """loops(p, q) over word_pairings(k, pattern), one walked row per dihedral orbit.
+
+    Why it is exact: loops(p, q) is the number of components of the
+    multigraph p ∪ q on the k points.  A permutation g of the points that
+    keeps non-crossing pairings non-crossing (a rotation or a reflection)
+    maps p ∪ q onto g·p ∪ g·q, relabelling vertices only, so
+    loops(g·p, g·q) = loops(p, q).  If g also fixes the colour pattern, it
+    joins a '1' to a '*' exactly when it did before, so it permutes the
+    colored canonical list.  Hence L[g·a, c] = L[a, g⁻¹·c] for pairing
+    positions a and c, and the row of g·a is the row of a permuted.
+
+    The maps used are the rotation by the pattern's smallest period and one
+    reflection fixing the pattern, if any (_symmetries); slot masks turn
+    each into a permutation of positions.  For each position a not yet
+    written, loops_from_partners walks its row, except in the columns of
+    rows already written, where L[a, c] = L[c, a].  The inverse rotation
+    then carries that row round the rotation orbit of a, and each row met is
+    written reflected too.  Every map the two generate is a rotation, or a
+    rotation and then the reflection, so this writes the whole orbit.  k = 0
+    needs no case of its own: its one empty pairing has no loops.
+    """
+    plist = word_pairings(k, pattern)
+    n = len(plist)
+    L = np.zeros((n, n), dtype=np.int8)  # at most k/2 loops; k is far below 256
+    index = {p.bits: a for a, p in enumerate(plist)}
+    rotation, reflection = _symmetries(k, pattern)
+    rot = _index_map(plist, index, rotation)
+    back = sorted(range(n), key=rot.__getitem__)  # the inverse rotation
+    ref = None if reflection is None else _index_map(plist, index, reflection)
+    partners = [p.partners() for p in plist]
+    done = bytearray(n)
+    for a, mp in enumerate(partners):
+        if done[a]:
+            continue
+        row = L[:, a].tolist()
+        for c, mq in enumerate(partners):
+            if not done[c]:
+                row[c] = loops_from_partners(mp, mq, k)
+        b = a
+        while True:  # b goes round the rotation orbit of a, row is its row
+            if not done[b]:
+                L[b] = row
+                done[b] = 1
+            if ref is not None and not done[ref[b]]:
+                L[ref[b]] = list(map(row.__getitem__, ref))  # a reflection is an involution
+                done[ref[b]] = 1
+            b = rot[b]
+            if b == a:
+                break
+            row = list(map(row.__getitem__, back))
     L.flags.writeable = False
     return L
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import exactla, pairings
 from .errors import (InvalidArgumentError, InvalidDimensionError, InvalidIndexError,
@@ -42,13 +42,27 @@ class GeneratorWord:
     def __post_init__(self):
         if self.model not in ("o+", "u+"):
             raise ValueError(f"unknown model {self.model!r}")
-        for i, j, eps in dict.fromkeys(self.letters):  # each distinct letter once
-            if i < 1 or j < 1:
-                raise InvalidIndexError(f"indices must be >= 1: ({i},{j})")
-            if eps not in ("1", "*"):
-                raise ValueError(f"bad star flag {eps!r}")
-            if self.model == "o+" and eps != "1":
-                raise ValueError("orthogonal generators are self-adjoint")
+        check_letters(dict.fromkeys(self.letters), self.model)  # each distinct letter once
+
+
+def check_letters(letters: Iterable[Letter], model: str):
+    """Raise unless every letter is a generator of the model: indices >= 1, a valid star flag."""
+    for i, j, eps in letters:
+        if i < 1 or j < 1:
+            raise InvalidIndexError(f"indices must be >= 1: ({i},{j})")
+        if eps not in ("1", "*"):
+            raise ValueError(f"bad star flag {eps!r}")
+        if model == "o+" and eps != "1":
+            raise ValueError("orthogonal generators are self-adjoint")
+
+
+def check_dimension(letters: Iterable[Letter], N: int):
+    """Raise unless N >= 2 and every index of the letters is at most N."""
+    if N < 2:
+        raise InvalidDimensionError(f"need N >= 2, got {N}")
+    for i, j, _ in letters:
+        if i > N or j > N:
+            raise InvalidIndexError(f"index ({i},{j}) exceeds N={N}")
 
 
 @dataclass(frozen=True)
@@ -90,21 +104,29 @@ def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> Weingart
 
 def haar_moment(word: GeneratorWord, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:
     """Exact Haar-state moment of a generator word at dimension N; odd lengths give 0."""
-    letters, model = word.letters, word.model
-    if N < 2:
-        raise InvalidDimensionError(f"need N >= 2, got {N}")
-    for i, j, _ in letters:
-        if i > N or j > N:
-            raise InvalidIndexError(f"index ({i},{j}) exceeds N={N}")
-    k = len(letters)
+    letters = word.letters
+    check_dimension(letters, N)
+    return _moment([i for i, _, _ in letters], [j for _, j, _ in letters],
+                   tuple(eps for _, _, eps in letters) if word.model == "u+" else None,
+                   N, kmax)
+
+
+def _moment(rows: list[int], cols: list[int], pattern: Optional[tuple[str, ...]], N: int,
+            kmax: int) -> Fraction:
+    """The moment of the word with these row and column indices and colours, unchecked.
+
+    pattern is the word's star flags for U_N^+ and None for O_N^+.  The caller
+    has checked the letters (check_letters) and N against them
+    (check_dimension): haar_moment for one word, ncpoly.state_eval once for
+    all the words of a polynomial.
+    """
+    k = len(rows)
     if k == 0:
         return Fraction(1)
     if k % 2:
         return Fraction(0)
 
-    pattern = (pairings.canonical_pattern(tuple(eps for _, _, eps in letters))
-               if model == "u+" else None)
-    rows, cols = [i for i, _, _ in letters], [j for _, j, _ in letters]
+    pattern = pairings.canonical_pattern(pattern)
     if k > kmax:  # refuse a nonzero moment before listing its Catalan-many pairings
         if (pairings.has_compatible_pairing(rows, pattern)
                 and pairings.has_compatible_pairing(cols, pattern)):

@@ -4,13 +4,17 @@ Everything here deliberately avoids the library's own enumeration and
 evaluation paths: matchings are generated exhaustively and filtered, the
 semicircle moments come from numerical quadrature, and the three-vertex norm
 is a telescoped product, or a ratio of q-factorials, of exact quantum integers.
+The loop-count oracle walks every pair of pairings separately; it takes only
+the library's canonical pairing list, whose order the matrix must follow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qhaar import qnum
+import numpy as np
+
+from qhaar import pairings, qnum
 
 
 def all_matchings(points):
@@ -110,6 +114,30 @@ def brute_haar_moment_via_deltas(word, N: int, wg_lookup) -> Fraction:
                 continue
             total += wg_lookup(pi, qi)
     return total
+
+
+def loop_matrix_walk(k: int, pattern=None):
+    """Loop counts over word_pairings(k, pattern), by one walk per pair.
+
+    The plain build `pairings.loop_matrix` must reproduce: each pair (p, q)
+    walks mq∘mp from every unseen point, counting orbit cycles, and the union
+    of two matchings has half as many components as mq∘mp has cycles.
+    """
+    plist = [p.partners() for p in pairings.word_pairings(k, pattern)]
+
+    def loops(mp, mq):
+        seen, cycles = set(), 0
+        for s in range(k):
+            if s not in seen:
+                cycles += 1
+                x = s
+                while x not in seen:
+                    seen.add(x)
+                    x = mq[mp[x]]
+        return cycles // 2
+
+    return np.array([[loops(mp, mq) for mq in plist] for mp in plist],
+                    dtype=np.int8).reshape(len(plist), len(plist))
 
 
 def compatible_indices_scan(plist, labels) -> list:

@@ -146,6 +146,7 @@ def test_exit_code_config_error(capsys):
         ["selectp", "--degree", "2", "--epsilon", "nan"],
         ["selectp", "--degree", "2", "--epsilon", "1e-40"],
         ["moment", "x[1,1]x[1,1]", "--N", "3"],
+        ["moment", "x[1,4]*x[1,4]", "--N", "3"],
         ["dn", "--N-list", "3,x"],
         ["converge", "--poly", "x[1,1]", "--N-list", "4,y"],
         ["dn", "--N-list", "3", "--rmax", "-1"],

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from qhaar import ncpoly
+from qhaar import ncpoly, weingarten
 from qhaar.errors import ModelMismatchError, PolyParseError
-from qhaar.ncpoly import GaussianRational, NCPolynomial
+from qhaar.ncpoly import ONE, GaussianRational, NCPolynomial
 
 import oracles
 
@@ -199,6 +200,55 @@ class TestStateEval:
                 for m in (1, 2):
                     val = ncpoly.state_eval((a.adjoint() * a) ** m, N)
                     assert val.is_real and val.re >= 0
+
+    @pytest.mark.parametrize("model", ["o+", "u+"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_sum_of_word_moments(self, model, seed):
+        # Random words, and w* w words whose moment is positive, all of length <= 10.
+        rng = random.Random(seed)
+        N = rng.randint(2, 4)
+        stars = "1*" if model == "u+" else "1"
+
+        def letter():
+            return rng.randint(1, N), rng.randint(1, N), rng.choice(stars)
+
+        terms = {}
+        for _ in range(12):
+            if rng.random() < 0.5:
+                word = tuple(letter() for _ in range(rng.randint(0, 10)))
+            else:
+                w = tuple(letter() for _ in range(rng.randint(1, 5)))
+                flip = {"1": "*", "*": "1"} if model == "u+" else {"1": "1"}
+                word = tuple((i, j, flip[e]) for i, j, e in reversed(w)) + w
+            h = rng.choice([0, len(word) - len(word) % 2])  # as scaled_generators leaves it
+            terms[(word, h)] = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                                rng.randint(-2, 2))
+        expected, nonzero = GaussianRational(), 0
+        for (word, h), c in terms.items():
+            mom = weingarten.haar_moment(weingarten.GeneratorWord(word, model), N)
+            nonzero += mom != 0
+            expected = expected + c * (mom * N ** (h // 2))
+        assert nonzero
+        assert ncpoly.state_eval(NCPolynomial(model, dict(terms)), N) == expected
+
+    @pytest.mark.parametrize("word, model, N", [
+        (((1, 1, "1"), (0, 1, "1")), "o+", 3),
+        (((1, 1, "1"), (1, 1, "*")), "o+", 3),
+        (((1, 1, "x"), (1, 1, "1")), "u+", 3),
+        (((1, 1, "1"), (1, 1, "1")), "o+", 1),
+        (((1, 4, "1"), (1, 4, "1")), "o+", 3),
+        (((1, 4, "1"),), "u+", 3),
+    ])
+    def test_rejects_a_bad_word_as_haar_moment_does(self, word, model, N):
+        with pytest.raises(Exception) as one_word:
+            weingarten.haar_moment(weingarten.GeneratorWord(word, model), N)
+        good = {(((1, 1, "1"), (1, 1, "1")), 0): ONE}
+        with pytest.raises(type(one_word.value)) as polynomial:
+            ncpoly.state_eval(NCPolynomial(model, {**good, (word, 0): ONE}), N)
+        assert type(polynomial.value) is type(one_word.value)
+
+    def test_zero_polynomial_needs_no_dimension(self):
+        assert ncpoly.state_eval(NCPolynomial("o+"), 1) == GaussianRational()
 
 
 class TestScaledGenerators:

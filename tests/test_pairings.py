@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -259,12 +261,86 @@ def test_loop_matrix_is_a_read_only_int8_array():
 
 
 def test_loop_matrix_matches_the_walk():
-    # Every k <= 10 uncoloured, and one non-alternating pattern at k = 8.
-    cases = [(k, None) for k in range(0, 11, 2)] + [(8, tuple("11*1**1*"))]
-    for k, pattern in cases:
-        plist = pairings.word_pairings(k, pattern)
-        L = pairings.loop_matrix(k, pattern)
-        assert L.shape == (len(plist), len(plist)) and (L == L.T).all()
-        assert (L.diagonal() == k // 2).all()
-        assert L.tolist() == [[loop_count(p, q) for q in plist] for p in plist]
-    assert len(plist) < len(pairings.enumerate_nc_pairings(8))
+    # Every uncoloured k <= 14, built by dihedral orbits, against one walk per pair.
+    for k in range(0, 15, 2):
+        L = pairings.loop_matrix(k)
+        assert L.shape == (catalan(k // 2),) * 2 and (L.diagonal() == k // 2).all()
+        assert np.array_equal(L, oracles.loop_matrix_walk(k))
+
+
+def period(pattern):
+    k = len(pattern)
+    return min(d for d in range(1, k + 1)
+               if all(pattern[i] == pattern[(i + d) % k] for i in range(k)))
+
+
+def mirrors(pattern):
+    """Every s for which i -> s - i (mod k) fixes the pattern."""
+    k = len(pattern)
+    return [s for s in range(k) if all(pattern[(s - i) % k] == pattern[i] for i in range(k))]
+
+
+def test_loop_matrix_matches_the_walk_on_every_small_pattern():
+    count = 0
+    for k in range(2, 9, 2):
+        for pattern in itertools.product("1*", repeat=k):
+            if pairings.canonical_pattern(pattern) and pairings.word_pairings(k, pattern):
+                count += 1
+                assert np.array_equal(pairings.loop_matrix(k, pattern),
+                                      oracles.loop_matrix_walk(k, pattern)), pattern
+    assert count == 4 + 18 + 68  # every balanced non-alternating pattern at k = 4, 6, 8
+
+
+# Periodic (with and without a mirror), reflection-only, and asymmetric.
+NAMED = {10: ["11111*****", "1111*1****"],
+         12: ["11**11**11**", "11*1**11*1**", "111111******", "11111*1*****"]}
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_loop_matrix_matches_the_walk_on_sampled_patterns(k):
+    # Colours laid pair by pair on seeded random pairings, so each pattern fits.
+    rng = random.Random(1000 + k)
+    plist = pairings.enumerate_nc_pairings(k)
+    sample = {tuple(p) for p in NAMED[k]}
+    while len(sample) < len(NAMED[k]) + 16:
+        pattern = [None] * k
+        for a, b in rng.choice(plist).pairs:
+            pattern[a - 1], pattern[b - 1] = rng.choice([("1", "*"), ("*", "1")])
+        if pairings.canonical_pattern(tuple(pattern)):
+            sample.add(tuple(pattern))
+    kinds = {(period(p) < k, bool(mirrors(p))) for p in sample}
+    assert kinds == ({(False, True), (False, False)} if k == 10 else
+                     {(True, True), (True, False), (False, True), (False, False)})
+    for pattern in sorted(sample):
+        assert np.array_equal(pairings.loop_matrix(k, pattern),
+                              oracles.loop_matrix_walk(k, pattern)), "".join(pattern)
+
+
+@pytest.mark.parametrize("pattern, count", [(None, 23), ("11**11**11**", 5),
+                                            ("111111******", 1)])
+def test_loop_matrix_is_invariant_under_rotation_and_reflection(pattern, count):
+    # L[g.a, g.c] == L[a, c] for every dihedral map g of the 12 points fixing the pattern.
+    k = 12
+    pattern = pattern and tuple(pattern)
+    plist = pairings.word_pairings(k, pattern)
+    index = {p.pairs: a for a, p in enumerate(plist)}
+    d = 1 if pattern is None else period(pattern)
+    maps = [lambda i, r=r: (i + r) % k for r in range(d, k, d)]
+    maps += [lambda i, s=s: (s - i) % k for s in (range(k) if pattern is None else mirrors(pattern))]
+    assert len(maps) == count
+    L = pairings.loop_matrix(k, pattern)
+    for g in maps:
+        perm = [index[tuple(sorted(tuple(sorted((g(a - 1) + 1, g(b - 1) + 1)))
+                                   for a, b in p.pairs))] for p in plist]
+        assert np.array_equal(L[np.ix_(perm, perm)], L)
+
+
+def test_pattern_check_agrees_with_the_listing():
+    # loop_matrix decides a pattern by the O(k) stack on k equal labels.
+    for k in range(0, 13):
+        for pattern in itertools.product("1*", repeat=k):
+            fits = bool(pairings.enumerate_colored_nc_pairings(pattern))
+            assert pairings.has_compatible_pairing([0] * k, pattern) == fits, pattern
+            if k <= 6 and not fits:
+                with pytest.raises(InvalidArgumentError, match="fits no pairing"):
+                    pairings.loop_matrix(k, pattern)

@@ -9,8 +9,11 @@ and the one that goes first alternates from seed to seed.  Then each
 checkout gets one `--trace 1` run per workload.  Last come three pairs of
 the timings outside perfbench, again alternating which checkout goes
 first: criterion 7's order-16 moment at N = 3 and N = 8 in a fresh process
-after building `loop_matrix(16)`, and criterion 7 and criterion 9 (the
-k <= 12 Weingarten tables at N = 2..10) each run alone under pytest.
+after building `loop_matrix(16)`; the modular kernel `_solve_mod_prime` on
+the k = 14 and k = 16 Gram matrices at N = 3 with one right-hand column,
+the median over the first five primes, in a fresh process; and criterion 7
+and criterion 9 (the k <= 12 Weingarten tables at N = 2..10) each run alone
+under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, every timing run, and one table line per workload and
 metric: the parent's median and quartiles, the change's median, and the
@@ -44,6 +47,25 @@ for N in (3, 8):
     t = time.perf_counter(); h = weingarten.haar_moment(w, N, kmax=16)
     out[f"N{N}_s"] = time.perf_counter() - t
     out[f"N{N}_value"] = str(h)
+print(json.dumps(out))
+"""
+
+KERNEL = """
+import itertools, json, statistics, time
+import numpy as np
+from qhaar import exactla, pairings
+out = {}
+for k in (14, 16):
+    loop_mat = pairings.loop_matrix(k)
+    v = (np.arange(loop_mat.shape[0]) % 3 == 0).astype(np.float64)[:, None]
+    times = []
+    for p in itertools.islice(exactla.prime_stream(), 5):
+        pows = np.array([pow(3, l, p) for l in range(int(loop_mat.max()) + 1)], dtype=np.float64)
+        A = pows[loop_mat]
+        t = time.perf_counter()
+        exactla._solve_mod_prime(A, v, p)
+        times.append(time.perf_counter() - t)
+    out[f"kernel_k{k}_s"] = statistics.median(times)
 print(json.dumps(out))
 """
 
@@ -99,8 +121,9 @@ def median_table(pairs: list[dict], timing_pairs: list[dict]) -> list[str]:
 
 
 def timing_run(tree: str) -> dict:
-    """The order-16 moment and criteria 7 and 9, timed once in `tree`."""
+    """The order-16 moment, the kernel per prime and criteria 7 and 9, timed once in `tree`."""
     out = json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
+    out.update(json.loads(timed([sys.executable, "-c", KERNEL], tree)[1]))
     for num in (7, 9):
         out[f"criterion{num}_s"] = timed(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

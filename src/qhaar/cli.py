@@ -58,9 +58,10 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out_path: str | None,
 
 
 def _meta(args) -> dict:
+    """Run metadata; a subcommand without --kmax (dn) reports the default."""
     return {
         "precision_bits": qnum.PRECISION_BITS,
-        "kmax": args.kmax,
+        "kmax": getattr(args, "kmax", weingarten.DEFAULT_KMAX),
         "version": __version__,
     }
 
@@ -210,10 +211,10 @@ def cmd_check(args) -> int:
     check("unitarity contraction",
           all(weingarten.unitarity_contraction(u11_4, N, 2)
               == weingarten.haar_moment(u11_2, N) for N in (3, 5)))
-    check("D_N bracket at N=3",
-          (lambda b: 1 < b.value
-           <= mpmath.mpf(b.rigorous_upper.numerator) / b.rigorous_upper.denominator)(
-              rapid_decay.dn_constant(3, rapid_decay.TruncationLimits(r_max=24, nk_max=12))))
+    b = rapid_decay.dn_constant(3, rapid_decay.TruncationLimits(r_max=24, nk_max=12))
+    with mpmath.workprec(qnum.PRECISION_BITS):
+        upper = mpmath.mpf(b.rigorous_upper.numerator) / b.rigorous_upper.denominator
+    check("D_N bracket at N=3", 1 < b.value <= upper)
     if failures:
         print(f"{len(failures)} invariant check(s) failed", file=sys.stderr)
         return 4
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-list", dest="N_list", default="3,5,10,20,50")
     p.add_argument("--rmax", type=int, default=rapid_decay.TruncationLimits.r_max)
     p.add_argument("--nkmax", type=int, default=rapid_decay.TruncationLimits.nk_max)
-    common(p)
+    common(p, "--out", "--format")
     p.set_defaults(func=cmd_dn)
 
     p = sub.add_parser("selectp", help="even p achieving a (1+eps) L^p-L^inf bound")

@@ -23,15 +23,19 @@ found.
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
 Pernet, ACM TOMS 35, 2008).  Per prime it takes [A mod p | V] to
-[I | A^{-1} V mod p] by Gauss-Jordan elimination in blocks of BLOCK: invert
-the diagonal block mod p, normalize its block row, and subtract multiples of
-that row from every other row, mod p.
+[I | A^{-1} V mod p] by Gauss-Jordan elimination in blocks of BLOCK: copy
+the diagonal block out, invert it in place by scalar Gauss-Jordan, normalize
+its block row by that inverse, and subtract multiples of that row from every
+other row, mod p.
 
-Exactness: residues are kept below p < 2**23 in size, and every product has
-inner dimension at most BLOCK, so every partial sum is an integer below
-BLOCK*(p-1)**2 + p < 2**52, which float64 holds exactly.  Reducing such an X
-as X - rint(X*(1/p))*p is then exact too, and leaves a residue of size at
-most p/2 + 1 with no correction step.
+Exactness: every factor of every product is a residue of size below p <
+2**23.  The scalar inverse reduces only the pivot row and column at each
+step, so each other entry of the block takes at most BLOCK rank-1 updates
+between reductions; every matmul has inner dimension at most BLOCK.  So
+every partial sum is an integer below BLOCK*(p-1)**2 + p < 2**52, which
+float64 holds exactly.  Reducing such an X as X - rint(X*(1/p))*p is then
+exact too, and leaves a residue of size at most p/2 + 1 with no correction
+step.
 
 No pivoting: the Gram matrix N**loops of non-crossing pairings is positive
 definite for N >= 2 (Temperley-Lieb at delta = N >= 2; a coloured Gram
@@ -107,28 +111,6 @@ def _reduce(X: np.ndarray, p: int) -> np.ndarray:
     return X
 
 
-def _inverse_mod_prime(D: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Inverse of a square block of residues mod p by pivot-free Gauss-Jordan.
-
-    Only the pivot row and the pivot column are reduced at each step; every
-    other entry takes at most BLOCK unreduced rank-1 updates.  Returns None if
-    a pivot vanishes mod p.
-    """
-    b = D.shape[0]
-    W = np.concatenate([D, np.eye(b)], axis=1)
-    for k in range(b):
-        row = _reduce(W[k], p)
-        pivot = int(row[k])
-        if pivot == 0:
-            return None
-        row *= pow(pivot, -1, p)
-        _reduce(row, p)
-        col = _reduce(W[:, k].copy(), p)
-        col[k] = 0  # row k is the normalized pivot row; leave it
-        W -= col[:, None] * row
-    return _reduce(W[:, b:], p)
-
-
 def _solve_mod_prime(A: np.ndarray, V: np.ndarray, p: int) -> Optional[np.ndarray]:
     """A^{-1} V mod p for float64 matrices A (n x n) and V (n x m) of residues mod p.
 
@@ -143,12 +125,24 @@ def _solve_mod_prime(A: np.ndarray, V: np.ndarray, p: int) -> Optional[np.ndarra
     del A  # the caller's residue matrix: hold only [A | V] while eliminating
     for j0 in range(0, n, BLOCK):
         j1 = min(j0 + BLOCK, n)
-        inv = _inverse_mod_prime(M[j0:j1, j0:j1], p)
-        if inv is None:
-            return None
+        B = M[j0:j1, j0:j1].copy()
+        for k in range(j1 - j0):  # invert B in place
+            row = _reduce(B[k], p)
+            pivot = int(row[k])
+            if pivot == 0:
+                return None
+            col = _reduce(B[:, k].copy(), p)
+            col[k] = 0  # row k is the normalized pivot row; leave it
+            # Row k of the inverse is row / pivot with 1 / pivot at k, and
+            # column k is -col / pivot: clear column k, then one update.
+            B[:, k] = 0
+            row[k] = 1
+            row *= pow(pivot, -1, p)
+            _reduce(row, p)
+            B -= col[:, None] * row
         # With the block row set to [-I | 0], one update of all rows leaves
         # R in the block row and eliminates the block column everywhere else.
-        R = _reduce(inv @ M[j0:j1, j1:], p)
+        R = _reduce(_reduce(B, p) @ M[j0:j1, j1:], p)
         M[j0:j1, j0:j1] = -np.eye(j1 - j0)
         M[j0:j1, j1:] = 0
         rest = M[:, j1:]
@@ -186,11 +180,12 @@ def _certified(W: np.ndarray, M: int, scale: int) -> Optional[tuple[int, np.ndar
     while True:
         X = D * W % M
         X[X > M // 2] -= M
-        size = abs(X)
-        if M > scale * int(size.max()) + D:
+        # Scanned entry by entry: an array of |X| would hold a second set of
+        # bigints at the peak memory of a table build.
+        if M > scale * max(map(abs, X.flat)) + D:
             return D, X
-        big = np.flatnonzero(size > bound)
-        f = rational_reconstruct(int(X.flat[big[0]]), M) if big.size and D < M else None
+        big = next((x for x in X.flat if abs(x) > bound), None)
+        f = rational_reconstruct(big, M) if big is not None and D < M else None
         if f is None:
             return None
         D *= f.denominator

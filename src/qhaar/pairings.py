@@ -66,7 +66,12 @@ class NCPairPartition:
 
 
 def _matchings(points: tuple[int, ...]):
-    """All non-crossing matchings of an increasing point tuple (recursive)."""
+    """All non-crossing matchings of an increasing point tuple (recursive).
+
+    Each matching is a sorted pair list, and they come in increasing order:
+    the first pair's partner increases from loop to loop, and inner pairs
+    precede outer ones.
+    """
     if not points:
         yield ()
         return
@@ -89,9 +94,7 @@ def enumerate_nc_pairings(k: int) -> tuple[NCPairPartition, ...]:
         raise ValueError(f"need k >= 0, got {k}")
     if k % 2:
         return ()
-    raw = [tuple(sorted(m)) for m in _matchings(tuple(range(1, k + 1)))]
-    raw.sort()
-    return tuple(NCPairPartition(k=k, pairs=p) for p in raw)
+    return tuple(NCPairPartition(k=k, pairs=m) for m in _matchings(tuple(range(1, k + 1))))
 
 
 def _checked(pattern: tuple[str, ...]) -> tuple[str, ...]:

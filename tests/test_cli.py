@@ -5,10 +5,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import qhaar
-from qhaar import cli
+from qhaar import cli, rapid_decay
 
 
 def run(argv, capsys):
@@ -166,6 +167,7 @@ def test_exit_code_config_error(capsys):
     ["check", "--precision-bits", "64"],
     ["lp", "x[1,1]", "--N", "3", "--p", "4", "--precision-bits", "64"],
     ["dn", "--N-list", "3", "--precision-bits", "64"],
+    ["dn", "--N-list", "3", "--kmax", "14"],
 ])
 def test_unread_option_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -197,6 +199,19 @@ def test_check_passes(capsys):
     code, out, _ = run(["check"], capsys)
     assert code == 0
     assert "all invariant checks passed" in out
+
+
+def test_check_compares_the_d_n_bracket_at_working_precision(capsys, monkeypatch):
+    # At 53 bits the upper end 1 + 2^-60 + 2^-100 rounds to 1, below the value.
+    with mpmath.workprec(cli.qnum.PRECISION_BITS):
+        value = 1 + mpmath.mpf(2) ** -60
+    upper = 1 + Fraction(1, 2 ** 60) + Fraction(1, 2 ** 100)
+    bound = rapid_decay.RDBound(N=3, value=value, argmax=(0, 0, 0),
+                                truncation=rapid_decay.TruncationLimits(),
+                                tail_error=Fraction(0), rigorous_upper=upper)
+    monkeypatch.setattr(rapid_decay, "dn_constant", lambda N, truncation: bound)
+    code, out, _ = run(["check"], capsys)
+    assert code == 0, out
 
 
 def test_check_exit_4_on_failure(capsys, monkeypatch):

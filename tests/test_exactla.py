@@ -97,6 +97,24 @@ def test_prime_dividing_a_leading_minor_is_skipped(monkeypatch):
     assert exactla.bilinear_solve(loops, 3, [0], [0, 1]) == want
 
 
+@pytest.mark.parametrize("order", [2, 65, 70])
+def test_first_vanishing_leading_minor_is_detected_in_any_block(order):
+    # A = L diag(d) U with unit triangular L and U has leading minors
+    # d_1 ... d_m, so the first one to vanish mod p has the given order.
+    n, p = 130, next(exactla.prime_stream())
+    rng = np.random.default_rng(order)
+    L = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    d = rng.integers(1, p, n)
+    d[order - 1] = 0
+    A = (L * d % p @ U % p).astype(np.float64)
+    V = indicator(n, list(range(0, n, 3)))
+    assert exactla._solve_mod_prime(A, V, p) is None
+    m = order - 1
+    T = exactla._solve_mod_prime(A[:m, :m], V[:m], p)
+    assert np.mod(T, p).astype(np.int64).tolist() == solve_reference(A[:m, :m], V[:m], p)
+
+
 def same_inverse(got, want):
     """(X, D) and (Y, E) give the same inverse: X/D == Y/E entrywise, as Fractions."""
     (X, D), (Y, E) = got, want

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from qhaar import ncpoly, weingarten
+from qhaar import freelimit, ncpoly, weingarten
 from qhaar.errors import ModelMismatchError, PolyParseError
 from qhaar.ncpoly import ONE, GaussianRational, NCPolynomial
 
@@ -249,6 +249,24 @@ class TestStateEval:
 
     def test_zero_polynomial_needs_no_dimension(self):
         assert ncpoly.state_eval(NCPolynomial("o+"), 1) == GaussianRational()
+
+    @pytest.mark.parametrize("N, kmax", [(2, 8), (3, 8), (4, 6)])
+    def test_character_moments_are_catalan(self, N, kmax):
+        # chi = sum_i u_ii is semicircular on [-2, 2] for every N >= 2
+        # (Banica, C. R. Acad. Sci. Paris 322, 1996).
+        chi = ncpoly.parse_poly("+".join(f"x[{i},{i}]" for i in range(1, N + 1)))
+        for m in range(1, kmax // 2 + 1):
+            assert ncpoly.state_eval(chi ** (2 * m), N) == GaussianRational(freelimit.catalan(m))
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_linear_modulus_moments_agree_across_models(self, N):
+        # U_N^+ is the free complexification of O_N^+ (v = z u, z a Haar
+        # unitary free from u), so |a|^2 has the same moments in both models.
+        a = ncpoly.parse_poly("x[1,1]+x[1,2]+2*x[2,1]")
+        a_v = ncpoly.parse_poly("v[1,1]+v[1,2]+2*v[2,1]")
+        for m in range(1, 5):
+            assert (ncpoly.state_eval((a_v.adjoint() * a_v) ** m, N)
+                    == ncpoly.state_eval((a.adjoint() * a) ** m, N))
 
 
 class TestScaledGenerators:

@@ -34,8 +34,9 @@ def test_enumerate_matches_brute_force():
 
 
 def test_canonical_order_is_lexicographic():
-    for k in (4, 6, 8):
+    for k in range(0, 17, 2):
         ps = [p.pairs for p in pairings.enumerate_nc_pairings(k)]
+        assert all(list(pairs) == sorted(pairs) for pairs in ps)
         assert ps == sorted(ps)
 
 

@@ -11,9 +11,10 @@ the timings outside perfbench, again alternating which checkout goes
 first: criterion 7's order-16 moment at N = 3 and N = 8 in a fresh process
 after building `loop_matrix(16)`; the modular kernel `_solve_mod_prime` on
 the k = 14 and k = 16 Gram matrices at N = 3 with one right-hand column,
-the median over the first five primes, in a fresh process; and criterion 7
-and criterion 9 (the k <= 12 Weingarten tables at N = 2..10) each run alone
-under pytest.
+the median over the first five primes, and drawing the first 14 and the
+first MAX_PRIMES primes from `prime_stream`, the median of five draws, in
+a fresh process; and criterion 7 and criterion 9 (the k <= 12 Weingarten
+tables at N = 2..10) each run alone under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, every timing run, and one table line per workload and
 metric: the parent's median and quartiles, the change's median, and the
@@ -66,6 +67,13 @@ for k in (14, 16):
         exactla._solve_mod_prime(A, v, p)
         times.append(time.perf_counter() - t)
     out[f"kernel_k{k}_s"] = statistics.median(times)
+for count in (14, exactla.MAX_PRIMES):
+    times = []
+    for _ in range(5):
+        t = time.perf_counter()
+        list(itertools.islice(exactla.prime_stream(), count))
+        times.append(time.perf_counter() - t)
+    out[f"primes{count}_s"] = statistics.median(times)
 print(json.dumps(out))
 """
 
@@ -121,7 +129,7 @@ def median_table(pairs: list[dict], timing_pairs: list[dict]) -> list[str]:
 
 
 def timing_run(tree: str) -> dict:
-    """The order-16 moment, the kernel per prime and criteria 7 and 9, timed once in `tree`."""
+    """The order-16 moment, kernel per prime, prime draws and criteria 7 and 9, once in `tree`."""
     out = json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
     out.update(json.loads(timed([sys.executable, "-c", KERNEL], tree)[1]))
     for num in (7, 9):

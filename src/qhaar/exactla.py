@@ -2,7 +2,7 @@
 
 Both routes are one certified solve of A X = D V, modulo primes below 2**23,
 for the Gram matrix A = N**loops taken as (loop_mat, N), loop_mat from
-pairings.loop_matrix; ``_gram_solve`` builds A mod p, and no bigint A exists.
+pairings.loop_matrix; no bigint A exists.
 
 * ``fraction_free_inverse`` -- V = I: the exact inverse X/D of A.  Used for
   full Weingarten tables.
@@ -11,15 +11,16 @@ pairings.loop_matrix; ``_gram_solve`` builds A mod p, and no bigint A exists.
   u^T A^{-1} v = sum(X[r] for r in u) / D.  Used for single large-k moments
   where the full table is out of reach.
 
-Both go through one CRT driver, ``_crt``: it runs the kernel mod each
-prime, skips the primes described below, and combines the residues by CRT
-into W = A^{-1} V mod M.  After each prime it tries one certificate,
-``_certified``: rational reconstruction proposes a denominator D, and
-X = D W mod M (symmetric residues) is accepted only when
+Both go through one prime loop, ``_gram_solve``: for each prime it builds
+A mod p, runs the kernel, skips the primes described below, and combines the
+residues by CRT into W = A^{-1} V mod M.  After each prime it tries one
+certificate, ``_certified``: rational reconstruction proposes a denominator
+D, and X = D W mod M (symmetric residues) is accepted only when
 M > n max|A| max|X| + D.  Proof: A W = V (mod M), so A X = D V (mod M), and
 every entry of A X - D V is at most n max|A| max|X| + D < M in absolute
 value (V is a 0-1 matrix), so it is 0: A X = D V exactly, however D was
-found.
+found.  The primes come from ``prime_stream``, which finds them by trial
+division, exact for every candidate.
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
 Pernet, ACM TOMS 35, 2008).  Per prime it takes [A mod p | V] to
@@ -65,37 +66,11 @@ BLOCK = 64
 MAX_PRIMES = 162
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid well beyond 2**32."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def prime_stream():
-    """Descending primes from PRIME_START."""
-    n = PRIME_START
-    while n > 3:
-        if _is_prime(n):
+    """Descending primes from PRIME_START: odd n with no odd divisor d <= isqrt(n)."""
+    for n in range(PRIME_START, 3, -2):
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             yield n
-        n -= 2
 
 
 def _reduce(X: np.ndarray, p: int) -> np.ndarray:
@@ -191,19 +166,24 @@ def _certified(W: np.ndarray, M: int, scale: int) -> Optional[tuple[int, np.ndar
         D *= f.denominator
 
 
-def _crt(residues, V: np.ndarray, scale: int) -> tuple[int, np.ndarray]:
-    """(D, X) with A X = D V exactly, X shaped like V; scale is n max|A|.
+def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray) -> tuple[int, np.ndarray]:
+    """(D, X) with G X = D V exactly for G = N**loop_mat, X shaped like V.
 
-    residues(p) gives A mod p as a float64 matrix.  Draws at most MAX_PRIMES
-    primes from prime_stream(), skips each prime at which a leading minor of
-    A vanishes, combines the kernel's T mod p by CRT into W = A^{-1} V mod M
-    (a flat row-major list of ints in [0, M)), and returns once _certified
-    accepts D and X = D W mod M, which the module docstring shows proves
-    A X = D V.  Raises SingularMatrixError when the primes run out.
+    Draws at most MAX_PRIMES primes from prime_stream().  For each prime p,
+    G mod p is the lookup of N**l mod p indexed by loop_mat; p is skipped
+    when a leading minor of G vanishes mod p.  The kernel's T mod p is
+    combined by CRT into W = G^{-1} V mod M (a flat row-major list of ints in
+    [0, M)), and the loop returns once _certified accepts D and X = D W mod
+    M, which the module docstring shows proves G X = D V.  Raises
+    SingularMatrixError when the primes run out.
     """
+    max_loops = int(loop_mat.max())
+    scale = loop_mat.shape[0] * N ** max_loops  # n max|G|
     W, M = [0] * V.size, 1
     for p in itertools.islice(prime_stream(), MAX_PRIMES):
-        T = _solve_mod_prime(residues(p), V, p)
+        pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
+        # G mod p goes straight into the kernel, which frees it once [G | V] is built.
+        T = _solve_mod_prime(pows[loop_mat], V, p)
         if T is None:
             continue  # p divides a leading minor; skip
         # w + M ((w - t) c mod p), c = -1/M mod p, is w mod M and t mod p.
@@ -212,22 +192,12 @@ def _crt(residues, V: np.ndarray, scale: int) -> tuple[int, np.ndarray]:
         # runs by about 0.25 MB.
         c = -pow(M, -1, p) % p
         W = [w + M * ((w - t) * c % p) for w, t in zip(W, map(int, T.ravel().tolist()))]
+        del T  # free it before _certified, where a table build peaks
         M *= p
         found = _certified(np.array(W, dtype=object).reshape(V.shape), M, scale)
         if found is not None:
             return found
     raise SingularMatrixError(f"no exact result within {MAX_PRIMES} primes")
-
-
-def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray) -> tuple[int, np.ndarray]:
-    """(D, X) with G X = D V exactly for G = N**loop_mat, whose mod-p residues index N**l mod p."""
-    max_loops = int(loop_mat.max())
-
-    def residues(p):
-        pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
-        return pows[loop_mat]
-
-    return _crt(residues, V, loop_mat.shape[0] * N ** max_loops)
 
 
 def fraction_free_inverse(loop_mat: np.ndarray, N: int) -> tuple[list[list[int]], int]:

@@ -296,6 +296,14 @@ _TOKEN = re.compile(
 _LETTER = re.compile(r"(?P<kind>[xv])(?P<star>\*?)\[(?P<i>\d+),(?P<j>\d+)\]")
 
 
+def _int(digits: str) -> int:
+    """int(digits), with PolyParseError for a literal int() rejects as too long."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(f"integer literal of {len(digits)} digits is too long") from None
+
+
 def parse_poly(text: str) -> NCPolynomial:
     """Parse the CLI text format into a polynomial.
 
@@ -330,14 +338,15 @@ def parse_poly(text: str) -> NCPolynomial:
         if t.group("letter"):
             lm = _LETTER.match(t.group("letter"))
             base = NCPolynomial.generator(
-                int(lm.group("i")), int(lm.group("j")), inferred, star=bool(lm.group("star"))
+                _int(lm.group("i")), _int(lm.group("j")), inferred, star=bool(lm.group("star"))
             )
             idx += 1
         elif t.group("num"):
             a, _, b = t.group("num").partition("/")
-            if b and not int(b):
+            a, b = _int(a), _int(b or "1")
+            if not b:
                 raise PolyParseError(f"zero denominator in {t.group('num')!r}")
-            base = NCPolynomial.constant(Fraction(int(a), int(b or 1)), inferred)
+            base = NCPolynomial.constant(Fraction(a, b), inferred)
             idx += 1
             if idx < len(tokens) and tokens[idx].group("imag"):
                 base = base.scale(I)
@@ -351,7 +360,7 @@ def parse_poly(text: str) -> NCPolynomial:
             idx += 1
             if idx >= len(tokens) or not tokens[idx].group("num") or "/" in tokens[idx].group("num"):
                 raise PolyParseError("'^' must be followed by an integer")
-            base = base ** int(tokens[idx].group("num"))
+            base = base ** _int(tokens[idx].group("num"))
             idx += 1
         return base
 

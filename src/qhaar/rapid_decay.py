@@ -169,7 +169,7 @@ def d_star_upper() -> Fraction:
     return rigorous_upper_bound(3)[0]
 
 
-def select_p(degree: int, epsilon, d_star) -> tuple[int, int, mpmath.mpf]:
+def select_p(degree: int, epsilon, d_star: Fraction) -> tuple[int, int, mpmath.mpf]:
     """Smallest m with d_star^(1/2m) * (2*degree*m + 1)^(3/4m) <= 1 + epsilon.
 
     Returns (m, p, achieved) with p = 4m.  Such an m always exists since the
@@ -183,8 +183,7 @@ def select_p(degree: int, epsilon, d_star) -> tuple[int, int, mpmath.mpf]:
             if isinstance(epsilon, Fraction) else mpmath.mpf(epsilon)
         if not 1 + eps > 1:  # also NaN, and an eps for which doubling never ends
             raise InvalidArgumentError(f"epsilon must exceed 2^-{qnum.PRECISION_BITS}")
-        D = mpmath.mpf(d_star.numerator) / d_star.denominator \
-            if isinstance(d_star, Fraction) else mpmath.mpf(d_star)
+        D = mpmath.mpf(d_star.numerator) / d_star.denominator
         if not D >= 1:
             raise InvalidArgumentError("d_star must be >= 1")
 

@@ -147,8 +147,7 @@ def _moment(rows: list[int], cols: list[int], pattern: Optional[tuple[str, ...]]
     return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N, R, C)
 
 
-def unitarity_contraction(word: GeneratorWord, N: int, position: int,
-                          kmax: int = DEFAULT_KMAX) -> Fraction:
+def unitarity_contraction(word: GeneratorWord, N: int, position: int) -> Fraction:
     """Sum over j of the moment with column j placed at two adjacent letters.
 
     The letters at `position` and `position+1` must carry equal row indices;
@@ -165,5 +164,5 @@ def unitarity_contraction(word: GeneratorWord, N: int, position: int,
     total = Fraction(0)
     for j in range(1, N + 1):
         mod = letters[:position] + ((a1, j, e1), (a2, j, e2)) + letters[position + 2:]
-        total += haar_moment(GeneratorWord(mod, word.model), N, kmax=kmax)
+        total += haar_moment(GeneratorWord(mod, word.model), N)
     return total

@@ -4,12 +4,14 @@ Everything here deliberately avoids the library's own enumeration and
 evaluation paths: matchings are generated exhaustively and filtered, the
 semicircle moments come from numerical quadrature, and the three-vertex norm
 is a telescoped product, or a ratio of q-factorials, of exact quantum integers.
+Primes come from a sieve of Eratosthenes, not from trial division.
 The loop-count oracle walks every pair of pairings separately; it takes only
 the library's canonical pairing list, whose order the matrix must follow.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -224,3 +226,23 @@ def bareiss_inverse(A):
             M[i] = [(pivot * row_i[j] - f * row_p[j]) // prev for j in range(2 * n)]
         prev = pivot
     return [M[i][n:] for i in range(n)], M[n - 1][n - 1]
+
+
+def sieve_primes_descending(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi], largest first, by a segmented sieve of Eratosthenes.
+
+    A plain sieve finds the base primes up to isqrt(hi); each then strikes
+    its multiples, from the larger of its square and lo, out of the segment.
+    """
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    base[:2] = bytes(2)
+    for d in range(2, math.isqrt(root) + 1):
+        if base[d]:
+            base[d * d::d] = bytes(len(range(d * d, root + 1, d)))
+    segment = bytearray([1]) * (hi - lo + 1)
+    for d in range(2, root + 1):
+        if base[d]:
+            start = max(d * d, -(-lo // d) * d)
+            segment[start - lo::d] = bytes(len(range(start, hi + 1, d)))
+    return [n for n in range(hi, max(lo, 2) - 1, -1) if segment[n - lo]]

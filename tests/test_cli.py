@@ -153,6 +153,7 @@ def test_exit_code_config_error(capsys):
         ["dn", "--N-list", "3", "--rmax", "-1"],
         ["lp", "x[0,0]", "--p", "2"],
         ["lp", "v[1,0]", "--p", "2"],
+        ["moment", "1/" + "7" * 5000, "--N", "3"],  # longer than int() accepts
     ):
         code, out, err = run(argv, capsys)
         assert code == 2, argv

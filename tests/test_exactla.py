@@ -81,6 +81,19 @@ def counting_stream(monkeypatch, first=()):
     return drawn
 
 
+def test_prime_stream_matches_a_sieve():
+    """The first MAX_PRIMES primes drawn are the largest primes a sieve finds below PRIME_START.
+
+    The sieve's window [PRIME_START - 3000, PRIME_START] holds no square of a
+    prime (2887**2 < PRIME_START - 3000 and 2897**2 > PRIME_START), so trial
+    division that stopped one odd divisor short of isqrt(n) would still pass.
+    """
+    want = oracles.sieve_primes_descending(exactla.PRIME_START - 3000, exactla.PRIME_START)
+    assert len(want) >= exactla.MAX_PRIMES
+    assert list(itertools.islice(exactla.prime_stream(), exactla.MAX_PRIMES)) \
+        == want[:exactla.MAX_PRIMES]
+
+
 def test_exactness_inequality():
     assert exactla.BLOCK * (exactla.PRIME_START - 1) ** 2 + exactla.PRIME_START < 2 ** 52
 

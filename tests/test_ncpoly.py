@@ -1,13 +1,16 @@
+import functools
+import operator
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qhaar import freelimit, ncpoly, weingarten
-from qhaar.errors import ModelMismatchError, PolyParseError
-from qhaar.ncpoly import ONE, GaussianRational, NCPolynomial
+from qhaar.errors import InvalidIndexError, ModelMismatchError, PolyParseError
+from qhaar.ncpoly import ONE, ZERO, GaussianRational, NCPolynomial
 
 import oracles
 
@@ -268,6 +271,40 @@ class TestStateEval:
             assert (ncpoly.state_eval((a_v.adjoint() * a_v) ** m, N)
                     == ncpoly.state_eval((a.adjoint() * a) ** m, N))
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("forms, two_m", [(1, 4), (1, 6), (2, 2)])
+    def test_moments_are_orthogonally_invariant(self, N, forms, two_m):
+        # For a real orthogonal R (acting on indices 1, 2), u -> R^T u is a
+        # *-automorphism of O_N^+ that keeps the Haar state and takes the
+        # form sum C_ij x[i,j] to the form of R C.  So h((a* a)^m) for a
+        # product a of such forms is the same with every C replaced by R C.
+        # The rotated side builds a* by hand (conjugated forms, reversed), so
+        # this also checks NCPolynomial.adjoint.  It cannot catch a wrong
+        # Weingarten entry: both sides read the same tables.
+        rng = random.Random(100 * N + 10 * forms + two_m)
+        t = Fraction(rng.randint(1, 9), rng.randint(1, 9))  # Cayley transform of [[0, -t], [t, 0]]
+        c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        R = [[c, s], [-s, c]]
+        assert c * c + s * s == 1
+        Cs = [[[GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                 rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+              for _ in range(forms)]
+        RCs = [[[sum((C[l][j] * R[i][l] for l in range(2)), ZERO) for j in range(2)]
+                for i in range(2)] for C in Cs]
+
+        def form(C, adjoint=False):  # x letters are self-adjoint
+            return sum((x(i + 1, j + 1).scale(C[i][j].conjugate() if adjoint else C[i][j])
+                        for i in range(2) for j in range(2)), NCPolynomial("o+"))
+
+        def product(polys):
+            return functools.reduce(operator.mul, polys)
+
+        a, b = product(map(form, Cs)), product(map(form, RCs))
+        b_star = product(form(C, adjoint=True) for C in reversed(RCs))
+        m = two_m // 2
+        assert (ncpoly.state_eval((a.adjoint() * a) ** m, N)
+                == ncpoly.state_eval((b_star * b) ** m, N))
+
 
 class TestScaledGenerators:
     def test_prefactor_tracking(self):
@@ -345,7 +382,22 @@ class TestParser:
             ncpoly.parse_poly("x[1,1]*v[1,1]")
 
     def test_garbage_rejected(self):
+        # The last three hold literals longer than the 4300 digits int() accepts.
         for bad in ("", "x[1]", "x[1,1]+", "x[1,1]^1/2", "y[1,1]",
-                    "x[1,1]x[1,1]", "2 3", "x[1,1]^2 x[1,2]", "1/0*x[1,1]"):
+                    "x[1,1]x[1,1]", "2 3", "x[1,1]^2 x[1,2]", "1/0*x[1,1]",
+                    "1/" + "7" * 5000, "x[1,1]^" + "3" * 5000, f"x[{'2' * 5000},1]"):
             with pytest.raises(PolyParseError):
                 ncpoly.parse_poly(bad)
+
+    @settings(deadline=None, max_examples=1000)
+    @given(st.text(alphabet="xv*[],0123456789+-/^i ", max_size=40))
+    def test_fuzzed_text_raises_only_parse_errors(self, text):
+        # A power of two or more digits can ask for a word of length 10**8 or
+        # a constant like 2^99999999999; nothing guards that expansion yet.
+        assume(not re.search(r"\^\s*\d\d", text))
+        try:
+            ncpoly.parse_poly(text)
+        except PolyParseError:
+            pass
+        except InvalidIndexError:  # an index below 1
+            assert re.search(r"\[0+,|,0+\]", text)

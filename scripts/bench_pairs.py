@@ -13,8 +13,9 @@ after building `loop_matrix(16)`; the modular kernel `_solve_mod_prime` on
 the k = 14 and k = 16 Gram matrices at N = 3 with one right-hand column,
 the median over the first five primes, and drawing the first 14 and the
 first MAX_PRIMES primes from `prime_stream`, the median of five draws, in
-a fresh process; and criterion 7 and criterion 9 (the k <= 12 Weingarten
-tables at N = 2..10) each run alone under pytest.
+a fresh process; a cold coloured `loop_matrix(16, pattern)` for each of
+COLOURED_PATTERNS, each in a fresh process; and criterion 7 and criterion 9
+(the k <= 12 Weingarten tables at N = 2..10) each run alone under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, every timing run, and one table line per workload and
 metric: the parent's median and quartiles, the change's median, and the
@@ -77,6 +78,17 @@ for count in (14, exactla.MAX_PRIMES):
 print(json.dumps(out))
 """
 
+# The largest coloured list at k = 16 (429 pairings), and a periodic one (55).
+COLOURED_PATTERNS = ("11*1*1*1*1*1*1**", "11**11**11**11**")
+
+COLOURED = """
+import json, sys, time
+from qhaar import pairings
+t = time.perf_counter()
+pairings.loop_matrix(16, tuple(sys.argv[1]))
+print(json.dumps(time.perf_counter() - t))
+"""
+
 
 def env_for(tree: str) -> dict:
     env = dict(os.environ)
@@ -129,9 +141,12 @@ def median_table(pairs: list[dict], timing_pairs: list[dict]) -> list[str]:
 
 
 def timing_run(tree: str) -> dict:
-    """The order-16 moment, kernel per prime, prime draws and criteria 7 and 9, once in `tree`."""
+    """Every timing outside perfbench, once in `tree`."""
     out = json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
     out.update(json.loads(timed([sys.executable, "-c", KERNEL], tree)[1]))
+    for pattern in COLOURED_PATTERNS:
+        out[f"loop16_{pattern}_s"] = json.loads(
+            timed([sys.executable, "-c", COLOURED, pattern], tree)[1])
     for num in (7, 9):
         out[f"criterion{num}_s"] = timed(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -28,8 +29,14 @@ def _fmt_real(x) -> str:
     return mpmath.nstr(mpmath.mpf(x), FLOAT_DIGITS, strip_zeros=False)
 
 
+def _fmt_int(n: int) -> str:
+    # Decimal converts an int exactly, without str()'s 4300-digit limit.
+    return format(decimal.Decimal(n), "f")
+
+
 def _fmt_rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    num = _fmt_int(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_fmt_int(x.denominator)}"
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -69,7 +76,7 @@ def _meta(args) -> dict:
 # -- subcommands ----------------------------------------------------------
 
 def cmd_dim(args) -> int:
-    rows = [{"k": k, "dim": str(qnum.dim_irrep(k, args.N))} for k in range(args.kmax + 1)]
+    rows = [{"k": k, "dim": _fmt_int(qnum.dim_irrep(k, args.N))} for k in range(args.kmax + 1)]
     _emit(rows, ["k", "dim"], args.format, args.out, {"N": args.N, "kmax": args.kmax}, _meta(args))
     return 0
 
@@ -79,7 +86,7 @@ def cmd_gram(args) -> int:
         raise ResourceLimitError(f"k={args.k} exceeds kmax={args.kmax}", required_k=args.k)
     pattern = tuple(args.pattern) if args.pattern else None
     g = pairings.gram_matrix(args.k, args.N, pattern)
-    rows = [{"row": i, "entries": " ".join(str(e) for e in r)}
+    rows = [{"row": i, "entries": " ".join(map(_fmt_int, r))}
             for i, r in enumerate(g)]
     _emit(rows, ["row", "entries"], args.format, args.out,
           {"k": args.k, "N": args.N, "pattern": args.pattern}, _meta(args))

@@ -37,6 +37,8 @@ def circular_moment(letters: Sequence[tuple[Label, str]]) -> int:
     Pairs must join equal labels and opposite star flags; 0 when the counts
     of 1 and * differ.
     """
-    plist = pairings.word_pairings(len(letters), tuple(e for _, e in letters))
-    return len(pairings.compatible_indices(plist, [label for label, _ in letters]))
+    plist = pairings.enumerate_nc_pairings(len(letters))
+    labels = list(zip((label for label, _ in letters),
+                      pairings._parity([e for _, e in letters])))
+    return len(pairings.compatible_indices(plist, labels))
 

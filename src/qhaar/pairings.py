@@ -7,10 +7,12 @@ obtained by gluing one diagram to the reflection of the other; for pair
 partitions this equals the number of connected components of the union
 multigraph, which is what we compute.
 
-loop_matrix builds that count for all pairs by dihedral orbits: rotating
-or reflecting the k points (by a map that fixes the colour pattern) only
-relabels the union multigraph and permutes the canonical list, so one walked
-row per orbit, permuted, gives every other row of the orbit.
+Colours are labels: a non-crossing pair joins points an odd distance apart,
+so it joins a '1' to a '*' iff its ends share the label (colour is '1') xor
+(position odd), _parity.  The colored pairings are the uncoloured ones
+compatible with those labels, in order, so a colored loop matrix is a
+principal submatrix of the uncoloured one, which loop_matrix builds by
+dihedral orbits.
 
 `word_pairings` and `compatible_indices` are the one place that lists the
 pairings indexing a word and filters them by its labels; finite-N moments,
@@ -97,19 +99,22 @@ def enumerate_nc_pairings(k: int) -> tuple[NCPairPartition, ...]:
     return tuple(NCPairPartition(k=k, pairs=m) for m in _matchings(tuple(range(1, k + 1))))
 
 
-def _checked(pattern: tuple[str, ...]) -> tuple[str, ...]:
+def _parity(pattern: Sequence[str]) -> list[bool]:
+    """The labels (colour is '1') xor (position odd) of a {1,*} pattern.
+
+    Two points an odd distance apart, as the ends of a non-crossing pair or
+    two entries adjacent on a cancellation stack are, carry equal labels iff
+    one is '1' and the other '*'.
+    """
     if any(c not in ("1", "*") for c in pattern):
-        raise InvalidArgumentError(f"pattern symbols must be '1' or '*': {pattern}")
-    return pattern
+        raise InvalidArgumentError(f"pattern symbols must be '1' or '*': {tuple(pattern)}")
+    return [(c == "1") ^ (i & 1) for i, c in enumerate(pattern)]
 
 
 def enumerate_colored_nc_pairings(pattern: Sequence[str]) -> tuple[NCPairPartition, ...]:
     """Non-crossing matchings of a {1,*} pattern joining each '1' to a '*'."""
-    pattern = _checked(tuple(pattern))
-    if pattern.count("1") != pattern.count("*"):
-        return ()
-    return tuple(p for p in enumerate_nc_pairings(len(pattern))
-                 if all(pattern[a - 1] != pattern[b - 1] for a, b in p.pairs))
+    plist = enumerate_nc_pairings(len(pattern))
+    return tuple(plist[a] for a in compatible_indices(plist, _parity(pattern)))
 
 
 def word_pairings(k: int, pattern: Optional[tuple[str, ...]] = None
@@ -162,27 +167,20 @@ def compatible_indices(plist: Sequence[NCPairPartition], labels: Sequence) -> li
 def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] = None) -> bool:
     """Whether compatible_indices(word_pairings(len(labels), pattern), labels) is nonempty.
 
-    Decided without listing pairings: a stack cancels adjacent equal labels (of
-    opposite colours under a pattern), and since free-product rewriting is
-    confluent, such a pairing exists iff the word cancels completely.  It runs
-    in O(k) for every word: compatible_indices calls it first, and haar_moment
-    uses it to refuse words past kmax, up to k of about 10^4.
+    Decided without listing pairings: a stack cancels adjacent equal labels (each
+    paired with its _parity label under a pattern), and since free-product
+    rewriting is confluent, such a pairing exists iff the word cancels completely.
+    It runs in O(k) for every word: compatible_indices calls it first, and
+    haar_moment uses it to refuse words past kmax, up to k of about 10^4.
     """
+    if pattern is not None:
+        labels = list(zip(labels, _parity(pattern)))
     stack = []
-    if pattern is None:
-        for x in labels:
-            if stack and stack[-1] == x:
-                stack.pop()
-            else:
-                stack.append(x)
-        return not stack
-    keys = list(zip(labels, _checked(pattern)))
-    mates = [(x, "*" if c == "1" else "1") for x, c in keys]
-    for key, mate in zip(keys, mates):
-        if stack and stack[-1] == mate:
+    for x in labels:
+        if stack and stack[-1] == x:
             stack.pop()
         else:
-            stack.append(key)
+            stack.append(x)
     return not stack
 
 
@@ -213,31 +211,14 @@ def loop_matrix(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
 
     The one form of the Gram matrix N**loops, as a read-only int8 array, and
     the one check of a pattern against k: the O(k) stack of
-    has_compatible_pairing on k equal labels decides whether any pairing
+    has_compatible_pairing on its _parity labels decides whether any pairing
     fits it.  Cached by (k, canonical pattern), so (k, None) and alternating
     patterns share one object; see cache_info().
     """
     pat = tuple(pattern) if pattern is not None else None
-    if pat is not None and (len(pat) != k or not has_compatible_pairing([0] * k, pat)):
+    if pat is not None and (len(pat) != k or not has_compatible_pairing(_parity(pat))):
         raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
     return _loop_matrix(k, canonical_pattern(pat))
-
-
-def _symmetries(k: int, pattern: Optional[tuple[str, ...]]
-                ) -> tuple[list[int], Optional[list[int]]]:
-    """Dihedral maps of the k points (0-based) that fix the pattern.
-
-    Returns (rotation, reflection): rotation is i -> i + d mod k for the
-    pattern's smallest period d (1 for None), and reflection is some
-    i -> s - i mod k that fixes the pattern, or None if none does.
-    """
-    if pattern is None:
-        d, s = 1, 0
-    else:
-        d = next(d for d in range(1, k + 1) if pattern[d:] + pattern[:d] == pattern)
-        s = next((s for s in range(k)
-                  if all(pattern[(s - i) % k] == c for i, c in enumerate(pattern))), None)
-    return [(i + d) % k for i in range(k)], None if s is None else [(s - i) % k for i in range(k)]
 
 
 def _index_map(plist: Sequence[NCPairPartition], index: dict, g: list[int]) -> list[int]:
@@ -260,33 +241,37 @@ def _index_map(plist: Sequence[NCPairPartition], index: dict, g: list[int]) -> l
 def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
     """loops(p, q) over word_pairings(k, pattern), one walked row per dihedral orbit.
 
-    Why it is exact: loops(p, q) is the number of components of the
-    multigraph p ∪ q on the k points.  A permutation g of the points that
-    keeps non-crossing pairings non-crossing (a rotation or a reflection)
-    maps p ∪ q onto g·p ∪ g·q, relabelling vertices only, so
-    loops(g·p, g·q) = loops(p, q).  If g also fixes the colour pattern, it
-    joins a '1' to a '*' exactly when it did before, so it permutes the
-    colored canonical list.  Hence L[g·a, c] = L[a, g⁻¹·c] for pairing
-    positions a and c, and the row of g·a is the row of a permuted.
+    A pattern takes the principal submatrix on its compatible positions:
+    loops depend only on the two pairings.
 
-    The maps used are the rotation by the pattern's smallest period and one
-    reflection fixing the pattern, if any (_symmetries); slot masks turn
-    each into a permutation of positions.  For each position a not yet
-    written, loops_from_partners walks its row, except in the columns of
-    rows already written, where L[a, c] = L[c, a].  The inverse rotation
-    then carries that row round the rotation orbit of a, and each row met is
-    written reflected too.  Every map the two generate is a rotation, or a
-    rotation and then the reflection, so this writes the whole orbit.  k = 0
-    needs no case of its own: its one empty pairing has no loops.
+    Why the uncoloured build is exact: loops(p, q) is the number of
+    components of the multigraph p ∪ q on the k points.  A rotation or a
+    reflection g of the points keeps non-crossing pairings non-crossing and
+    maps p ∪ q onto g·p ∪ g·q, relabelling vertices only, so
+    loops(g·p, g·q) = loops(p, q), and g permutes the canonical list.  Hence
+    L[g·a, c] = L[a, g⁻¹·c] for pairing positions a and c, and the row of
+    g·a is the row of a permuted.
+
+    The maps used are i -> i + 1 and i -> -i (mod k); slot masks turn each
+    into a permutation of positions.  For each position a not yet written,
+    loops_from_partners walks its row, except in the columns of rows already
+    written, where L[a, c] = L[c, a].  The inverse rotation then carries that
+    row round the rotation orbit of a, and each row met is written reflected
+    too, which writes the whole dihedral orbit.  k = 0 needs no case of its
+    own: its one empty pairing has no loops.
     """
-    plist = word_pairings(k, pattern)
+    plist = enumerate_nc_pairings(k)
+    if pattern is not None:
+        S = compatible_indices(plist, _parity(pattern))
+        L = _loop_matrix(k, None)[np.ix_(S, S)]
+        L.flags.writeable = False
+        return L
     n = len(plist)
     L = np.zeros((n, n), dtype=np.int8)  # at most k/2 loops; k is far below 256
     index = {p.bits: a for a, p in enumerate(plist)}
-    rotation, reflection = _symmetries(k, pattern)
-    rot = _index_map(plist, index, rotation)
+    rot = _index_map(plist, index, [(i + 1) % k for i in range(k)])
+    ref = _index_map(plist, index, [-i % k for i in range(k)])
     back = sorted(range(n), key=rot.__getitem__)  # the inverse rotation
-    ref = None if reflection is None else _index_map(plist, index, reflection)
     partners = [p.partners() for p in plist]
     done = bytearray(n)
     for a, mp in enumerate(partners):
@@ -301,7 +286,7 @@ def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
             if not done[b]:
                 L[b] = row
                 done[b] = 1
-            if ref is not None and not done[ref[b]]:
+            if not done[ref[b]]:
                 L[ref[b]] = list(map(row.__getitem__, ref))  # a reflection is an involution
                 done[ref[b]] = 1
             b = rot[b]

@@ -5,18 +5,21 @@ evaluation paths: matchings are generated exhaustively and filtered, the
 semicircle moments come from numerical quadrature, and the three-vertex norm
 is a telescoped product, or a ratio of q-factorials, of exact quantum integers.
 Primes come from a sieve of Eratosthenes, not from trial division.
-The loop-count oracle walks every pair of pairings separately; it takes only
-the library's canonical pairing list, whose order the matrix must follow.
+The loop-count oracle walks every pair of pairings separately; uncoloured, it
+takes only the library's canonical pairing list, whose order the matrix must
+follow, and coloured, the brute-force list filtered pair by pair.  U_N^+
+moments also come from O_N^+ ones by free complexification.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from qhaar import pairings, qnum
+from qhaar import pairings, qnum, weingarten
 
 
 def all_matchings(points):
@@ -47,6 +50,21 @@ def brute_nc_matchings(k: int) -> set:
         if not has_crossing(pairs):
             out.add(pairs)
     return out
+
+
+@lru_cache(maxsize=None)
+def _sorted_nc_matchings(k: int) -> tuple:
+    return tuple(sorted(brute_nc_matchings(k)))
+
+
+def brute_colored_matchings(pattern) -> list:
+    """Sorted non-crossing matchings of a {1,*} pattern, each pair joining a 1 to a *.
+
+    Checked pair by pair on the colours themselves; sorting the pair lists
+    gives the library's canonical order.
+    """
+    return [m for m in _sorted_nc_matchings(len(pattern))
+            if all({pattern[a - 1], pattern[b - 1]} == {"1", "*"} for a, b in m)]
 
 
 def brute_semicircular_moment(labels) -> int:
@@ -123,9 +141,14 @@ def loop_matrix_walk(k: int, pattern=None):
 
     The plain build `pairings.loop_matrix` must reproduce: each pair (p, q)
     walks mq∘mp from every unseen point, counting orbit cycles, and the union
-    of two matchings has half as many components as mq∘mp has cycles.
+    of two matchings has half as many components as mq∘mp has cycles.  A
+    pattern's pairings come from brute_colored_matchings.
     """
-    plist = [p.partners() for p in pairings.word_pairings(k, pattern)]
+    if pattern is None:
+        plist = [p.partners() for p in pairings.word_pairings(k)]
+    else:
+        plist = [pairings.NCPairPartition(k, m).partners()
+                 for m in brute_colored_matchings(pattern)]
 
     def loops(mp, mq):
         seen, cycles = set(), 0
@@ -140,6 +163,59 @@ def loop_matrix_walk(k: int, pattern=None):
 
     return np.array([[loops(mp, mq) for mq in plist] for mp in plist],
                     dtype=np.int8).reshape(len(plist), len(plist))
+
+
+def free_complexification(word, N: int) -> Fraction:
+    """The U_N^+ Haar moment of a word of (i, j, '1' or '*') letters, from O_N^+ moments.
+
+    U_N^+ is the free complexification of O_N^+ (Banica 1997): v_ij -> z u_ij,
+    and so v*_ij -> u_ij z*, preserves the Haar state, with z a Haar unitary
+    *-free from O_N^+, so tau(z^n) = 0 unless n = 0.  The word becomes an
+    alternating product of factors, Laurent polynomials in z and polynomials
+    in the u_ij, each a dict from a power or a u-word to its coefficient.
+    The first factor with a nonzero state c splits into its centred part
+    plus c, the c term dropping the factor and merging its neighbours; a
+    product of centred factors alternating between the two free algebras
+    has state 0.  The u-words are evaluated by haar_moment.
+    """
+    def state(side, f):
+        if side == "z":
+            return f.get(0, 0)
+        return sum(c * orthogonal_moment(w) for w, c in f.items())
+
+    def times(f, g):
+        out = {}
+        for x, a in f.items():
+            for y, b in g.items():
+                xy = x + y  # z powers add, u-words concatenate
+                out[xy] = out.get(xy, 0) + a * b
+        return {x: c for x, c in out.items() if c}
+
+    def evaluate(factors):
+        merged = []
+        for side, f in factors:
+            if merged and merged[-1][0] == side:
+                f = times(merged.pop()[1], f)
+            merged.append((side, f))
+        for n, (side, f) in enumerate(merged):
+            c = state(side, f)
+            if c:
+                unit = 0 if side == "z" else ()
+                centred = {**f, unit: f.get(unit, 0) - c}
+                centred = {x: a for x, a in centred.items() if a}
+                return (evaluate(merged[:n] + [(side, centred)] + merged[n + 1:])
+                        + c * evaluate(merged[:n] + merged[n + 1:]))
+        return Fraction(not merged)
+
+    @lru_cache(maxsize=None)
+    def orthogonal_moment(w):
+        return weingarten.haar_moment(weingarten.GeneratorWord(w, "o+"), N)
+
+    factors = []
+    for i, j, eps in word:
+        z, u = ("z", {1 if eps == "1" else -1: 1}), ("u", {((i, j, "1"),): 1})
+        factors += [z, u] if eps == "1" else [u, z]
+    return evaluate(factors)
 
 
 def compatible_indices_scan(plist, labels) -> list:

@@ -127,6 +127,27 @@ def test_converge_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_exact_output_past_the_int_str_digit_limit(capsys, monkeypatch):
+    # Each literal parses (3000 digits), but the printed values run to 6000
+    # and 9000 digits, past the 4300 that str(int) converts by default.
+    big = "7" * 3000
+    monkeypatch.setattr(sys, "set_int_max_str_digits", None)  # the library must not call it
+    code, out, err = run(["moment", f"{big}^2", "--N", "3"], capsys)
+    assert code == 0 and err == ""
+    code, dims, err = run(["dim", "--N", big, "--kmax", "3"], capsys)
+    assert code == 0 and err == ""
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.undo()
+    sys.set_int_max_str_digits(0)
+    try:
+        N = int(big)
+        assert out == f"{N ** 2}\n"
+        assert dims.split() == ["k,dim", "0,1", f"1,{N}", f"2,{N ** 2 - 1}",
+                                f"3,{N ** 3 - 2 * N}"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(["moment", "x[1]", "--N", "3"], capsys)
     assert code == 2

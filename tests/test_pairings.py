@@ -147,7 +147,9 @@ def test_has_compatible_pairing_matches_listing(m, data):
     labels = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     pattern = data.draw(st.none() | st.lists(st.sampled_from("1*"), min_size=k, max_size=k)
                         .map(tuple))
-    listed = oracles.compatible_indices_scan(pairings.word_pairings(k, pattern), labels)
+    plist = pairings.enumerate_nc_pairings(k) if pattern is None else [
+        pairings.NCPairPartition(k, m) for m in oracles.brute_colored_matchings(pattern)]
+    listed = oracles.compatible_indices_scan(plist, labels)
     assert pairings.has_compatible_pairing(labels, pattern) == bool(listed)
 
 
@@ -337,11 +339,14 @@ def test_loop_matrix_is_invariant_under_rotation_and_reflection(pattern, count):
 
 
 def test_pattern_check_agrees_with_the_listing():
-    # loop_matrix decides a pattern by the O(k) stack on k equal labels.
+    # Both decide colours by _parity labels; the oracle checks each pair's
+    # colours directly and lists every matching.
     for k in range(0, 13):
         for pattern in itertools.product("1*", repeat=k):
-            fits = bool(pairings.enumerate_colored_nc_pairings(pattern))
-            assert pairings.has_compatible_pairing([0] * k, pattern) == fits, pattern
-            if k <= 6 and not fits:
+            want = oracles.brute_colored_matchings(pattern)
+            got = pairings.enumerate_colored_nc_pairings(pattern)
+            assert [p.pairs for p in got] == want, pattern
+            assert pairings.has_compatible_pairing([0] * k, pattern) == bool(want), pattern
+            if k <= 6 and not want:
                 with pytest.raises(InvalidArgumentError, match="fits no pairing"):
                     pairings.loop_matrix(k, pattern)

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,45 @@ def test_modular_route_matches_table_route():
         loops = np.array(pairings.loop_matrix(k, pattern), dtype=np.int64)
         got = exactla.bilinear_solve(loops, N, R, C)
         assert got == weingarten.haar_moment(gw(word, model), N)
+
+
+def sampled_unitary_words(rng, count):
+    """Non-alternating U_N^+ words with 4 <= k <= 8 and indices in {1, 2}.
+
+    One in four is uniform (its moment is almost always 0).  The others lay
+    the colours and row indices pair by pair on a random non-crossing
+    matching, and the column indices on a random matching of those colours,
+    so their moments are mostly nonzero.  Matchings come from the oracles.
+    """
+    words = []
+    while len(words) < count:
+        k = rng.choice([4, 6, 8])
+        pattern, rows, cols = [None] * k, [None] * k, [None] * k
+        if rng.random() < 0.25:
+            pattern = [rng.choice("1*") for _ in range(k)]
+            rows = [rng.randint(1, 2) for _ in range(k)]
+            cols = [rng.randint(1, 2) for _ in range(k)]
+        else:
+            for a, b in rng.choice(sorted(oracles.brute_nc_matchings(k))):
+                pattern[a - 1], pattern[b - 1] = rng.choice([("1", "*"), ("*", "1")])
+                rows[a - 1] = rows[b - 1] = rng.randint(1, 2)
+            for a, b in rng.choice(oracles.brute_colored_matchings(pattern)):
+                cols[a - 1] = cols[b - 1] = rng.randint(1, 2)
+        if any(x == y for x, y in zip(pattern, pattern[1:])):
+            words.append(tuple(zip(rows, cols, pattern)))
+    return words
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_unitary_moments_are_the_free_complexification(N):
+    # v_ij -> z u_ij (Banica): every U_N^+ moment is a polynomial in O_N^+
+    # moments, so a wrong entry in a coloured table shows here.
+    nonzero = 0
+    for letters in sampled_unitary_words(random.Random(1600 + N), 120):
+        h = weingarten.haar_moment(gw(letters, "u+"), N)
+        assert h == oracles.free_complexification(letters, N), letters
+        nonzero += h != 0
+    assert nonzero >= 60
 
 
 def test_alternating_unitary_word_reuses_the_orthogonal_loop_matrix(monkeypatch):

@@ -14,8 +14,11 @@ the k = 14 and k = 16 Gram matrices at N = 3 with one right-hand column,
 the median over the first five primes, and drawing the first 14 and the
 first MAX_PRIMES primes from `prime_stream`, the median of five draws, in
 a fresh process; a cold coloured `loop_matrix(16, pattern)` for each of
-COLOURED_PATTERNS, each in a fresh process; and criterion 7 and criterion 9
-(the k <= 12 Weingarten tables at N = 2..10) each run alone under pytest.
+COLOURED_PATTERNS, each in a fresh process; `rapid_decay.dn_constant(N)`
+with the default truncation for each N in DN_NS, each in a fresh process
+(the `D_N` scan layer, timed directly); and criterion 5 (the `D_N` bracket
+at five N), criterion 7 and criterion 9 (the k <= 12 Weingarten tables at
+N = 2..10) each run alone under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, every timing run, and one table line per workload and
 metric: the parent's median and quartiles, the change's median, and the
@@ -89,6 +92,18 @@ pairings.loop_matrix(16, tuple(sys.argv[1]))
 print(json.dumps(time.perf_counter() - t))
 """
 
+# The D_N scan at the default truncation: the smallest N, the N that
+# perfbench's dn_scan draws at its default seed, and a large N.
+DN_NS = (3, 57, 1000)
+
+DN = """
+import json, sys, time
+from qhaar import rapid_decay
+t = time.perf_counter()
+rapid_decay.dn_constant(int(sys.argv[1]))
+print(json.dumps(time.perf_counter() - t))
+"""
+
 
 def env_for(tree: str) -> dict:
     env = dict(os.environ)
@@ -147,7 +162,9 @@ def timing_run(tree: str) -> dict:
     for pattern in COLOURED_PATTERNS:
         out[f"loop16_{pattern}_s"] = json.loads(
             timed([sys.executable, "-c", COLOURED, pattern], tree)[1])
-    for num in (7, 9):
+    for N in DN_NS:
+        out[f"dn_constant_N{N}_s"] = json.loads(timed([sys.executable, "-c", DN, str(N)], tree)[1])
+    for num in (5, 7, 9):
         out[f"criterion{num}_s"] = timed(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "tests/test_acceptance.py", "-k", f"criterion_{num}"], tree)[0]

@@ -22,12 +22,13 @@ class ModelMismatchError(QhaarError):
 
 
 class ResourceLimitError(QhaarError):
-    """Raised when a computation would exceed the configured k_max.
+    """Raised when a computation would exceed a configured limit.
 
-    Carries the table length that would be required.
+    The limits are k_max and the D_N scan's grid size.  Carries the table
+    length that would be required, or None when the limit is not k_max.
     """
 
-    def __init__(self, message: str, required_k: int):
+    def __init__(self, message: str, required_k: int | None = None):
         super().__init__(message)
         self.required_k = required_k
 

@@ -12,6 +12,12 @@ q so that every downstream inequality is one-sided safe.  The scan evaluates
 the objective by one formula, objective_squares, in the factors 1 - q^(2e);
 the tests check it against exact q-integer oracles.  N = 2 is rejected
 throughout this module (q = 1 makes the tail products diverge).
+
+The scan's values are raw mpf tuples (mpmath's `_mpf_`) at the caller's
+precision, combined by mpmath.libmp's mpf_mul, mpf_div and mpf_gt with
+round-to-nearest: the mpf object wrappers cost more than the arithmetic.
+The order of every operation is pinned (see objective_rows), because the
+reported argmax is decided by exact ties between rounded values.
 """
 
 from __future__ import annotations
@@ -21,12 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fone, fzero, mpf_div, mpf_gt, mpf_mul, mpf_pow_int, mpf_sub, round_nearest
 
 from . import qnum
-from .errors import InvalidArgumentError, InvalidDimensionError
+from .errors import InvalidArgumentError, InvalidDimensionError, ResourceLimitError
 
 # rigorous_upper_bound stops once its tail multiplier is below 1 + TAIL_TOL.
 TAIL_TOL = Fraction(1, 10 ** 12)
+
+# dn_constant refuses a grid with more points than this.  The default
+# truncation has 75,140 points; 10^7 take about half a minute.
+MAX_SCAN_POINTS = 10 ** 7
 
 
 def _require_n(N: int):
@@ -92,67 +103,107 @@ def rigorous_upper_bound(N: int) -> tuple[Fraction, Fraction]:
 
 
 def factor_table(N: int, length: int) -> list:
-    """[1 - q^(2e) for e < length], q the midpoint of its bracket, at the caller's precision.
+    """[1 - q^(2e) for e < length] as raw mpf tuples at the caller's precision.
 
-    Each power of q^2 is the previous one times q^2, as the scan reads them.
+    q is the midpoint of its bracket.  Each power of q^2 is the previous one
+    times q^2, as the scan reads them.
     """
+    prec = mpmath.mp.prec
     lo, hi = qnum.q_of_N(N)
     q = (mpmath.mpf(lo.numerator) / lo.denominator
          + mpmath.mpf(hi.numerator) / hi.denominator) / 2
-    Q = q * q
-    one = Qe = mpmath.mpf(1)
+    Q = (q * q)._mpf_
+    Qe = fone
     omq = []
     for _ in range(length):
-        omq.append(one - Qe)
-        Qe = Qe * Q
+        omq.append(mpf_sub(fone, Qe, prec, round_nearest))
+        Qe = mpf_mul(Qe, Q, prec, round_nearest)
     return omq
 
 
-def objective_squares(omq: list, a: int, b: int, r_max: int):
-    """Yield the squared D_N objective at (n, k, l) = (a + r, b + r, a + b), r = 0..r_max.
+def objective_squares(omq: list, a: int, b: int, r_max: int) -> list:
+    """The squared D_N objective at (n, k, l) = (a + r, b + r, a + b), r = 0..r_max.
 
     That is radicand * prod**2: the radicand [k+1][n+1] / ([l+1][r+1]^2) and
     the inverse squared three-vertex norm
     prod = prod_{s<=r} [1+s][a+s][b+s] / ([l+1+s][s]^2), each in the form
     prod (1 - q^(2e)) read from omq[e] (the powers of q cancel).  The product
-    is carried from one r to the next; arithmetic is at the caller's precision.
+    is carried from one r to the next.  omq holds raw mpf tuples, as
+    factor_table returns them, and so does the result; arithmetic is at the
+    caller's precision (mpmath.mp.prec), rounded to nearest, in the fixed
+    order objective_rows gives.
     """
-    ab = a + b
-    prod = mpmath.mpf(1)
-    for r in range(r_max + 1):
-        if r > 0:
-            prod *= omq[r + 1] * omq[a + r] * omq[b + r] \
-                / (omq[ab + 1 + r] * omq[r] ** 2)
-        radicand = omq[1] * omq[a + r + 1] * omq[b + r + 1] \
-            / (omq[r + 1] ** 2 * omq[ab + 1])
-        yield radicand * prod * prod
+    return next(objective_rows(omq, a, (b,), r_max))
+
+
+def objective_rows(omq: list, a: int, bs, r_max: int):
+    """Yield objective_squares(omq, a, b, r_max) for each b in bs.
+
+    Each value is computed as
+
+        prod_r    = prod_{r-1} * ((omq[r+1] omq[a+r]) omq[b+r]) / (omq[l+1+r] omq[r]^2)
+        radicand  = ((omq[1] omq[a+r+1]) omq[b+r+1]) / (omq[r+1]^2 omq[l+1])
+        objective = (radicand * prod_r) * prod_r
+
+    with prod_0 = 1 and l = a + b, one rounding per operation.  The order is
+    pinned: dn_constant's argmax is decided by exact ties between rounded
+    values (at large N it reports 24/24/24 from a tie), so reassociating one
+    product can move the reported argmax.  The squares and the products that
+    do not depend on b are computed once per call, not once per b; they are
+    the same operations on the same operands, so no value changes.
+    """
+    prec, rnd = mpmath.mp.prec, round_nearest
+    mul, div = mpf_mul, mpf_div
+    sq = [mpf_pow_int(x, 2, prec, rnd) for x in omq[:r_max + 2]]
+    lead = [mul(omq[r + 1], omq[a + r], prec, rnd) for r in range(r_max + 1)]
+    lead_rad = [mul(omq[1], omq[a + r + 1], prec, rnd) for r in range(r_max + 1)]
+    for b in bs:
+        ab1 = a + b + 1
+        top = omq[ab1]
+        prod = fone
+        row = []
+        for r in range(r_max + 1):
+            if r:
+                prod = mul(prod, div(mul(lead[r], omq[b + r], prec, rnd),
+                                     mul(omq[ab1 + r], sq[r], prec, rnd), prec, rnd),
+                           prec, rnd)
+            radicand = div(mul(lead_rad[r], omq[b + r + 1], prec, rnd),
+                           mul(sq[r + 1], top, prec, rnd), prec, rnd)
+            row.append(mul(mul(radicand, prod, prec, rnd), prod, prec, rnd))
+        yield row
 
 
 def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RDBound:
     """Scanned maximum of the D_N objective over the truncated parameter space.
 
     The scan runs over r <= r_max and a = n-r, b = k-r on {0..nk_max, INF}
-    and takes the maximum of objective_squares, whose factor table holds the
-    supremum 1 for every exponent e >= INF; the argmax reports such entries
-    as math.inf.  The scan is a lower estimate; rigorous comparisons must use
-    `rigorous_upper`.
+    and takes the first strict maximum of objective_rows, whose factor table
+    holds the supremum 1 for every exponent e >= INF; the argmax reports
+    such entries as math.inf.  A grid of more than MAX_SCAN_POINTS points
+    raises ResourceLimitError before any arithmetic.  The scan is a lower
+    estimate; rigorous comparisons must use `rigorous_upper`.
     """
     _require_n(N)
     rmax, amax = truncation.r_max, truncation.nk_max
+    points = (amax + 2) ** 2 * (rmax + 1)
+    if points > MAX_SCAN_POINTS:
+        raise ResourceLimitError(
+            f"the D_N scan at r_max={rmax}, nk_max={amax} has {points} points, "
+            f"above {MAX_SCAN_POINTS}")
     INF = 2 * amax + rmax + 2  # above every finite exponent
     with mpmath.workprec(qnum.PRECISION_BITS + 16):
-        omq = factor_table(N, INF) + [mpmath.mpf(1)] * (INF + rmax + 2)
+        omq = factor_table(N, INF) + [fone] * (INF + rmax + 2)
         grid = list(range(amax + 1)) + [INF]
-        best2 = mpmath.mpf(0)
+        best2 = fzero
         best_arg = (0, 0, 0)
         for a in grid:
-            for b in grid:
-                for r, v2 in enumerate(objective_squares(omq, a, b, rmax)):
-                    if v2 > best2:
+            for b, row in zip(grid, objective_rows(omq, a, grid, rmax)):
+                for r, v2 in enumerate(row):
+                    if mpf_gt(v2, best2):
                         best2 = v2
                         best_arg = tuple(math.inf if x >= INF else x
                                          for x in (a + r, b + r, a + b))
-        value = mpmath.sqrt(best2)
+        value = mpmath.sqrt(mpmath.mp.make_mpf(best2))
     upper, tail = rigorous_upper_bound(N)
     return RDBound(N=N, value=value, argmax=best_arg, truncation=truncation,
                    tail_error=tail, rigorous_upper=upper)

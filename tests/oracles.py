@@ -8,7 +8,9 @@ Primes come from a sieve of Eratosthenes, not from trial division.
 The loop-count oracle walks every pair of pairings separately; uncoloured, it
 takes only the library's canonical pairing list, whose order the matrix must
 follow, and coloured, the brute-force list filtered pair by pair.  U_N^+
-moments also come from O_N^+ ones by free complexification.
+moments also come from O_N^+ ones by free complexification.  The D_N scan
+is kept in its earlier form, on mpmath.mpf objects, to pin the library's
+raw-tuple scan bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from qhaar import pairings, qnum, weingarten
+import mpmath
+
+from qhaar import freelimit, pairings, qnum, weingarten
 
 
 def all_matchings(points):
@@ -165,7 +169,7 @@ def loop_matrix_walk(k: int, pattern=None):
                     dtype=np.int8).reshape(len(plist), len(plist))
 
 
-def free_complexification(word, N: int) -> Fraction:
+def free_complexification(word, N: int | None) -> Fraction:
     """The U_N^+ Haar moment of a word of (i, j, '1' or '*') letters, from O_N^+ moments.
 
     U_N^+ is the free complexification of O_N^+ (Banica 1997): v_ij -> z u_ij,
@@ -176,7 +180,9 @@ def free_complexification(word, N: int) -> Fraction:
     The first factor with a nonzero state c splits into its centred part
     plus c, the c term dropping the factor and merging its neighbours; a
     product of centred factors alternating between the two free algebras
-    has state 0.  The u-words are evaluated by haar_moment.
+    has state 0.  The u-words are evaluated by haar_moment, or with N = None
+    by freelimit.semicircular_moment: then u_ij is the free semicircular
+    s_ij and the result is the free circular moment of the word.
     """
     def state(side, f):
         if side == "z":
@@ -209,6 +215,8 @@ def free_complexification(word, N: int) -> Fraction:
 
     @lru_cache(maxsize=None)
     def orthogonal_moment(w):
+        if N is None:
+            return freelimit.semicircular_moment([(i, j) for i, j, _ in w])
         return weingarten.haar_moment(weingarten.GeneratorWord(w, "o+"), N)
 
     factors = []
@@ -277,6 +285,58 @@ def prefactor_radicand(n: int, k: int, l: int, N: int) -> Fraction:
         qnum.q_int(k + 1, N) * qnum.q_int(n + 1, N),
         qnum.q_int(l + 1, N) * qnum.q_int(r + 1, N) ** 2,
     )
+
+
+def reference_dn_scan(N: int, r_max: int, nk_max: int):
+    """The D_N grid scan on mpmath.mpf objects: (objective values, best2, argmax).
+
+    The library's scan as it was before it moved to raw mpf tuples, kept
+    operation for operation (same operands, same association order), so
+    its values pin the library's bit for bit.  The objective values are a
+    dict from (a, b, r) to the mpf squared objective; best2 is their first
+    strict maximum in scan order, and argmax its (n, k, l) with math.inf for
+    limiting entries.  Runs at the library's scan precision.
+    """
+    def factor_table(length):
+        lo, hi = qnum.q_of_N(N)
+        q = (mpmath.mpf(lo.numerator) / lo.denominator
+             + mpmath.mpf(hi.numerator) / hi.denominator) / 2
+        Q = q * q
+        one = Qe = mpmath.mpf(1)
+        omq = []
+        for _ in range(length):
+            omq.append(one - Qe)
+            Qe = Qe * Q
+        return omq
+
+    def objective_squares(omq, a, b, r_max):
+        ab = a + b
+        prod = mpmath.mpf(1)
+        for r in range(r_max + 1):
+            if r > 0:
+                prod *= omq[r + 1] * omq[a + r] * omq[b + r] \
+                    / (omq[ab + 1 + r] * omq[r] ** 2)
+            radicand = omq[1] * omq[a + r + 1] * omq[b + r + 1] \
+                / (omq[r + 1] ** 2 * omq[ab + 1])
+            yield radicand * prod * prod
+
+    rmax, amax = r_max, nk_max
+    INF = 2 * amax + rmax + 2
+    values = {}
+    with mpmath.workprec(qnum.PRECISION_BITS + 16):
+        omq = factor_table(INF) + [mpmath.mpf(1)] * (INF + rmax + 2)
+        grid = list(range(amax + 1)) + [INF]
+        best2 = mpmath.mpf(0)
+        best_arg = (0, 0, 0)
+        for a in grid:
+            for b in grid:
+                for r, v2 in enumerate(objective_squares(omq, a, b, rmax)):
+                    values[a, b, r] = v2
+                    if v2 > best2:
+                        best2 = v2
+                        best_arg = tuple(math.inf if x >= INF else x
+                                         for x in (a + r, b + r, a + b))
+    return values, best2, best_arg
 
 
 def bareiss_inverse(A):

@@ -128,7 +128,8 @@ def test_criterion_4_three_vertex_two_formulas():
                 tol = mpmath.mpf(10) ** -30
                 for a in range(13):
                     for b in range(13):
-                        values = rapid_decay.objective_squares(omq, a, b, 12 - max(a, b))
+                        values = map(mpmath.mpf, rapid_decay.objective_squares(
+                            omq, a, b, 12 - max(a, b)))
                         for r, got in enumerate(values):
                             n, k, l = a + r, b + r, a + b
                             want = oracles.prefactor_radicand(n, k, l, N) \

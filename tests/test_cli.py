@@ -211,10 +211,22 @@ def test_exit_code_resource_limit(capsys):
         ["moment", "x[1,1]^14", "--N", "3", "--kmax", "12"],
         ["wg", "--k", "14", "--N", "3"],
         ["gram", "--k", "20", "--N", "3"],
+        ["dn", "--N-list", "3", "--nkmax", "1000", "--rmax", "1000"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 3, argv
         assert out == "" and "resource limit" in err, argv
+
+
+def test_dn_refuses_a_huge_grid_before_the_scan(capsys, monkeypatch):
+    # About 10^9 points would run for an hour; the refusal builds no factor table.
+    def no_scan(*args):
+        raise AssertionError("factor_table called")
+
+    monkeypatch.setattr(rapid_decay, "factor_table", no_scan)
+    code, out, err = run(["dn", "--N-list", "3", "--nkmax", "1000", "--rmax", "1000"], capsys)
+    assert code == 3
+    assert out == "" and "1005008004 points" in err
 
 
 def test_check_passes(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +60,41 @@ def test_semicircular_matches_brute_force(labels):
                           st.sampled_from(["1", "*"])), max_size=10))
 def test_circular_matches_brute_force(letters):
     assert freelimit.circular_moment(letters) == oracles.brute_circular_moment(letters)
+
+
+def sampled_circular_words(rng, count):
+    """`count` non-alternating words of (i, j, '1' or '*') letters, k even and <= 12.
+
+    One in four is uniform (its moment is almost always 0).  The others lay
+    opposite colours and one label pair by pair on a random non-crossing
+    matching from the oracles, so their moments are nonzero.
+    """
+    matchings = {k: sorted(oracles.brute_nc_matchings(k)) for k in range(2, 13, 2)}
+    words = []
+    while len(words) < count:
+        k = rng.choice(list(matchings))
+        if rng.random() < 0.25:
+            pattern = [rng.choice("1*") for _ in range(k)]
+            labels = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(k)]
+        else:
+            pattern, labels = [None] * k, [None] * k
+            for a, b in rng.choice(matchings[k]):
+                pattern[a - 1], pattern[b - 1] = rng.choice([("1", "*"), ("*", "1")])
+                labels[a - 1] = labels[b - 1] = (rng.randint(1, 2), rng.randint(1, 2))
+        if any(x == y for x, y in zip(pattern, pattern[1:])):
+            words.append(tuple((i, j, e) for (i, j), e in zip(labels, pattern)))
+    return words
+
+
+def test_circular_is_the_free_complexification_of_semicircular():
+    # c_ij = z s_ij, z a Haar unitary *-free from the semicircular family:
+    # the N -> infinity form of v_ij -> z u_ij, so a wrong colour rule shows here.
+    nonzero = 0
+    for word in sampled_circular_words(random.Random(1700), 200):
+        c = freelimit.circular_moment([((i, j), e) for i, j, e in word])
+        assert c == oracles.free_complexification(word, None), word
+        nonzero += c != 0
+    assert nonzero >= 100
 
 
 def test_negative_k_rejected():

@@ -3,9 +3,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import fone
 
 from qhaar import ncpoly, qnum, rapid_decay
-from qhaar.errors import InvalidDimensionError
+from qhaar.errors import InvalidDimensionError, ResourceLimitError
 from qhaar.rapid_decay import TruncationLimits
 
 import oracles
@@ -23,7 +24,7 @@ def scan_matches(n, k, l, N):
         * oracles.three_vertex_norm_inv_product(n, k, l, N) ** 2
     with mpmath.workprec(SCAN_BITS):
         omq = rapid_decay.factor_table(N, n + k + 2)
-        got = list(rapid_decay.objective_squares(omq, n - r, k - r, r))[r]
+        got = mpmath.mpf(list(rapid_decay.objective_squares(omq, n - r, k - r, r))[r])
         exact = mpmath.mpf(want.numerator) / want.denominator
         return abs(got - exact) <= REL_TOL * exact
 
@@ -104,6 +105,67 @@ class TestDnConstant:
         d = rapid_decay.d_star_upper()
         assert d == rapid_decay.rigorous_upper_bound(3)[0]
         assert d < 3  # sanity: the N = 3 bound is about 2.03
+
+
+class TestScanBitIdentity:
+    """The raw-tuple scan against the mpf-object scan kept in oracles, bit for bit.
+
+    Exact equality of every rounded value is what keeps the argmax, which
+    ties decide (24/24/24 at N = 57), and every printed digit unchanged.
+    """
+
+    @pytest.mark.parametrize("N", [3, 57])
+    def test_every_objective_value_on_the_default_grid(self, N):
+        t = TruncationLimits()
+        values, best2, argmax = oracles.reference_dn_scan(N, t.r_max, t.nk_max)
+        INF = 2 * t.nk_max + t.r_max + 2
+        grid = list(range(t.nk_max + 1)) + [INF]
+        checked = 0
+        with mpmath.workprec(SCAN_BITS):
+            omq = rapid_decay.factor_table(N, INF) + [fone] * (INF + t.r_max + 2)
+            for a in grid:
+                for b, row in zip(grid, rapid_decay.objective_rows(omq, a, grid, t.r_max)):
+                    for r, v2 in enumerate(row):
+                        assert v2 == values[a, b, r]._mpf_, (a, b, r)
+                        checked += 1
+            for a, b in ((0, 0), (3, 7), (INF, 5), (INF, INF)):
+                assert rapid_decay.objective_squares(omq, a, b, t.r_max) \
+                    == [values[a, b, r]._mpf_ for r in range(t.r_max + 1)]
+            ref_value = mpmath.sqrt(best2)
+        assert checked == len(values) == (t.nk_max + 2) ** 2 * (t.r_max + 1)
+        b = rapid_decay.dn_constant(N)
+        assert b.value._mpf_ == ref_value._mpf_
+        assert b.argmax == argmax
+
+    @pytest.mark.parametrize("trunc", [QUICK, TruncationLimits(r_max=2, nk_max=16),
+                                       TruncationLimits(r_max=0, nk_max=0)])
+    @pytest.mark.parametrize("N", [3, 5, 20, 50, 57, 1000])
+    def test_value_and_argmax(self, N, trunc):
+        _, best2, argmax = oracles.reference_dn_scan(N, trunc.r_max, trunc.nk_max)
+        with mpmath.workprec(SCAN_BITS):
+            ref_value = mpmath.sqrt(best2)
+        b = rapid_decay.dn_constant(N, trunc)
+        assert b.value._mpf_ == ref_value._mpf_
+        assert b.argmax == argmax
+
+
+class TestScanGuard:
+    def test_shipped_truncations_run(self):
+        # QUICK, and the truncations of the golden dn files; the default
+        # runs in TestScanBitIdentity and criterion 5.
+        for trunc in (QUICK, TruncationLimits(r_max=16, nk_max=8),
+                      TruncationLimits(r_max=2, nk_max=16)):
+            assert rapid_decay.dn_constant(3, trunc).truncation == trunc
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        t = TruncationLimits(r_max=4, nk_max=3)
+        points = (t.nk_max + 2) ** 2 * (t.r_max + 1)
+        monkeypatch.setattr(rapid_decay, "MAX_SCAN_POINTS", points)
+        assert rapid_decay.dn_constant(3, t).value > 1
+        monkeypatch.setattr(rapid_decay, "MAX_SCAN_POINTS", points - 1)
+        with pytest.raises(ResourceLimitError) as exc:
+            rapid_decay.dn_constant(3, t)
+        assert exc.value.required_k is None
 
 
 class TestSelectP:

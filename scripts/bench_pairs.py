@@ -10,15 +10,17 @@ checkout gets one `--trace 1` run per workload.  Last come three pairs of
 the timings outside perfbench, again alternating which checkout goes
 first: criterion 7's order-16 moment at N = 3 and N = 8 in a fresh process
 after building `loop_matrix(16)`; the modular kernel `_solve_mod_prime` on
-the k = 14 and k = 16 Gram matrices at N = 3 with one right-hand column,
-the median over the first five primes, and drawing the first 14 and the
-first MAX_PRIMES primes from `prime_stream`, the median of five draws, in
-a fresh process; a cold coloured `loop_matrix(16, pattern)` for each of
-COLOURED_PATTERNS, each in a fresh process; `rapid_decay.dn_constant(N)`
-with the default truncation for each N in DN_NS, each in a fresh process
-(the `D_N` scan layer, timed directly); and criterion 5 (the `D_N` bracket
-at five N), criterion 7 and criterion 9 (the k <= 12 Weingarten tables at
-N = 2..10) each run alone under pytest.
+the k = 12 Gram matrix at N = 3 with V = I (the full inverse that a
+k = 12 Weingarten table needs) and on the k = 14 and k = 16 ones with one
+right-hand column, each the median over the first five primes, and
+drawing the first 14 and the first MAX_PRIMES primes from
+`prime_stream`, the median of five draws, in a fresh process; a cold
+coloured `loop_matrix(16, pattern)` for each of COLOURED_PATTERNS, each
+in a fresh process; `rapid_decay.dn_constant(N)` with the default
+truncation for each N in DN_NS, each in a fresh process (the `D_N` scan
+layer, timed directly); and criterion 5 (the `D_N` bracket at five N),
+criterion 7 and criterion 9 (the k <= 12 Weingarten tables at N = 2..10)
+each run alone under pytest.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, every timing run, and one table line per workload and
 metric: the parent's median and quartiles, the change's median, and the
@@ -60,17 +62,19 @@ import itertools, json, statistics, time
 import numpy as np
 from qhaar import exactla, pairings
 out = {}
-for k in (14, 16):
+for name, k in (("kernel_k12_inverse_s", 12), ("kernel_k14_s", 14), ("kernel_k16_s", 16)):
     loop_mat = pairings.loop_matrix(k)
-    v = (np.arange(loop_mat.shape[0]) % 3 == 0).astype(np.float64)[:, None]
+    n = loop_mat.shape[0]
+    # The table route's full inverse at k = 12; one column past it.
+    V = np.eye(n) if k == 12 else (np.arange(n) % 3 == 0).astype(np.float64)[:, None]
     times = []
     for p in itertools.islice(exactla.prime_stream(), 5):
         pows = np.array([pow(3, l, p) for l in range(int(loop_mat.max()) + 1)], dtype=np.float64)
         A = pows[loop_mat]
         t = time.perf_counter()
-        exactla._solve_mod_prime(A, v, p)
+        exactla._solve_mod_prime(A, V, p)
         times.append(time.perf_counter() - t)
-    out[f"kernel_k{k}_s"] = statistics.median(times)
+    out[name] = statistics.median(times)
 for count in (14, exactla.MAX_PRIMES):
     times = []
     for _ in range(5):

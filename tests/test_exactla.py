@@ -44,13 +44,17 @@ def block_edge_matrix(n):
     return [[rng.randrange(p - 64, p) for _ in range(n)] for _ in range(n)], p, rng
 
 
+# Sizes at the edges of a step of S = 4 pivots (3, 4, 5) and of a 64-wide block.
+EDGE_SIZES = [1, 3, 4, 5, 63, 64, 65, 130]
+
+
 def solve_reference(A, V, p):
     """A^{-1} V mod p, by the pivoting Python-int reference inverse."""
     ref = inverse_mod_reference(A, p)
     return [[sum(r * int(v) for r, v in zip(row, col)) % p for col in V.T] for row in ref]
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", EDGE_SIZES)
 def test_kernel_matches_reference_at_block_edges(n):
     A, p, rng = block_edge_matrix(n)
     V = indicator(n, sorted(rng.sample(range(n), max(1, n // 2))))
@@ -59,12 +63,30 @@ def test_kernel_matches_reference_at_block_edges(n):
     assert np.mod(T, p).astype(np.int64).tolist() == solve_reference(A, V, p)
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", EDGE_SIZES)
 def test_full_inverse_kernel_matches_reference_at_block_edges(n):
     A, p, _ = block_edge_matrix(n)
     T = exactla._solve_mod_prime(np.array(A, dtype=np.float64), np.eye(n), p)
     assert np.abs(T).max() <= p // 2 + 1
     assert np.mod(T, p).astype(np.int64).tolist() == inverse_mod_reference(A, p)
+
+
+@pytest.mark.parametrize("k, N", [(12, 3), (12, 8), (14, 3), (14, 8)])
+def test_kernel_solves_gram_systems_exactly(k, N):
+    # Past the reference inverse's reach: (G mod p) T = V (mod p) is checked
+    # directly in Python ints, for one indicator column and, at k = 12, V = I.
+    loop_mat = pairings.loop_matrix(k)
+    n = loop_mat.shape[0]
+    cases = [indicator(n, list(range(0, n, 3)))] + ([np.eye(n)] if k == 12 else [])
+    for p in itertools.islice(exactla.prime_stream(), 2):
+        pows = [pow(N, l, p) for l in range(int(loop_mat.max()) + 1)]
+        G = [[pows[l] for l in row] for row in loop_mat.tolist()]
+        for V in cases:
+            T = exactla._solve_mod_prime(np.array(G, dtype=np.float64), V, p)
+            assert np.abs(T).max() <= p // 2 + 1
+            cols = [[int(t) for t in col] for col in T.T.tolist()]
+            GT = [[sum(g * t for g, t in zip(row, col)) % p for col in cols] for row in G]
+            assert GT == V.astype(np.int64).tolist()
 
 
 def counting_stream(monkeypatch, first=()):
@@ -110,10 +132,12 @@ def test_prime_dividing_a_leading_minor_is_skipped(monkeypatch):
     assert exactla.bilinear_solve(loops, 3, [0], [0, 1]) == want
 
 
-@pytest.mark.parametrize("order", [2, 65, 70])
+@pytest.mark.parametrize("order", [1, 2, 4, 5, 64, 65, 70])
 def test_first_vanishing_leading_minor_is_detected_in_any_block(order):
     # A = L diag(d) U with unit triangular L and U has leading minors
-    # d_1 ... d_m, so the first one to vanish mod p has the given order.
+    # d_1 ... d_m, so the first one to vanish mod p has the given order:
+    # the first and last pivot of a step of S = 4 pivots, the last pivot of
+    # a 64-wide block, and pivots inside later blocks.
     n, p = 130, next(exactla.prime_stream())
     rng = np.random.default_rng(order)
     L = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)

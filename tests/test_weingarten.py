@@ -1,3 +1,4 @@
+import collections
 import itertools
 import logging
 import random
@@ -250,8 +251,8 @@ def test_modular_route_matches_table_route():
         assert got == weingarten.haar_moment(gw(word, model), N)
 
 
-def sampled_unitary_words(rng, count):
-    """Non-alternating U_N^+ words with 4 <= k <= 8 and indices in {1, 2}.
+def sampled_unitary_words(rng, count, orders=(4, 6, 8)):
+    """Non-alternating U_N^+ words of the given orders k, indices in {1, 2}.
 
     One in four is uniform (its moment is almost always 0).  The others lay
     the colours and row indices pair by pair on a random non-crossing
@@ -260,7 +261,7 @@ def sampled_unitary_words(rng, count):
     """
     words = []
     while len(words) < count:
-        k = rng.choice([4, 6, 8])
+        k = rng.choice(orders)
         pattern, rows, cols = [None] * k, [None] * k, [None] * k
         if rng.random() < 0.25:
             pattern = [rng.choice("1*") for _ in range(k)]
@@ -281,12 +282,16 @@ def sampled_unitary_words(rng, count):
 def test_unitary_moments_are_the_free_complexification(N):
     # v_ij -> z u_ij (Banica): every U_N^+ moment is a polynomial in O_N^+
     # moments, so a wrong entry in a coloured table shows here.
-    nonzero = 0
-    for letters in sampled_unitary_words(random.Random(1600 + N), 120):
+    # The k = 10 words reach coloured tables of up to 14 pairings, which the
+    # modular kernel inverts in several steps of exactla.S pivots.
+    rng = random.Random(1600 + N)
+    words = sampled_unitary_words(rng, 120) + sampled_unitary_words(rng, 20, orders=(10,))
+    nonzero = collections.Counter()
+    for letters in words:
         h = weingarten.haar_moment(gw(letters, "u+"), N)
         assert h == oracles.free_complexification(letters, N), letters
-        nonzero += h != 0
-    assert nonzero >= 60
+        nonzero[len(letters)] += h != 0
+    assert nonzero[4] + nonzero[6] + nonzero[8] >= 60 and nonzero[10] >= 10
 
 
 def test_alternating_unitary_word_reuses_the_orthogonal_loop_matrix(monkeypatch):

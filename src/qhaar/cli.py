@@ -166,10 +166,12 @@ def cmd_converge(args) -> int:
             N: rapid_decay.rigorous_upper_bound(N)[0] for N in N_list}
         for N in N_list:
             PN = ncpoly.scaled_generators(P, N)
-            try:
-                l2 = ncpoly.lp_norm(PN, 2, N, kmax=args.kmax)
-            except ResourceLimitError:
-                l2 = None  # unread: each p below fails on (w* w)^(p/2), w a top-degree word
+            l2 = None  # read only by rd_bound
+            if not args.no_rd:
+                try:
+                    l2 = ncpoly.lp_norm(PN, 2, N, kmax=args.kmax)
+                except ResourceLimitError:
+                    pass  # unread: each p below fails on (w* w)^(p/2), w a top-degree word
             for p in p_list:
                 try:
                     fin = ncpoly.lp_norm(PN, p, N, kmax=args.kmax)

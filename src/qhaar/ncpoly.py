@@ -8,6 +8,16 @@ power of sqrt(N) attached to each word, so every state evaluation is an
 exact rational times an explicit power of N; floating point enters only when
 a root is taken at the reporting boundary (lp_norm).
 
+L^p norms take one of two routes at finite N.  A linear form
+a = Σ C_ij u_ij of one colour goes through linear_state, which sums the
+Weingarten formula over the cycle types λ of pairs of pairings before
+expanding anything (its docstring gives the derivation):
+
+    h((a* a)^m) = N^(m h0) Σ_λ S_λ(2m, N) Π_{L in λ} tr((C* C)^L).
+
+Every other polynomial, the free limit and k = 2m past the table route
+expand (a* a)^m into words and evaluate each with state_eval.
+
 Text format accepted by parse_poly: terms separated by + / -, monomials as
 products of letters x[i,j], v[i,j], v*[i,j] joined by '*', optional '^n'
 powers, coefficients as rational literals p/q with an optional 'i' suffix.
@@ -268,18 +278,79 @@ def state_eval(a: NCPolynomial, N: Optional[int] = None,
     return total
 
 
+def _matmul(A: list, B: list) -> list:
+    """The product of two matrices given as lists of rows."""
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*B)] for row in A]
+
+
+def linear_state(a: NCPolynomial, m: int, N: int,
+                 kmax: int = weingarten.DEFAULT_KMAX) -> Optional[GaussianRational]:
+    """h((a* a)^m) at dimension N for a linear form a of one colour; None for any other a.
+
+    The route covers a = sqrt(N)^h0 Σ C_ij u_ij: a nonzero polynomial whose
+    terms are single letters with one star flag and one sqrt(N) power h0,
+    with k = 2m at most TABLE_KMAX and kmax.  Then
+
+        h((a* a)^m) = N^(m h0) Σ_λ S_λ(k, N) Π_{L in λ} τ_L,  τ_L = tr((C* C)^L),
+
+    with S_λ from weingarten.cycle_type_sums.  Derivation: the Weingarten
+    formula writes h((a* a)^m) as Σ_{p,q} Wg(p, q) times the sum, over
+    indices constant on the pairs of p (rows) and of q (columns), of the
+    product of conj(C) at the a* positions and C at the a positions.  A
+    pair of either pairing joins points an odd distance apart, so one a*
+    to one a, and each cycle of p ∪ q alternates a* and a.  Around a cycle
+    of 2L points, summing the shared row of each p pair gives (C* C) between
+    consecutive shared columns, and summing those columns gives τ_L.  So
+    the (p, q) term depends only on the cycle half-lengths of p ∪ q, and on
+    C only through C* C.  With one-letter forms, U_N^+ of either star flag
+    gives the same alternating pattern, hence the same uncoloured sums.
+
+    Everything else returns None, and lp_norm then expands the words:
+    products of letters, constants, mixed star flags or powers, k past
+    TABLE_KMAX or kmax (where the per-word route solves or refuses).  The
+    letters are checked as state_eval checks them.
+    """
+    k = 2 * m
+    if not a.terms or k > min(kmax, weingarten.TABLE_KMAX):
+        return None
+    h0 = next(iter(a.terms))[1]
+    letters = [word[0] for word, h in a.terms if len(word) == 1 and h == h0]
+    if (len(letters) < len(a.terms) or len({eps for _, _, eps in letters}) > 1
+            or letters[0][2] not in (("1", "*") if a.model == "u+" else ("1",))):
+        return None
+    weingarten.check_letters(letters, a.model)
+    weingarten.check_dimension(letters, N)
+    coeffs = {word[0][:2]: c for (word, _), c in a.terms.items()}
+    rows, cols = sorted({i for i, _ in coeffs}), sorted({j for _, j in coeffs})
+    C = [[coeffs.get((i, j), ZERO) for j in cols] for i in rows]
+    powers = [_matmul([[x.conjugate() for x in col] for col in zip(*C)], C)]  # (C* C)^L
+    while len(powers) < m:
+        powers.append(_matmul(powers[-1], powers[0]))
+    tau = [ZERO] + [sum((P[s][s] for s in range(len(cols))), ZERO) for P in powers]
+    total = ZERO
+    for lam, S in weingarten.cycle_type_sums(k, N, kmax):
+        term = GaussianRational(S)
+        for L in lam:
+            term = term * tau[L]
+        total = total + term
+    return total * N ** (m * h0)
+
+
 def lp_norm(a: NCPolynomial, p: int, N: Optional[int] = None,
             kmax: int = weingarten.DEFAULT_KMAX) -> mpmath.mpf:
     """||a||_p = state((a* a)^(p/2))^(1/p) for even p >= 2.
 
     The inner moment is exact; only the final root is floating, computed at
-    the working precision qnum.PRECISION_BITS.
+    the working precision qnum.PRECISION_BITS.  At finite N a linear form
+    takes linear_state, with no word expansion; every other case expands
+    (a* a)^m and evaluates it word by word through state_eval.
     """
     if p < 2 or p % 2:
         raise InvalidArgumentError(f"p must be an even integer >= 2, got {p}")
     m = p // 2
-    inner = (a.adjoint() * a) ** m
-    value = state_eval(inner, N, kmax=kmax)
+    value = None if N is None else linear_state(a, m, N, kmax)
+    if value is None:
+        value = state_eval((a.adjoint() * a) ** m, N, kmax=kmax)
     if not value.is_real or value.re < 0:
         raise ValueError(f"(a* a)^m moment must be real nonnegative, got {value}")
     with mpmath.workprec(qnum.PRECISION_BITS):

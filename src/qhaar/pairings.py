@@ -300,6 +300,56 @@ def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
 loop_matrix.cache_info = _loop_matrix.cache_info
 
 
+@lru_cache(maxsize=None)
+def cycle_types(k: int) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """Cycle half-lengths of p ∪ q for every two pairings p, q of k points.
+
+    Returns (codes, types): the union of plist[a] and plist[c], plist the
+    canonical list of n pairings, has cycles of 2L points for the L in
+    types[codes[a * n + c]], a sorted tuple with sum k/2 and one entry per
+    loop.  Both pairings join points of opposite parity, so walking
+    x -> mq[mp[x]] from an even point x meets every even point of x's cycle
+    and no other: a cycle of 2L points is one orbit of L even points.  That
+    orbit structure is the cycle type of a permutation of the k/2 even
+    points, looked up in a dict by its tuple; each pair of the upper
+    triangle is walked once and mirrored, since the union does not depend
+    on the order of p and q.  Pure Python, no numpy: k <= 12 gives at most
+    11 types and 17,424 one-byte codes.
+    """
+    plist = enumerate_nc_pairings(k)
+    n = len(plist)
+    # even[a][i]: the partner of point 2i in plist[a], as an odd point // 2; odd: the reverse.
+    partners = [p.partners() for p in plist]
+    even = [tuple(mp[x] // 2 for x in range(0, k, 2)) for mp in partners]
+    odd = [[mp[x] // 2 for x in range(1, k, 2)] for mp in partners]
+    codes = bytearray(n * n)
+    code_of_perm: dict = {}
+    types: dict = {}
+    for a, pa in enumerate(even):
+        for c in range(a, n):
+            perm = tuple(map(odd[c].__getitem__, pa))  # x -> mq[mp[x]] on even points / 2
+            code = code_of_perm.get(perm)
+            if code is None:
+                code = code_of_perm[perm] = types.setdefault(_cycle_type(perm), len(types))
+            codes[a * n + c] = codes[c * n + a] = code
+    return bytes(codes), tuple(types)
+
+
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation of range(len(perm))."""
+    seen = [False] * len(perm)
+    lengths = []
+    for s in range(len(perm)):
+        if not seen[s]:
+            length, x = 0, s
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+                length += 1
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None
                 ) -> tuple[tuple[int, ...], ...]:
     """Exact integer Gram matrix N**loops over the (colored) canonical pairing list."""

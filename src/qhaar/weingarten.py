@@ -11,6 +11,14 @@ of G X = D V, which proves the identity before it returns.  Tables (V = I,
 so wg_num = X and wg_den = D) are cached; a word longer than TABLE_KMAX is
 instead one solve with V the indicator column of its column-compatible
 pairings, summed over its row-compatible pairings.
+
+cycle_type_sums reduces a table for ncpoly.linear_state: S_λ(k, N) sums
+Wg(p, q) over the pairs whose union p ∪ q has cycle half-lengths λ
+(pairings.cycle_types).  For a linear form a = Σ C_ij u_ij the (p, q) term
+of h((a* a)^{k/2}) is Wg(p, q) Π_{L in λ} tr((C* C)^L): both pairings join
+a* positions to a positions, so every cycle alternates them and depends on
+C only through C* C.  With C = I each cycle gives N, and the sum is
+tr(Wg G) = Catalan(k/2).
 """
 
 from __future__ import annotations
@@ -100,6 +108,30 @@ def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> Weingart
     num, den = exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N)
     return WeingartenTable(k=k, N=N, pattern=pattern,
                            wg_num=tuple(tuple(r) for r in num), wg_den=den)
+
+
+def cycle_type_sums(k: int, N: int, kmax: int = DEFAULT_KMAX
+                    ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """Pairs (λ, S_λ): S_λ sums Wg(p, q) over the pairings p, q whose union has cycle type λ.
+
+    λ is a tuple of cycle half-lengths (pairings.cycle_types); the module
+    docstring says why these sums are all that ncpoly.linear_state needs.
+    Checked as weingarten_table checks (k, N, kmax); cached per (k, N).
+    """
+    weingarten_table(k, N, kmax=kmax)
+    return _cycle_type_sums(k, N)
+
+
+@lru_cache(maxsize=None)
+def _cycle_type_sums(k: int, N: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    codes, types = pairings.cycle_types(k)
+    table = _build_table(k, N, None)
+    n = table.size
+    sums = [0] * len(types)
+    for a, row in enumerate(table.wg_num):
+        for code, x in zip(codes[a * n:(a + 1) * n], row):
+            sums[code] += x
+    return tuple((t, Fraction(s, table.wg_den)) for t, s in zip(types, sums))
 
 
 def haar_moment(word: GeneratorWord, N: int, kmax: int = DEFAULT_KMAX) -> Fraction:

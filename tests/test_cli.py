@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 import qhaar
-from qhaar import cli, rapid_decay
+from qhaar import cli, ncpoly, rapid_decay
 
 
 def run(argv, capsys):
@@ -125,6 +125,31 @@ def test_converge_deterministic(tmp_path, capsys):
                           "--p-list", "2,4", "--out", str(path)], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("rd", [[], ["--no-rd"]])
+def test_converge_rows_match_the_word_route(rd, capsys, monkeypatch):
+    # A linear polynomial takes ncpoly.linear_state up to k = 12; p = 14 is
+    # refused as the word route refuses it, in the same error row.
+    argv = ["converge", "--poly", "x[1,1]+2*x[2,1]", "--N-list", "3,4", "--p-list", "2,4,14",
+            *rd]
+    route = run(argv, capsys)
+    assert route[0] == 0 and '\n3,14,"error(k=14,N=3)",3.44' in route[1]
+    monkeypatch.setattr(ncpoly, "linear_state", lambda *args: None)
+    assert run(argv, capsys) == route
+
+
+def test_converge_without_rd_bounds_takes_no_l2(capsys, monkeypatch):
+    ps = []
+    real = ncpoly.lp_norm
+    monkeypatch.setattr(ncpoly, "lp_norm", lambda a, p, N, **kw: ps.append((p, N)) or
+                        real(a, p, N, **kw))
+    code, _, _ = run(["converge", "--poly", "x[1,1]", "--N-list", "2,3", "--p-list", "4",
+                      "--no-rd"], capsys)
+    assert code == 0 and ps == [(4, None), (4, 2), (4, 3)]
+    ps.clear()
+    run(["converge", "--poly", "x[1,1]", "--N-list", "3", "--p-list", "4"], capsys)
+    assert ps == [(4, None), (2, 3), (4, 3)]
 
 
 def test_exact_output_past_the_int_str_digit_limit(capsys, monkeypatch):

@@ -8,8 +8,9 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhaar import freelimit, ncpoly, weingarten
-from qhaar.errors import InvalidIndexError, ModelMismatchError, PolyParseError
+from qhaar import exactla, freelimit, ncpoly, weingarten
+from qhaar.errors import (InvalidDimensionError, InvalidIndexError, ModelMismatchError,
+                          PolyParseError, ResourceLimitError)
 from qhaar.ncpoly import ONE, ZERO, GaussianRational, NCPolynomial
 
 import oracles
@@ -261,6 +262,16 @@ class TestStateEval:
         for m in range(1, kmax // 2 + 1):
             assert ncpoly.state_eval(chi ** (2 * m), N) == GaussianRational(freelimit.catalan(m))
 
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_character_moments_are_catalan_past_word_expansion(self, N):
+        # The same identity through the cycle-type sum, up to order 12 at
+        # every N <= 10, where chi^(2m) would expand to N^(2m) words.  Every
+        # Weingarten entry of the k = 2m table moves tr(Wg G), so a wrong one
+        # breaks it.
+        chi = ncpoly.parse_poly("+".join(f"x[{i},{i}]" for i in range(1, N + 1)))
+        for m in range(1, 7):
+            assert ncpoly.linear_state(chi, m, N) == GaussianRational(freelimit.catalan(m))
+
     @pytest.mark.parametrize("N", [3, 4])
     def test_linear_modulus_moments_agree_across_models(self, N):
         # U_N^+ is the free complexification of O_N^+ (v = z u, z a Haar
@@ -304,6 +315,105 @@ class TestStateEval:
         m = two_m // 2
         assert (ncpoly.state_eval((a.adjoint() * a) ** m, N)
                 == ncpoly.state_eval((b_star * b) ** m, N))
+
+
+def random_linear_form(rng, model, eps, N, terms, h0):
+    """sqrt(N)^h0 times a sum of `terms` distinct letters with Gaussian-rational coefficients."""
+    cells = rng.sample([(i, j) for i in range(1, N + 1) for j in range(1, N + 1)], terms)
+    return NCPolynomial(model, {(((i, j, eps),), h0): GaussianRational(
+        Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+        Fraction(rng.randint(-6, 6), rng.randint(1, 4))) or ONE for i, j in cells})
+
+
+def word_route_norm(a, p, N, kmax=weingarten.DEFAULT_KMAX):
+    """lp_norm as it is computed without linear_state, by expanding (a* a)^(p/2)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncpoly, "linear_state", lambda *args: None)
+        return ncpoly.lp_norm(a, p, N, kmax=kmax)
+
+
+def spy(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that logs each call; return the log."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
+class TestLinearState:
+    """The cycle-type route for linear forms against the word expansion it replaces."""
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_equals_the_word_expansion(self, N):
+        rng = random.Random(700 + N)
+        cases = 0
+        for model, eps in (("o+", "1"), ("u+", "1"), ("u+", "*")):
+            for m in range(1, 7):
+                for h0 in (0, 1):
+                    # At most 4^6 = 4096 words per expansion.
+                    most = min(N * N, 4 if m <= 3 else 2)
+                    a = random_linear_form(rng, model, eps, N, rng.randint(1, most), h0)
+                    want = ncpoly.state_eval((a.adjoint() * a) ** m, N)
+                    assert ncpoly.linear_state(a, m, N) == want, (a.terms, m)
+                    cases += 1
+        assert cases == 36
+
+    def test_lp_norm_takes_the_route_at_finite_n_only(self, monkeypatch):
+        a = ncpoly.scaled_generators(x(1, 1) + x(2, 3).scale(ncpoly.I), 3)
+        want = word_route_norm(a, 6, 3)
+        calls = spy(monkeypatch, ncpoly, "state_eval")
+        assert ncpoly.lp_norm(a, 6, 3) == want and not calls
+        ncpoly.lp_norm(x(1, 1) + x(2, 3), 6, None)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, a", [
+        ("product", x(1, 1) * x(1, 2) + x(2, 2)),
+        ("mixed stars", vgen(1, 1) + vgen(1, 2, True)),
+        ("constant term", x(1, 1) + NCPolynomial.constant(1)),
+        ("mixed powers", NCPolynomial("o+", {(((1, 1, "1"),), 0): ONE,
+                                             (((1, 2, "1"),), 1): ONE})),
+    ])
+    def test_other_shapes_take_the_word_route(self, name, a, monkeypatch):
+        assert ncpoly.linear_state(a, 2, 3) is None
+        want = word_route_norm(a, 4, 3)
+        calls = spy(monkeypatch, ncpoly, "state_eval")
+        assert ncpoly.lp_norm(a, 4, 3) == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p, kmax", [(14, 12), (8, 6)])
+    def test_past_kmax_refuses_as_the_word_route_does(self, p, kmax):
+        a = x(1, 1) + x(1, 2)
+        assert ncpoly.linear_state(a, p // 2, 3, kmax) is None
+        with pytest.raises(ResourceLimitError) as words:
+            word_route_norm(a, p, 3, kmax=kmax)
+        with pytest.raises(ResourceLimitError) as route:
+            ncpoly.lp_norm(a, p, 3, kmax=kmax)
+        assert str(route.value) == str(words.value) == f"word length {p} exceeds kmax={kmax}"
+        assert route.value.required_k == words.value.required_k == p
+
+    def test_past_the_table_route_solves_word_by_word(self, monkeypatch):
+        a = ncpoly.scaled_generators(x(1, 2), 3)
+        assert ncpoly.linear_state(a, 7, 3, kmax=14) is None
+        solves = spy(monkeypatch, exactla, "bilinear_solve")
+        assert ncpoly.lp_norm(a, 14, 3, kmax=14) == word_route_norm(a, 14, 3, kmax=14)
+        assert len(solves) == 2  # one word, once per side
+
+    @pytest.mark.parametrize("a, N, error", [
+        (x(1, 1) + x(1, 4), 3, InvalidIndexError),
+        (vgen(4, 1, True) + vgen(1, 1, True), 3, InvalidIndexError),
+        (x(1, 1), 1, InvalidDimensionError),
+        (x(1, 5), 1, InvalidDimensionError),
+    ])
+    def test_bad_letters_and_dimensions_raise_as_the_word_route_does(self, a, N, error):
+        with pytest.raises(error) as words:
+            word_route_norm(a, 4, N)
+        with pytest.raises(error) as route:
+            ncpoly.lp_norm(a, 4, N)
+        assert str(route.value) == str(words.value)
+
+    def test_a_form_with_every_letter_dropped_is_zero(self):
+        a = ncpoly.scaled_generators(x(5, 1) + x(1, 5), 4)
+        assert not a.terms and ncpoly.linear_state(a, 2, 4) is None
+        assert ncpoly.lp_norm(a, 4, 4) == 0
 
 
 class TestScaledGenerators:

@@ -350,3 +350,39 @@ def test_pattern_check_agrees_with_the_listing():
             if k <= 6 and not want:
                 with pytest.raises(InvalidArgumentError, match="fits no pairing"):
                     pairings.loop_matrix(k, pattern)
+
+
+def union_half_lengths(p, q):
+    """Sorted point counts / 2 of the components of p ∪ q, by union-find."""
+    root = list(range(p.k + 1))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in p.pairs + q.pairs:
+        root[find(a)] = find(b)
+    sizes = {}
+    for x in range(1, p.k + 1):
+        sizes[find(x)] = sizes.get(find(x), 0) + 1
+    return tuple(sorted(s // 2 for s in sizes.values()))
+
+
+def test_cycle_types_match_the_loops_and_the_rotation():
+    for k in range(0, 13, 2):
+        plist = pairings.enumerate_nc_pairings(k)
+        n = len(plist)
+        codes, types = pairings.cycle_types(k)
+        assert len(codes) == n * n and len(set(types)) == len(types)
+        L = pairings.loop_matrix(k).tolist()
+        index = {p.bits: a for a, p in enumerate(plist)}
+        rot = pairings._index_map(plist, index, [(i + 1) % k for i in range(k)])
+        for a in range(n):
+            for c in range(n):
+                t = types[codes[a * n + c]]
+                assert len(t) == L[a][c] and sum(t) == k // 2
+                assert t == union_half_lengths(plist[a], plist[c])
+                assert codes[c * n + a] == codes[a * n + c]
+                assert codes[rot[a] * n + rot[c]] == codes[a * n + c]
+    assert len(pairings.cycle_types(12)[1]) == 11  # every partition of 6

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhaar import exactla, pairings, weingarten
-from qhaar.errors import InvalidArgumentError, InvalidIndexError, ResourceLimitError
+from qhaar.errors import (InvalidArgumentError, InvalidDimensionError, InvalidIndexError,
+                          ResourceLimitError)
 
 import oracles
 
@@ -122,6 +123,28 @@ def test_kmax_resource_error():
     with pytest.raises(ResourceLimitError) as exc:
         weingarten.haar_moment(gw([u(1, 1)] * 14, "o+"), 3, kmax=12)
     assert exc.value.required_k == 14
+
+
+def test_cycle_type_sums_group_the_table():
+    # S_λ sums the table entries of the pairs whose union has cycle type λ.
+    for k, N in ((2, 5), (6, 3), (10, 4)):
+        t = weingarten.weingarten_table(k, N)
+        codes, types = pairings.cycle_types(k)
+        want = collections.Counter()
+        for a in range(t.size):
+            for c in range(t.size):
+                want[types[codes[a * t.size + c]]] += t.wg(a, c)
+        assert dict(weingarten.cycle_type_sums(k, N)) == want
+    assert weingarten.cycle_type_sums(2, 5) == (((1,), Fraction(1, 5)),)
+
+
+def test_cycle_type_sums_check_as_the_table_does():
+    with pytest.raises(ResourceLimitError):
+        weingarten.cycle_type_sums(14, 3)
+    with pytest.raises(InvalidDimensionError):
+        weingarten.cycle_type_sums(4, 1)
+    with pytest.raises(InvalidArgumentError):
+        weingarten.cycle_type_sums(3, 3)
 
 
 def test_kmax_checked_before_listing_pairings(monkeypatch):

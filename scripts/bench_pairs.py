@@ -96,9 +96,10 @@ pairings.loop_matrix(16, tuple(sys.argv[1]))
 print(json.dumps(time.perf_counter() - t))
 """
 
-# The D_N scan at the default truncation: the smallest N, the N that
-# perfbench's dn_scan draws at its default seed, and a large N.
-DN_NS = (3, 57, 1000)
+# The D_N scan at the default truncation: the smallest N, N = 4, 10 and 31
+# (saturation index e0 = 39, 22 and 15, where the scan's cuts start to pay),
+# the N that perfbench's dn_scan draws at its default seed, and a large N.
+DN_NS = (3, 4, 10, 31, 57, 1000)
 
 DN = """
 import json, sys, time

@@ -18,6 +18,13 @@ precision, combined by mpmath.libmp's mpf_mul, mpf_div and mpf_gt with
 round-to-nearest: the mpf object wrappers cost more than the arithmetic.
 The order of every operation is pinned (see objective_rows), because the
 reported argmax is decided by exact ties between rounded values.
+
+Every factor 1 - q^(2e) with e at or past the saturation index e0 rounds to
+exactly 1 (e0 = 13 at N = 57, 53 at N = 3), so the objective takes one value
+on all points past that edge.  dn_constant skips the rows and the r-tails
+that only repeat values already seen, and the first strict maximum sits at
+the edge: at a = b = r = e0 - 1 at most large N (24/24/24 at N = 57,
+14/14/14 at N = 1000), and inf/inf/inf when e0 - 1 exceeds nk_max.
 """
 
 from __future__ import annotations
@@ -35,8 +42,11 @@ from .errors import InvalidArgumentError, InvalidDimensionError, ResourceLimitEr
 # rigorous_upper_bound stops once its tail multiplier is below 1 + TAIL_TOL.
 TAIL_TOL = Fraction(1, 10 ** 12)
 
-# dn_constant refuses a grid with more points than this.  The default
-# truncation has 75,140 points; 10^7 take about half a minute.
+# dn_constant refuses a grid with more points than this, counted as declared,
+# (nk_max+2)^2 (r_max+1); the default truncation has 75,140.  The scan skips
+# the points past the saturation index e0, so the time depends on N through
+# e0: a grid of 10^7 points takes about 1 s at N = 3 (e0 = 53) and 0.02 s at
+# N = 57 (e0 = 13).
 MAX_SCAN_POINTS = 10 ** 7
 
 
@@ -121,6 +131,14 @@ def factor_table(N: int, length: int) -> list:
     return omq
 
 
+def _saturation(omq: list) -> int:
+    """The first index e0 from which every entry of omq is exactly fone."""
+    e0 = len(omq)
+    while e0 and omq[e0 - 1] == fone:
+        e0 -= 1
+    return e0
+
+
 def objective_squares(omq: list, a: int, b: int, r_max: int) -> list:
     """The squared D_N objective at (n, k, l) = (a + r, b + r, a + b), r = 0..r_max.
 
@@ -182,6 +200,21 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RD
     such entries as math.inf.  A grid of more than MAX_SCAN_POINTS points
     raises ResourceLimitError before any arithmetic.  The scan is a lower
     estimate; rigorous comparisons must use `rigorous_upper`.
+
+    Past the saturation index e0, the first index from which every table
+    entry is exactly 1, values only repeat, and two cuts skip them.  Row
+    (a, b) reads the table at a+r, a+r+1, b+r, b+r+1, a+b+1, a+b+1+r, r,
+    r+1 and 1, so a row with a >= e0 reads the same operands as the row
+    with a replaced by top, the first grid value >= e0, which comes earlier
+    in scan order (a-major, b ascending); the same holds for b.  And for
+    r >= e0 every factor is 1, so each value repeats the one before.  As
+    the first strict maximum never moves to a repeat, value and argmax are
+    those of the full grid.  That argmax sits at the saturation edge:
+    a = b = r = e0 - 1 at most large N (24/24/24 at N = 57, e0 = 13;
+    14/14/14 at N = 1000, e0 = 8), at a = e0 - 2 where rounding ties a
+    step earlier (N = 9, 14, 35, 36, 46 and 47 among N <= 60 at the default
+    truncation), and inf/inf/inf when e0 - 1 exceeds nk_max (N = 3 and 4
+    at the default truncation).
     """
     _require_n(N)
     rmax, amax = truncation.r_max, truncation.nk_max
@@ -193,11 +226,14 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RD
     INF = 2 * amax + rmax + 2  # above every finite exponent
     with mpmath.workprec(qnum.PRECISION_BITS + 16):
         omq = factor_table(N, INF) + [fone] * (INF + rmax + 2)
+        e0 = _saturation(omq)  # in 1..INF: omq[0] is 0, and the padding is 1
         grid = list(range(amax + 1)) + [INF]
+        top = next(g for g in grid if g >= e0)
+        keep = [g for g in grid if g < e0 or g == top]
         best2 = fzero
         best_arg = (0, 0, 0)
-        for a in grid:
-            for b, row in zip(grid, objective_rows(omq, a, grid, rmax)):
+        for a in keep:
+            for b, row in zip(keep, objective_rows(omq, a, keep, min(rmax, e0))):
                 for r, v2 in enumerate(row):
                     if mpf_gt(v2, best2):
                         best2 = v2

@@ -244,7 +244,7 @@ def test_exit_code_resource_limit(capsys):
 
 
 def test_dn_refuses_a_huge_grid_before_the_scan(capsys, monkeypatch):
-    # About 10^9 points would run for an hour; the refusal builds no factor table.
+    # About 10^9 declared points; the refusal builds no factor table.
     def no_scan(*args):
         raise AssertionError("factor_table called")
 

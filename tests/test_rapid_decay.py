@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import fone
+from mpmath.libmp import fone, fzero, mpf_le
 
 from qhaar import ncpoly, qnum, rapid_decay
 from qhaar.errors import InvalidDimensionError, ResourceLimitError
@@ -110,8 +110,13 @@ class TestDnConstant:
 class TestScanBitIdentity:
     """The raw-tuple scan against the mpf-object scan kept in oracles, bit for bit.
 
-    Exact equality of every rounded value is what keeps the argmax, which
-    ties decide (24/24/24 at N = 57), and every printed digit unchanged.
+    Exact equality of every rounded value is what keeps the argmax and every
+    printed digit unchanged.  The argmax is decided by ties: every factor
+    1 - Q^e with e >= e0 rounds to 1 (e0 = 13 at N = 57), so all points past
+    the saturation edge repeat one value, and the first strict maximum is
+    reported at the edge, a = b = r = e0 - 1, which prints as 24/24/24.
+    The sweep also pins dn_constant's cuts, which skip rows and r-tails
+    that only repeat values already seen.
     """
 
     @pytest.mark.parametrize("N", [3, 57])
@@ -147,6 +152,56 @@ class TestScanBitIdentity:
         b = rapid_decay.dn_constant(N, trunc)
         assert b.value._mpf_ == ref_value._mpf_
         assert b.argmax == argmax
+
+    # e0 runs from 53 (N = 3) down to 8 (N = 1000): above and below nk_max
+    # = 14 and r_max = 20, always above nk_max = 4 with a long r-tail, and
+    # QUICK.
+    @pytest.mark.parametrize("trunc", [TruncationLimits(r_max=20, nk_max=14),
+                                       TruncationLimits(r_max=40, nk_max=4), QUICK])
+    def test_cut_scan_sweep(self, trunc):
+        for N in [*range(3, 61), 100, 1000]:
+            _, best2, argmax = oracles.reference_dn_scan(N, trunc.r_max, trunc.nk_max)
+            with mpmath.workprec(SCAN_BITS):
+                ref_value = mpmath.sqrt(best2)
+            b = rapid_decay.dn_constant(N, trunc)
+            assert (b.value._mpf_, b.argmax) == (ref_value._mpf_, argmax), N
+
+
+def padded_table(N, t=TruncationLimits()):
+    """dn_constant's factor table at truncation t, padding included."""
+    INF = 2 * t.nk_max + t.r_max + 2
+    with mpmath.workprec(SCAN_BITS):
+        return rapid_decay.factor_table(N, INF) + [fone] * (INF + t.r_max + 2)
+
+
+class TestSaturation:
+    """The property dn_constant's cuts rest on: the factors 1 - Q^e rise to 1 and stay there."""
+
+    @pytest.mark.parametrize("N", [*range(3, 61), 10 ** 3, 10 ** 6])
+    def test_factors_rise_and_stay_at_one(self, N):
+        omq = padded_table(N)
+        assert omq[0] == fzero
+        assert all(mpf_le(x, y) for x, y in zip(omq, omq[1:]))
+        e0 = next(i for i, x in enumerate(omq) if x == fone)
+        t = TruncationLimits()
+        assert e0 < 2 * t.nk_max + t.r_max + 2  # reached by the factors, not the padding
+        assert all(x == fone for x in omq[e0:])
+        assert rapid_decay._saturation(omq) == e0
+
+    @pytest.mark.parametrize("N", [3, 57, 10 ** 6])
+    def test_dn_constant_cuts_at_the_first_one(self, N, monkeypatch):
+        seen = []
+        saturation = rapid_decay._saturation
+
+        def spy(omq):
+            seen.append((saturation(omq), omq))
+            return seen[-1][0]
+
+        monkeypatch.setattr(rapid_decay, "_saturation", spy)
+        rapid_decay.dn_constant(N)
+        [(e0, omq)] = seen
+        assert omq == padded_table(N)
+        assert e0 == next(i for i, x in enumerate(omq) if x == fone)
 
 
 class TestScanGuard:

@@ -14,13 +14,18 @@ the k = 12 Gram matrix at N = 3 with V = I (the full inverse that a
 k = 12 Weingarten table needs) and on the k = 14 and k = 16 ones with one
 right-hand column, each the median over the first five primes, and
 drawing the first 14 and the first MAX_PRIMES primes from
-`prime_stream`, the median of five draws, in a fresh process; a cold
+`prime_stream`, the median of five draws, in a fresh process; the whole
+certified build of the k = 12 table, `fraction_free_inverse(loop_matrix(12),
+N)` at N = 3 and N = 4 (kernel, CRT and certificate, with the loop matrix
+built before the clock starts), in a fresh process; a cold
 coloured `loop_matrix(16, pattern)` for each of COLOURED_PATTERNS, each
 in a fresh process; `rapid_decay.dn_constant(N)` with the default
 truncation for each N in DN_NS, each in a fresh process (the `D_N` scan
 layer, timed directly); and criterion 5 (the `D_N` bracket at five N),
 criterion 7 and criterion 9 (the k <= 12 Weingarten tables at N = 2..10)
 each run alone under pytest.
+After the timing pairs, `perfbench/report.py` runs once on the change
+(default seed) and its table is kept as `report_table`.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
 and `correct` flag, every timing run, and one table line per workload and
 metric: the parent's median and quartiles, the change's median, and the
@@ -82,6 +87,18 @@ for count in (14, exactla.MAX_PRIMES):
         list(itertools.islice(exactla.prime_stream(), count))
         times.append(time.perf_counter() - t)
     out[f"primes{count}_s"] = statistics.median(times)
+print(json.dumps(out))
+"""
+
+CERTIFIED = """
+import json, time
+from qhaar import exactla, pairings
+loop_mat = pairings.loop_matrix(12)
+out = {}
+for N in (3, 4):
+    t = time.perf_counter()
+    exactla.fraction_free_inverse(loop_mat, N)
+    out[f"inverse_k12_N{N}_s"] = time.perf_counter() - t
 print(json.dumps(out))
 """
 
@@ -164,6 +181,7 @@ def timing_run(tree: str) -> dict:
     """Every timing outside perfbench, once in `tree`."""
     out = json.loads(timed([sys.executable, "-c", ORDER16], tree)[1])
     out.update(json.loads(timed([sys.executable, "-c", KERNEL], tree)[1]))
+    out.update(json.loads(timed([sys.executable, "-c", CERTIFIED], tree)[1]))
     for pattern in COLOURED_PATTERNS:
         out[f"loop16_{pattern}_s"] = json.loads(
             timed([sys.executable, "-c", COLOURED, pattern], tree)[1])
@@ -212,6 +230,10 @@ def main() -> int:
         result["timing_pairs"].append(pair)
         result["median_table"] = median_table(result["pairs"], result["timing_pairs"])
         save(result, args.out)
+    result["report_table"] = subprocess.run(
+        [sys.executable, "perfbench/report.py"], cwd=trees["change"], capture_output=True,
+        text=True, timeout=1800, check=True).stdout.splitlines()
+    save(result, args.out)
     return 0
 
 

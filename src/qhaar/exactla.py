@@ -13,14 +13,30 @@ pairings.loop_matrix; no bigint A exists.
 
 Both go through one prime loop, ``_gram_solve``: for each prime it builds
 A mod p, runs the kernel, skips the primes described below, and combines the
-residues by CRT into W = A^{-1} V mod M.  After each prime it tries one
-certificate, ``_certified``: rational reconstruction proposes a denominator
-D, and X = D W mod M (symmetric residues) is accepted only when
-M > n max|A| max|X| + D.  Proof: A W = V (mod M), so A X = D V (mod M), and
-every entry of A X - D V is at most n max|A| max|X| + D < M in absolute
-value (V is a 0-1 matrix), so it is 0: A X = D V exactly, however D was
-found.  The primes come from ``prime_stream``, which finds them by trial
-division, exact for every candidate.
+residues into W = A^{-1} V mod M, M the product of the primes used.  The
+combination is Garner's mixed-radix CRT (Garner, IRE Trans. Electronic
+Computers EC-8, 1959), in float64: W = d_1 + p_1 (d_2 + p_2 (... d_j)),
+and for a new prime p, ``_garner_digit`` takes W mod p by Horner over the
+earlier digits, then the new digit d = (T - W mod p) (1/M mod p), both with
+``_reduce``.  Exactness: every digit and residue has size at most p/2 + 1
+for its own prime, and every prime is at most P = PRIME_START.  A Horner
+value is a reduced value times a residue in [0, p), plus a digit:
+at most (P/2 + 1)(P - 1) + P/2 + 1.  T - W mod p has size at most p + 1, and
+times 1/M mod p in [0, p) at most (P + 1)(P - 1).  Both are below
+P**2 < 2**46 < 2**52, so float64 holds them and ``_reduce`` is exact.  The
+bigint side is then one update per entry and prime, W + M d, which keeps W
+as a representative of each entry mod M, not reduced into [0, M).
+
+After each prime the loop tries one certificate, ``_certified``: rational
+reconstruction proposes a denominator D, and X = D W mod M (symmetric
+residues) is accepted only when M > n max|A| max|X| + D.  Proof:
+A W = V (mod M), so A X = D V (mod M), and every entry of A X - D V is at
+most n max|A| max|X| + D < M in absolute value (V is a 0-1 matrix), so it
+is 0: A X = D V exactly, however D was found.  Each D scans the entries in
+order and stops at the first one that fails, once the next D's candidate
+entry is known too, so a rejected D costs a few entries, not a pass over
+the table.  The primes come from ``prime_stream``, which finds them by
+trial division, exact for every candidate, once per process.
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
 Pernet, ACM TOMS 35, 2008).  Per prime it solves A T = V mod p by blocked
@@ -79,11 +95,25 @@ S = 4
 MAX_PRIMES = 162
 
 
+# The primes prime_stream has found so far, in the order it yields them.
+_primes: list[int] = []
+
+
 def prime_stream():
-    """Descending primes from PRIME_START: odd n with no odd divisor d <= isqrt(n)."""
-    for n in range(PRIME_START, 3, -2):
-        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
-            yield n
+    """Descending primes from PRIME_START: odd n with no odd divisor d <= isqrt(n).
+
+    Each prime is found once per process, by trial division, and kept in
+    _primes; a later stream reads them from there.
+    """
+    for i in itertools.count():
+        if i == len(_primes):
+            start = _primes[-1] - 2 if _primes else PRIME_START
+            p = next((n for n in range(start, 3, -2)
+                      if all(n % d for d in range(3, math.isqrt(n) + 1, 2))), None)
+            if p is None:
+                return
+            _primes.append(p)
+        yield _primes[i]
 
 
 def _reduce(X: np.ndarray, p: int) -> np.ndarray:
@@ -190,58 +220,98 @@ def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _certified(W: np.ndarray, M: int, scale: int) -> Optional[tuple[int, np.ndarray]]:
+def _certified(W: list[int], M: int, scale: int) -> Optional[tuple[int, list[int]]]:
     """(D, X) with X = D W mod M in (-M/2, M/2] and M > scale max|X| + D, or None.
 
     From D = 1, each failed certificate multiplies D by the denominator that
-    rational reconstruction gives for the first entry of X too large to be
-    an integer; that at least doubles D, until D reaches M.
+    rational reconstruction gives for the candidate, the first entry of X
+    too large to be an integer (|x| > isqrt(M/2)); that at least doubles D,
+    until D reaches M.  Each D scans the entries of X in order and stops once
+    one entry has failed scale |x| + D < M and the candidate is known, so a
+    failing D usually reads a few entries; X is built only for the D that
+    is accepted.
     """
-    bound = math.isqrt(M // 2)
+    half = M // 2
+    bound = math.isqrt(half)
     D = 1
     while True:
-        X = D * W % M
-        X[X > M // 2] -= M
-        # Scanned entry by entry: an array of |X| would hold a second set of
-        # bigints at the peak memory of a table build.
-        if M > scale * max(map(abs, X.flat)) + D:
-            return D, X
-        big = next((x for x in X.flat if abs(x) > bound), None)
+        lim = (M - D - 1) // scale  # scale |x| + D < M exactly when |x| <= lim
+        failed, big = False, None
+        for w in W:
+            x = D * w % M
+            if x > half:
+                x -= M
+            if big is None and abs(x) > bound:
+                big = x
+                if failed:
+                    break
+            if abs(x) > lim:
+                failed = True
+                if big is not None:
+                    break
+        if not failed:
+            return D, [x - M if x > half else x for x in (D * w % M for w in W)]
         f = rational_reconstruct(big, M) if big is not None and D < M else None
         if f is None:
             return None
         D *= f.denominator
 
 
-def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray) -> tuple[int, np.ndarray]:
-    """(D, X) with G X = D V exactly for G = N**loop_mat, X shaped like V.
+def _garner_digit(T: np.ndarray, digits: list[np.ndarray], primes: list[int],
+                  p: int) -> np.ndarray:
+    """The next mixed-radix digit d, of size at most p/2 + 1, with W + M d = T (mod p).
+
+    W = d_1 + p_1 (d_2 + p_2 (... + p_{j-1} d_j)) for the earlier digits d_i
+    and primes p_i, M = p_1 ... p_j, and T holds residues of size at most
+    p/2 + 1.  W mod p is taken by Horner from d_j down, then
+    d = (T - W mod p) (1/M mod p); the module docstring bounds every value.
+    T itself is the first digit.
+    """
+    if not digits:
+        return T
+    r = digits[-1].copy()
+    for d, q in zip(digits[-2::-1], primes[-2::-1]):
+        _reduce(r, p)
+        r *= q % p
+        r += d
+    _reduce(r, p)
+    r -= T
+    r *= -pow(math.prod(primes), -1, p)  # (T - W mod p) (1/M mod p)
+    return _reduce(r, p)
+
+
+def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray) -> tuple[int, list[int]]:
+    """(D, X) with G X = D V exactly for G = N**loop_mat, X a flat row-major list.
 
     Draws at most MAX_PRIMES primes from prime_stream().  For each prime p,
     G mod p is the lookup of N**l mod p indexed by loop_mat; p is skipped
-    when a leading minor of G vanishes mod p.  The kernel's T mod p is
-    combined by CRT into W = G^{-1} V mod M (a flat row-major list of ints in
-    [0, M)), and the loop returns once _certified accepts D and X = D W mod
-    M, which the module docstring shows proves G X = D V.  Raises
-    SingularMatrixError when the primes run out.
+    when a leading minor of G vanishes mod p.  The kernel's T mod p gives
+    the next Garner digit d of W = G^{-1} V mod M.  The digits are kept, one
+    float64 array per prime, for the next prime's Horner step; W is one flat
+    row-major list of Python ints, updated to W + M d, a representative of
+    each entry mod M that is not reduced into [0, M).  The loop returns once
+    _certified accepts D and X = D W mod M, which the module docstring shows
+    proves G X = D V.  Raises SingularMatrixError when the primes run out.
     """
     max_loops = int(loop_mat.max())
     scale = loop_mat.shape[0] * N ** max_loops  # n max|G|
-    W, M = [0] * V.size, 1
+    W, M, digits, primes = [0] * V.size, 1, [], []
     for p in itertools.islice(prime_stream(), MAX_PRIMES):
         pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
         # G mod p goes straight into the kernel, which frees it once [G | V] is built.
         T = _solve_mod_prime(pows[loop_mat], V, p)
         if T is None:
             continue  # p divides a leading minor; skip
-        # w + M ((w - t) c mod p), c = -1/M mod p, is w mod M and t mod p.
+        d = _garner_digit(T, digits, primes, p)
+        del T  # free it before _certified, where a table build peaks
         # Plain ints, not numpy object arrays: small numpy buffers made here,
         # between two eliminations, raised the peak RSS of order-14 moment
         # runs by about 0.25 MB.
-        c = -pow(M, -1, p) % p
-        W = [w + M * ((w - t) * c % p) for w, t in zip(W, map(int, T.ravel().tolist()))]
-        del T  # free it before _certified, where a table build peaks
+        W = [w + M * x for w, x in zip(W, map(int, d.ravel().tolist()))]
+        digits.append(d)
+        primes.append(p)
         M *= p
-        found = _certified(np.array(W, dtype=object).reshape(V.shape), M, scale)
+        found = _certified(W, M, scale)
         if found is not None:
             return found
     raise SingularMatrixError(f"no exact result within {MAX_PRIMES} primes")
@@ -253,9 +323,10 @@ def fraction_free_inverse(loop_mat: np.ndarray, N: int) -> tuple[list[list[int]]
     The certified solve with V = I proves G X = D I.  Dividing by gcd(D, X)
     leaves D the least common denominator.
     """
-    D, X = _gram_solve(loop_mat, N, np.eye(loop_mat.shape[0]))
-    g = math.gcd(D, *X.flat)
-    return [[int(x) // g for x in row] for row in X], D // g
+    n = loop_mat.shape[0]
+    D, X = _gram_solve(loop_mat, N, np.eye(n))
+    g = math.gcd(D, *X)
+    return [[x // g for x in X[i:i + n]] for i in range(0, n * n, n)], D // g
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
@@ -268,4 +339,4 @@ def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
     v = np.zeros((loop_mat.shape[0], 1))
     v[list(v_idx), 0] = 1
     D, X = _gram_solve(loop_mat, N, v)
-    return Fraction(sum(X[r, 0] for r in u_idx), D)
+    return Fraction(sum(X[r] for r in u_idx), D)

@@ -10,11 +10,14 @@ takes only the library's canonical pairing list, whose order the matrix must
 follow, and coloured, the brute-force list filtered pair by pair.  U_N^+
 moments also come from O_N^+ ones by free complexification.  The D_N scan
 is kept in its earlier form, on mpmath.mpf objects, to pin the library's
-raw-tuple scan bit for bit.
+raw-tuple scan bit for bit.  The exact prime loop is kept with its
+earlier bigint CRT and eager certificate, to pin the library's Garner
+digits and lazy certificate step by step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +26,8 @@ import numpy as np
 
 import mpmath
 
-from qhaar import freelimit, pairings, qnum, weingarten
+from qhaar import exactla, freelimit, pairings, qnum, weingarten
+from qhaar.errors import SingularMatrixError
 
 
 def all_matchings(points):
@@ -382,3 +386,50 @@ def sieve_primes_descending(lo: int, hi: int) -> list[int]:
             start = max(d * d, -(-lo // d) * d)
             segment[start - lo::d] = bytes(len(range(start, hi + 1, d)))
     return [n for n in range(hi, max(lo, 2) - 1, -1) if segment[n - lo]]
+
+
+def reference_certified(W, M: int, scale: int):
+    """The eager certificate: (D, X) with X = D W mod M in (-M/2, M/2] and M > scale max|X| + D.
+
+    W is an object array of ints.  Every D of the chain builds the whole of
+    X = D W mod M, checks it, and, when it fails, passes the first entry
+    above isqrt(M/2) to exactla.rational_reconstruct (looked up on the module
+    at each call, so a test can patch it) for the next factor of D.
+    """
+    bound = math.isqrt(M // 2)
+    D = 1
+    while True:
+        X = D * W % M
+        X[X > M // 2] -= M
+        if M > scale * max(map(abs, X.flat)) + D:
+            return D, X
+        big = next((x for x in X.flat if abs(x) > bound), None)
+        f = exactla.rational_reconstruct(big, M) if big is not None and D < M else None
+        if f is None:
+            return None
+        D *= f.denominator
+
+
+def reference_gram_solve(loop_mat, N: int, V):
+    """The prime loop with a bigint CRT and the eager certificate; (D, X) with X a flat list.
+
+    Draws from exactla.prime_stream and runs exactla._solve_mod_prime, as the
+    library does, but combines each T mod p into W in [0, M) by
+    w + M ((w - t) (-1/M mod p) mod p), five bigint operations per entry,
+    and certifies with reference_certified.
+    """
+    max_loops = int(loop_mat.max())
+    scale = loop_mat.shape[0] * N ** max_loops
+    W, M = [0] * V.size, 1
+    for p in itertools.islice(exactla.prime_stream(), exactla.MAX_PRIMES):
+        pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
+        T = exactla._solve_mod_prime(pows[loop_mat], V, p)
+        if T is None:
+            continue
+        c = -pow(M, -1, p) % p
+        W = [w + M * ((w - t) * c % p) for w, t in zip(W, map(int, T.ravel().tolist()))]
+        M *= p
+        found = reference_certified(np.array(W, dtype=object), M, scale)
+        if found is not None:
+            return found[0], found[1].tolist()
+    raise SingularMatrixError(f"no exact result within {exactla.MAX_PRIMES} primes")

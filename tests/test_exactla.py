@@ -116,8 +116,71 @@ def test_prime_stream_matches_a_sieve():
         == want[:exactla.MAX_PRIMES]
 
 
+def test_interleaved_prime_streams_share_one_cache(monkeypatch):
+    # Two interleaved streams read one cache, which holds what either has drawn.
+    want = oracles.sieve_primes_descending(exactla.PRIME_START - 300, exactla.PRIME_START)[:8]
+    monkeypatch.setattr(exactla, "_primes", [])
+    first, second = exactla.prime_stream(), exactla.prime_stream()
+    got = [(next(first), next(first), next(second)) for _ in range(4)]
+    assert [x for a, b, _ in got for x in (a, b)] == want
+    assert [c for _, _, c in got] == want[:4]
+    assert exactla._primes == want
+
+
 def test_exactness_inequality():
     assert exactla.BLOCK * (exactla.PRIME_START - 1) ** 2 + exactla.PRIME_START < 2 ** 52
+    # The Garner step: a Horner value and a new digit before reduction.
+    P = exactla.PRIME_START
+    assert (P // 2 + 1) * (P - 1) + P // 2 + 1 < 2 ** 52
+    assert (P + 1) * (P - 1) < 2 ** 52
+
+
+def python_crt(residues, primes):
+    """The x in [0, prod(primes)) with x = r (mod p) for each pair, in Python ints."""
+    x, M = 0, 1
+    for r, p in zip(residues, primes):
+        x += M * ((r - x) * pow(M, -1, p) % p)
+        M *= p
+    return x
+
+
+def mixed_radix(digits, primes):
+    """d_1 + p_1 (d_2 + p_2 (...)) per entry, in Python ints."""
+    W, M = [0] * digits[0].size, 1
+    for d, p in zip(digits, primes):
+        W = [w + M * int(x) for w, x in zip(W, d.ravel().tolist())]
+        M *= p
+    return W
+
+
+LARGE = list(itertools.islice(exactla.prime_stream(), 6))
+
+
+@pytest.mark.parametrize("primes", [(3, 5, 7) + tuple(LARGE[:j]) for j in range(1, 7)]
+                         + [tuple(LARGE[:j]) for j in (1, 2, 6)]
+                         + [(LARGE[0], 3, LARGE[1], 5, 7)])
+def test_garner_digits_at_residue_extremes(primes):
+    # Residues of size p//2 + 1, the largest the kernel returns, and the
+    # largest digits the Horner step can meet; every entry pattern of signs.
+    signs = np.array(list(itertools.product((-1, 1), repeat=3)), dtype=np.float64).T
+    residues = [signs[i % 3] * (p // 2 + 1) for i, p in enumerate(primes)]
+    digits = []
+    for i, (T, p) in enumerate(zip(residues, primes)):
+        d = exactla._garner_digit(T.copy(), digits, list(primes[:i]), p)
+        assert np.abs(d).max() <= p // 2 + 1
+        digits.append(d)
+    M = math.prod(primes)
+    want = [python_crt([int(T[e]) for T in residues], primes) for e in range(signs.shape[1])]
+    assert [w % M for w in mixed_radix(digits, primes)] == want
+    # Earlier digits at their extremes, however they arose.
+    extreme = [signs[(i + 1) % 3] * (p // 2 + 1) for i, p in enumerate(primes[:-1])]
+    p, T = primes[-1], residues[-1]
+    d = exactla._garner_digit(T.copy(), extreme, list(primes[:-1]), p)
+    M = math.prod(primes[:-1])
+    W = mixed_radix(extreme, primes[:-1]) if extreme else [0] * T.size
+    assert np.abs(d).max() <= p // 2 + 1
+    assert [(w + M * int(x)) % (M * p) for w, x in zip(W, d.tolist())] \
+        == [python_crt([w % M, int(t)], [M, p]) for w, t in zip(W, T.tolist())]
 
 
 def test_prime_dividing_a_leading_minor_is_skipped(monkeypatch):
@@ -280,3 +343,37 @@ def test_both_routes_give_up_after_max_primes(monkeypatch):
     loops, R, C, _ = k8_moment_inputs()
     with pytest.raises(SingularMatrixError):
         exactla.bilinear_solve(loops, 3, R, C)
+
+
+def recorded_prime_loop(monkeypatch, solve, loop_mat, N, V):
+    """(result, primes drawn, rational_reconstruct arguments) of one prime loop run."""
+    with monkeypatch.context() as patch:
+        drawn, args = counting_stream(patch), []
+        real_reconstruct = exactla.rational_reconstruct
+
+        def recording(a, m):
+            args.append((a, m))
+            return real_reconstruct(a, m)
+
+        patch.setattr(exactla, "rational_reconstruct", recording)
+        return solve(loop_mat, N, V), drawn, args
+
+
+PRIME_LOOP_CASES = ([(k, None, N, "I") for k in range(2, 13, 2) for N in (2, 3, 4, 8)]
+                    + [(12, "11*1*1*1*1**", N, "I") for N in (3, 8)]
+                    + [(14, None, N, "column") for N in (3, 8)])
+
+
+@pytest.mark.parametrize("k, pattern, N, rhs", PRIME_LOOP_CASES)
+def test_prime_loop_matches_the_reference_loop(monkeypatch, k, pattern, N, rhs):
+    # The Garner digits and the lazy certificate against the bigint CRT and
+    # the eager certificate: the same primes, the same reconstruction calls
+    # in the same order, and the same (D, X).
+    loop_mat = pairings.loop_matrix(k, None if pattern is None else tuple(pattern))
+    n = loop_mat.shape[0]
+    V = np.eye(n) if rhs == "I" else indicator(n, list(range(0, n, 3)))
+    got = recorded_prime_loop(monkeypatch, exactla._gram_solve, loop_mat, N, V)
+    want = recorded_prime_loop(monkeypatch, oracles.reference_gram_solve, loop_mat, N, V)
+    assert got == want
+    if k >= 6:
+        assert got[2]  # the D chain ran

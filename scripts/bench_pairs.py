@@ -23,7 +23,21 @@ in a fresh process; `rapid_decay.dn_constant(N)` with the default
 truncation for each N in DN_NS, each in a fresh process (the `D_N` scan
 layer, timed directly); and criterion 5 (the `D_N` bracket at five N),
 criterion 7 and criterion 9 (the k <= 12 Weingarten tables at N = 2..10)
-each run alone under pytest.
+each run alone under pytest; `bilinear_solve` inside `haar_moment` for
+one order-14 word and for criterion 7's order-16 word, at N = 3 and N = 8,
+each in a fresh process with the loop matrix built before the clock
+starts (the call is timed by a wrapper on `exactla.bilinear_solve`, so the
+row reads the same in trees whose solve takes other arguments); and
+`qhaar moment` of `x[1,1]` repeated 18 times at N = 3 with `--kmax 18`, in
+a fresh process: its wall time, the child's own peak RSS (VmHWM, read by
+the child itself at exit) and its stdout, which must be byte-identical
+across both checkouts and all pairs (`order18_stdout_identical`).  In the
+change checkout only, each timing pair also times one prime of the
+rotation-block solve (`exactla._block_solve`, residues and transforms
+included) against the dense kernel on the same Gram matrix at k = 14 and
+k = 16, N = 3, one right-hand column, the median over the first five
+primes p = 1 (mod k), and checks that their residues are equal
+(`change_only`).
 After the timing pairs, `perfbench/report.py` runs once on the change
 (default seed) and its table is kept as `report_table`.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
@@ -102,6 +116,66 @@ for N in (3, 4):
 print(json.dumps(out))
 """
 
+# One order-14 O_N^+ word, w* w for w = x11 x12 x21 x22 x11 x21 x12, and
+# criterion 7's order-16 word.
+HALF14 = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1), (2, 1), (1, 2)]
+SOLVE_WORDS = {"k14": HALF14[::-1] + HALF14,
+               "k16": [(2, 2), (1, 1), (1, 1), (2, 2)] * 4}
+
+SOLVE = """
+import json, sys, time
+from qhaar import exactla, pairings, weingarten
+letters = tuple((i, j, "1") for i, j in json.loads(sys.argv[1]))
+N = int(sys.argv[2])
+pairings.loop_matrix(len(letters))
+real, spent = exactla.bilinear_solve, []
+def timed_solve(*args, **kwargs):
+    t = time.perf_counter()
+    try:
+        return real(*args, **kwargs)
+    finally:
+        spent.append(time.perf_counter() - t)
+exactla.bilinear_solve = timed_solve
+h = weingarten.haar_moment(weingarten.GeneratorWord(letters, "o+"), N, kmax=len(letters))
+print(json.dumps({"s": sum(spent), "value": str(h)}))
+"""
+
+ORDER18 = """
+import sys
+from qhaar import cli
+rc = cli.main(["moment", "*".join(["x[1,1]"] * 18), "--N", "3", "--kmax", "18"])
+sys.stdout.flush()
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(int(hwm.split()[1]) / 1024, file=sys.stderr)
+sys.exit(rc)
+"""
+
+BLOCK_PRIME = """
+import itertools, json, statistics, time
+import numpy as np
+from qhaar import exactla, pairings
+out = {}
+for k in (14, 16):
+    loop_mat, orbits = pairings.loop_matrix(k), pairings.rotation_orbits(k)
+    n, r = loop_mat.shape[0], orbits.shape[1]
+    V = (np.arange(n) % 3 == 0).astype(np.float64)[:, None]
+    L, Vs = loop_mat[orbits[:, :1], orbits.T[:, None, :]], V[orbits.T]
+    block, dense, equal = [], [], True
+    for p in itertools.islice(exactla.prime_stream(r), 5):
+        pows = np.array([pow(3, l, p) for l in range(int(loop_mat.max()) + 1)])
+        t = time.perf_counter()
+        T = exactla._block_solve(pows[L], Vs, orbits, p)
+        block.append(time.perf_counter() - t)
+        t = time.perf_counter()
+        D = exactla._solve_mod_prime(pows[loop_mat], V, p)
+        dense.append(time.perf_counter() - t)
+        equal = equal and bool(np.array_equal(np.mod(T, p), np.mod(D, p)))
+    out[f"block_prime_k{k}_s"] = statistics.median(block)
+    out[f"dense_prime_k{k}_s"] = statistics.median(dense)
+    out[f"block_prime_k{k}_equal"] = equal
+print(json.dumps(out))
+"""
+
 # The largest coloured list at k = 16 (429 pairings), and a periodic one (55).
 COLOURED_PATTERNS = ("11*1*1*1*1*1*1**", "11**11**11**11**")
 
@@ -151,7 +225,8 @@ def timed(argv: list[str], tree: str) -> tuple[float, str]:
     return time.perf_counter() - t, proc.stdout
 
 
-def median_table(pairs: list[dict], timing_pairs: list[dict]) -> list[str]:
+def median_table(pairs: list[dict], timing_pairs: list[dict],
+                 change_only: list[dict]) -> list[str]:
     lines = [f"{'workload':15s} {'metric':12s} {'parent q1':>10s} {'parent':>10s} "
              f"{'parent q3':>10s} {'change':>10s} lower"]
     for workload in WORKLOADS:
@@ -166,7 +241,7 @@ def median_table(pairs: list[dict], timing_pairs: list[dict]) -> list[str]:
     if timing_pairs:
         lines.append(f"{'timing':15s} {'parent':>10s} {'parent range':>17s} "
                      f"{'change':>10s} {'change range':>17s} lower")
-        for metric in (m for m in timing_pairs[0]["parent"] if m.endswith("_s")):
+        for metric in (m for m in timing_pairs[0]["parent"] if m.endswith(("_s", "_mb"))):
             par = [p["parent"][metric] for p in timing_pairs]
             chg = [p["change"][metric] for p in timing_pairs]
             lower = sum(c < a for a, c in zip(par, chg))
@@ -174,6 +249,15 @@ def median_table(pairs: list[dict], timing_pairs: list[dict]) -> list[str]:
             lines.append(f"{metric:15s} {statistics.median(par):>10.4g} {par_range:>17s} "
                          f"{statistics.median(chg):>10.4g} {chg_range:>17s} "
                          f"{lower}/{len(timing_pairs)}")
+    for k in (14, 16):
+        block = [run[f"block_prime_k{k}_s"] for run in change_only]
+        dense = [run[f"dense_prime_k{k}_s"] for run in change_only]
+        if block:
+            equal = all(run[f"block_prime_k{k}_equal"] for run in change_only)
+            lines.append(f"one prime k={k}: block {statistics.median(block):.4g} s, dense "
+                         f"{statistics.median(dense):.4g} s, dense/block "
+                         f"{statistics.median(dense) / statistics.median(block):.3g}, "
+                         f"equal residues {equal} ({len(block)} runs)")
     return lines
 
 
@@ -191,6 +275,18 @@ def timing_run(tree: str) -> dict:
         out[f"criterion{num}_s"] = timed(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "tests/test_acceptance.py", "-k", f"criterion_{num}"], tree)[0]
+    for name, half in SOLVE_WORDS.items():
+        for N in (3, 8):
+            solve = json.loads(timed([sys.executable, "-c", SOLVE, json.dumps(half), str(N)],
+                                     tree)[1])
+            out[f"bilinear_{name}_N{N}_s"] = solve["s"]
+            out[f"bilinear_{name}_N{N}_value"] = solve["value"]
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", ORDER18], cwd=tree, env=env_for(tree),
+                          capture_output=True, text=True, timeout=3600, check=True)
+    out["order18_cold_s"] = time.perf_counter() - t
+    out["order18_vmhwm_mb"] = float(proc.stderr.split()[-1])
+    out["order18_stdout"] = proc.stdout
     return out
 
 
@@ -210,7 +306,8 @@ def main() -> int:
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     import numpy
     result: dict = {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "pairs": [], "timing_pairs": []}
+                    "numpy": numpy.__version__, "pairs": [], "timing_pairs": [],
+                    "change_only": []}
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in WORKLOADS:
@@ -218,7 +315,8 @@ def main() -> int:
             for side in order:
                 pair[side] = run(trees[side], workload, seed, 0)
             result["pairs"].append(pair)
-        result["median_table"] = median_table(result["pairs"], result["timing_pairs"])
+        result["median_table"] = median_table(result["pairs"], result["timing_pairs"],
+                                              result["change_only"])
         save(result, args.out)
     result["traced"] = {side: {w: run(tree, w, 0, 1)["metrics"] for w in WORKLOADS}
                         for side, tree in trees.items()}
@@ -228,7 +326,12 @@ def main() -> int:
         for side in order:
             pair[side] = timing_run(trees[side])
         result["timing_pairs"].append(pair)
-        result["median_table"] = median_table(result["pairs"], result["timing_pairs"])
+        result["change_only"].append(
+            json.loads(timed([sys.executable, "-c", BLOCK_PRIME], trees["change"])[1]))
+        result["order18_stdout_identical"] = len(
+            {p[side]["order18_stdout"] for p in result["timing_pairs"] for side in trees}) == 1
+        result["median_table"] = median_table(result["pairs"], result["timing_pairs"],
+                                              result["change_only"])
         save(result, args.out)
     result["report_table"] = subprocess.run(
         [sys.executable, "perfbench/report.py"], cwd=trees["change"], capture_output=True,

@@ -9,16 +9,17 @@ pairings.loop_matrix; no bigint A exists.
 
 * ``bilinear_solve`` -- V = v, a 0-1 indicator column: the exact value of
   u^T A^{-1} v = sum(X[r] for r in u) / D.  Used for single large-k moments
-  where the full table is out of reach.
+  where the full table is out of reach, and solved by rotation blocks
+  (below) when the pairings' rotation orbits are given.
 
 Both go through one prime loop, ``_gram_solve``: for each prime it builds
-A mod p, runs the kernel, skips the primes described below, and combines the
-residues into W = A^{-1} V mod M, M the product of the primes used.  The
-combination is Garner's mixed-radix CRT (Garner, IRE Trans. Electronic
-Computers EC-8, 1959), in float64: W = d_1 + p_1 (d_2 + p_2 (... d_j)),
-and for a new prime p, ``_garner_digit`` takes W mod p by Horner over the
-earlier digits, then the new digit d = (T - W mod p) (1/M mod p), both with
-``_reduce``.  Exactness: every digit and residue has size at most p/2 + 1
+A mod p, or its rotation blocks, runs the kernel, skips the primes described
+below, and combines the residues T = A^{-1} V mod p into W = A^{-1} V mod M,
+M the product of the primes used.  The combination is Garner's mixed-radix
+CRT (Garner, IRE Trans. Electronic Computers EC-8, 1959), in float64:
+W = d_1 + p_1 (d_2 + p_2 (... d_j)), and for a new prime p, ``_garner_digit``
+takes W mod p by Horner over the earlier digits, then the new digit
+d = (T - W mod p) (1/M mod p), both with ``_reduce``.  Exactness: every digit and residue has size at most p/2 + 1
 for its own prime, and every prime is at most P = PRIME_START.  A Horner
 value is a reduced value times a residue in [0, p), plus a digit:
 at most (P/2 + 1)(P - 1) + P/2 + 1.  T - W mod p has size at most p + 1, and
@@ -36,17 +37,61 @@ is 0: A X = D V exactly, however D was found.  Each D scans the entries in
 order and stops at the first one that fails, once the next D's candidate
 entry is known too, so a rejected D costs a few entries, not a pass over
 the table.  The primes come from ``prime_stream``, which finds them by
-trial division, exact for every candidate, once per process.
+trial division, exact for every candidate, once per process, and yields
+those p = 1 (mod r) that the rotation blocks need.
+
+Rotation blocks.  Turning the k points by the pattern's smallest period d
+(d = 1 without colours) maps the pairings fitting it to themselves and keeps
+every loop count, so G[rho a, rho b] = G[a, b] for the induced permutation
+rho of the pairings, and r = k/d turns make the identity
+(pairings.rotation_orbits).  Work mod p = 1 (mod r), so r is invertible and
+a primitive r-th root of unity w exists (``_root_of_unity``).  For an orbit
+of s pairings with representative a, and j < r, let
+f_ja = sum_{t<r} w^(jt) e_(rho^t a); it is 0 unless w^(js) = 1, and the
+nonzero ones, s for each orbit, are a basis (n vectors with disjoint
+supports across orbits, and independent within one since w^(js) = 1 picks
+distinct characters of the orbit's cyclic group).  Write f^H for the
+transpose with w -> 1/w.  Then
+f_ia^H G f_jb = sum_{t<r} w^((j-i)t) sum_{u<r} w^(ju) G[a, rho^u b],
+which vanishes for i != j (w is primitive) and, for i = j, is r G_j[a, b]
+with G_j[a, b] = sum_{u<r} w^(ju) G[rep_a, rho^u rep_b], i.e.
+G_j = F_j^H G F_j / r over the block-j vectors F_j.  So A x = v splits into
+the r systems G_j z_j = b_j, b_j[a] = sum_t w^(-jt) v[rho^t rep_a], and
+x = sum_j F_j z_j / r, that is x[rho^t rep_a] = (1/s) sum_j w^(jt) z_j[a].
+``_block_solve`` gathers only the representatives' rows G[rep_a, rho^u rep_b],
+transforms them by the r x r matrix of powers of w, pads each block with
+identity rows to one size (their rows and columns of G_j are 0 mod p), and
+solves all r blocks in one stacked kernel call; the dense solve is the
+r = 1 case, a stack of one.  Blocks have at most about n/r rows: 14 systems
+of 34 rows instead of 429 at k = 14, 16 of 95 instead of 1430 at k = 16.
+
+Why the blocks need no pivoting either: over C, with w = exp(2 pi i/r),
+each G_j is F_j^H G F_j / r for nonzero vectors with disjoint supports and
+G positive definite, so it is Hermitian positive definite and its leading
+minors are nonzero elements of Z[w].  Reducing Z[w] mod p sends w to a
+primitive r-th root mod p (a root of the r-th cyclotomic polynomial mod p,
+p not dividing r), and each block mod p is the image of G_j; an identity
+row leaves the leading minors those of the unpadded block.  A leading
+minor's image vanishes only when p divides its nonzero norm, so as in the
+dense case only finitely many primes are skipped, each when a leading minor
+of any block vanishes, and a skipped prime never changes the result.  The
+certificate sees only T = A^{-1} V mod p, so every result is proven as
+before.  Exactness: w's powers are residues in [0, p), and each transform
+is a matmul of inner dimension r over reduced residues, so with r <= BLOCK
+every partial sum stays below BLOCK p**2 < 2**52; larger r falls back to
+the dense solve.
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
-Pernet, ACM TOMS 35, 2008).  Per prime it solves A T = V mod p by blocked
-LU without pivoting, then back substitution, on one copy of [A mod p | V]
-in blocks of BLOCK columns.  Forward elimination, block by block: copy the
-diagonal block out and invert it in place by Gauss-Jordan in steps of S
-pivots, each step inverting its S x S pivot block in Python ints
-(pivot-free, pivot by pivot in column order) and carrying that to the rest
-of the diagonal block by one rank-S update; normalize the block row by the
-inverse, to [I | R], and subtract multiples of R from the rows below only.
+Pernet, ACM TOMS 35, 2008), on a stack of systems at once.  Per prime it
+solves A T = V mod p by blocked LU without pivoting, then back
+substitution, on one copy of [A mod p | V] in blocks of BLOCK columns.
+Forward elimination, block by block: copy the diagonal block out and invert
+it in place by Gauss-Jordan in steps of S pivots, each step inverting its
+S x S pivot block (pivot-free, pivot by pivot in column order: in Python
+ints for a stack of one, across the stack in numpy for more) and carrying
+that to the rest of the diagonal block by one rank-S update; normalize the
+block row by the inverse, to [I | R], and subtract multiples of R from the
+rows below only.
 That leaves [U | Y] with U unit upper triangular.  Back substitution, from
 the last block up: the Y part of a block row is now T there, so subtract
 its multiples from the Y parts of the rows above.  A one-column solve
@@ -99,11 +144,12 @@ MAX_PRIMES = 162
 _primes: list[int] = []
 
 
-def prime_stream():
-    """Descending primes from PRIME_START: odd n with no odd divisor d <= isqrt(n).
+def prime_stream(r: int = 1):
+    """Descending primes p = 1 (mod r) from PRIME_START: odd n with no odd divisor d <= isqrt(n).
 
     Each prime is found once per process, by trial division, and kept in
-    _primes; a later stream reads them from there.
+    _primes, whatever r; a later stream reads them from there and yields
+    those in its residue class.
     """
     for i in itertools.count():
         if i == len(_primes):
@@ -113,7 +159,8 @@ def prime_stream():
             if p is None:
                 return
             _primes.append(p)
-        yield _primes[i]
+        if (_primes[i] - 1) % r == 0:
+            yield _primes[i]
 
 
 def _reduce(X: np.ndarray, p: int) -> np.ndarray:
@@ -129,78 +176,151 @@ def _reduce(X: np.ndarray, p: int) -> np.ndarray:
     return X
 
 
-def _inverse_small(P: list[list[int]], p: int) -> Optional[list[list[int]]]:
-    """P^{-1} mod p, entries in [0, p), for a small square list P; None at a zero pivot.
+def _inverse_small(P: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """P^{-1} mod p for a stack P (r x s x s) of small float64 residue blocks, or None.
 
-    Pivot-free Gauss-Jordan in Python ints, in place, pivot by pivot in
-    column order: row k becomes row / pivot with 1 / pivot at k, and every
-    other row i loses P[i][k] times it, with -P[i][k] / pivot left at k.
+    Pivot-free Gauss-Jordan, pivot by pivot in column order: row k becomes
+    row / pivot with 1 / pivot at k, and every other row i loses P[i][k]
+    times it, with -P[i][k] / pivot left at k.  One block runs in place in
+    Python ints, where numpy's cost per call would outweigh the work; a
+    larger stack takes each pivot across the whole stack in numpy, on a
+    copy, reducing every entry after each pivot, so each product has two
+    factors of size at most p/2 + 1 or below p.  Returns float64 residues;
+    None if any block of the stack meets a zero pivot.
     """
-    s = len(P)
-    for k in range(s):
-        pivot = P[k][k] % p
-        if pivot == 0:
+    if len(P) == 1:
+        P = [[int(x) for x in r] for r in P[0].tolist()]
+        s = len(P)
+        for k in range(s):
+            pivot = P[k][k] % p
+            if pivot == 0:
+                return None
+            inv = pow(pivot, -1, p)
+            row = P[k]
+            row[k] = 1
+            row = P[k] = [x * inv % p for x in row]
+            for i in range(s):
+                if i != k:
+                    other = P[i]
+                    f = other[k]
+                    other[k] = 0
+                    P[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        return np.array([P], dtype=np.float64)
+    P = P.copy()
+    for k in range(P.shape[1]):
+        try:
+            inv = np.array([pow(int(x), -1, p) for x in P[:, k, k].tolist()], dtype=np.float64)
+        except ValueError:  # a pivot is 0 mod p
             return None
-        inv = pow(pivot, -1, p)
-        row = P[k]
-        row[k] = 1
-        row = P[k] = [x * inv % p for x in row]
-        for i in range(s):
-            if i != k:
-                other = P[i]
-                f = other[k]
-                other[k] = 0
-                P[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        row = _reduce(P[:, k] * inv[:, None], p)
+        row[:, k] = inv
+        col = P[:, :, k].copy()
+        col[:, k] = 0
+        P[:, :, k] = 0
+        P -= col[:, :, None] * row[:, None, :]
+        _reduce(P, p)
+        P[:, k] = row
     return P
 
 
 def _solve_mod_prime(A: np.ndarray, V: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """A^{-1} V mod p for float64 matrices A (n x n) and V (n x m) of residues mod p.
+    """A^{-1} V mod p for float64 residues mod p: A (n x n) and V (n x m), or stacks of them.
 
-    Blocked LU without pivoting, in place on one copy of [A | V], then back
+    A stack has a leading axis, A (r x n x n) and V (r x n x m), and each
+    system is solved on its own; a 2-D call is a stack of one.  Blocked LU
+    without pivoting, in place on one copy of [A | V], then back
     substitution (see the module docstring).  Forward, per diagonal block:
     invert it mod p in steps of S pivots, normalize its block row to
     R = inv [A12 | V1] mod p, and subtract multiples of R from the rows
     below.  Back, from the last block up: the V part of each block row is
     final, and its multiples are subtracted from the V parts above.  The
     result has entries of size at most p/2 + 1.  Returns None if a leading
-    minor of A vanishes mod p.
+    minor of A, or of any matrix of the stack, vanishes mod p.
     """
-    n = A.shape[0]
-    M = np.concatenate([A, V], axis=1)
+    flat = A.ndim == 2
+    n = A.shape[-1]
+    M = np.concatenate([A[None], V[None]] if flat else [A, V], axis=2)
     del A  # the caller's residue matrix: hold only [A | V] while eliminating
     for j0 in range(0, n, BLOCK):
         j1 = min(j0 + BLOCK, n)
-        B = M[j0:j1, j0:j1].copy()
+        B = M[:, j0:j1, j0:j1].copy()
         b = j1 - j0
         for s0 in range(0, b, S):  # invert B in place, S pivots a step
             s1 = min(s0 + S, b)
-            rows = _reduce(B[s0:s1], p)
-            P = _inverse_small([[int(x) for x in r] for r in rows[:, s0:s1].tolist()], p)
+            rows = _reduce(B[:, s0:s1], p)
+            P = _inverse_small(rows[:, :, s0:s1], p)
             if P is None:
                 return None
-            col = _reduce(B[:, s0:s1].copy(), p)
-            col[s0:s1] = 0  # rows s0:s1 become the normalized pivot rows; leave them
+            col = _reduce(B[:, :, s0:s1].copy(), p)
+            col[:, s0:s1] = 0  # rows s0:s1 become the normalized pivot rows; leave them
             # Rows s0:s1 of the inverse are P^-1 rows with P^-1 at the pivot
             # block, and its columns there are -col P^-1: clear those
             # columns, then one rank-S update.
-            B[:, s0:s1] = 0
-            P = np.array(P, dtype=np.float64)
+            B[:, :, s0:s1] = 0
             rows[:] = _reduce(P @ rows, p)
-            rows[:, s0:s1] = P
+            rows[:, :, s0:s1] = P
             B -= col @ rows
-        R = M[j0:j1, j1:]
+        R = M[:, j0:j1, j1:]
         R[:] = _reduce(_reduce(B, p) @ R, p)
-        below = M[j1:, j1:]
-        below -= M[j1:, j0:j1] @ R
+        below = M[:, j1:, j1:]
+        below -= M[:, j1:, j0:j1] @ R
         _reduce(below, p)
-    X = M[:, n:]
+    X = M[:, :, n:]
     for j0 in reversed(range(BLOCK, n, BLOCK)):
         j1 = min(j0 + BLOCK, n)
-        above = X[:j0]
-        above -= M[:j0, j0:j1] @ X[j0:j1]
+        above = X[:, :j0]
+        above -= M[:, :j0, j0:j1] @ X[:, j0:j1]
         _reduce(above, p)
-    return X.copy()  # not a view: M is freed on return
+    return (X[0] if flat else X).copy()  # not a view: M is freed on return
+
+
+def _root_of_unity(r: int, p: int) -> int:
+    """The first primitive r-th root of unity mod p among g**((p-1)/r), g = 2, 3, ...
+
+    p = 1 (mod r).  w = g**((p-1)/r) has w**r = 1, and its order is r unless w**(r/q) = 1 for
+    a prime q dividing r.
+    """
+    factors = [q for q in range(2, r + 1) if r % q == 0 and all(q % d for d in range(2, q))]
+    for g in itertools.count(2):
+        w = pow(g, (p - 1) // r, p)
+        if all(pow(w, r // q, p) != 1 for q in factors):
+            return w
+
+
+def _block_solve(G: np.ndarray, V: np.ndarray, orbits: np.ndarray, p: int
+                 ) -> Optional[np.ndarray]:
+    """G^{-1} V mod p, from one stacked kernel call on the rotation blocks of G.
+
+    orbits is pairings.rotation_orbits (m x r) and p = 1 (mod r).  G and V
+    are the float64 residues mod p of the rows of the orbit representatives:
+    G[u, a, b] = G[rep_a, rho^u rep_b] (r x m x m) and V[u, a] = V[rho^u rep_a]
+    (r x m x c).  Block j is G_j = sum_u w^(ju) G[u], and its right-hand side
+    sum_u w^(-ju) V[u], w a primitive r-th root of unity mod p; an orbit of
+    s positions has a row in block j only when w^(js) = 1, and elsewhere an
+    identity row keeps the stack square.  The block solutions z_j give
+    x[rho^t rep_a] = (1/s) sum_j w^(jt) z_j[a]; the module docstring proves
+    that this is G^{-1} V mod p.  Returns an n x c array with entries of size
+    at most p/2 + 1, or None if a leading minor of a block vanishes mod p.
+    """
+    r = orbits.shape[1]
+    w = _root_of_unity(r, p)
+    powers = [pow(w, e, p) for e in range(r)]
+    F = np.array([[powers[j * t % r] for t in range(r)] for j in range(r)], dtype=np.float64)
+    Fc = np.array([[powers[-j * t % r] for t in range(r)] for j in range(r)], dtype=np.float64)
+    sizes = [len(set(row)) for row in orbits.tolist()]
+    blank = [(j, a) for a, s in enumerate(sizes) for j in range(r) if j * s % r]
+    G = _reduce((F @ G.reshape(r, -1)).reshape(G.shape), p)
+    if blank:
+        j, a = zip(*blank)
+        G[j, a, a] = 1  # the rest of that row and column is 0 mod p already
+    Z = _solve_mod_prime(G, _reduce((Fc @ V.reshape(r, -1)).reshape(V.shape), p), p)
+    if Z is None:
+        return None
+    X = _reduce((F @ Z.reshape(r, -1)).reshape(Z.shape), p)
+    X *= np.array([pow(s, -1, p) for s in sizes], dtype=np.float64)[:, None]
+    T = np.empty((sum(sizes), X.shape[2]))
+    T[orbits.T] = _reduce(X, p)
+    return T
 
 
 def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
@@ -228,15 +348,15 @@ def _certified(W: list[int], M: int, scale: int) -> Optional[tuple[int, list[int
     too large to be an integer (|x| > isqrt(M/2)); that at least doubles D,
     until D reaches M.  Each D scans the entries of X in order and stops once
     one entry has failed scale |x| + D < M and the candidate is known, so a
-    failing D usually reads a few entries; X is built only for the D that
-    is accepted.
+    failing D usually reads a few entries; the scan keeps each x, and X is
+    the scan of the D that is accepted.
     """
     half = M // 2
     bound = math.isqrt(half)
     D = 1
     while True:
         lim = (M - D - 1) // scale  # scale |x| + D < M exactly when |x| <= lim
-        failed, big = False, None
+        failed, big, X = False, None, []
         for w in W:
             x = D * w % M
             if x > half:
@@ -249,8 +369,9 @@ def _certified(W: list[int], M: int, scale: int) -> Optional[tuple[int, list[int
                 failed = True
                 if big is not None:
                     break
+            X.append(x)
         if not failed:
-            return D, [x - M if x > half else x for x in (D * w % M for w in W)]
+            return D, X
         f = rational_reconstruct(big, M) if big is not None and D < M else None
         if f is None:
             return None
@@ -280,26 +401,37 @@ def _garner_digit(T: np.ndarray, digits: list[np.ndarray], primes: list[int],
     return _reduce(r, p)
 
 
-def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray) -> tuple[int, list[int]]:
+def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray,
+                orbits: Optional[np.ndarray] = None) -> tuple[int, list[int]]:
     """(D, X) with G X = D V exactly for G = N**loop_mat, X a flat row-major list.
 
-    Draws at most MAX_PRIMES primes from prime_stream().  For each prime p,
-    G mod p is the lookup of N**l mod p indexed by loop_mat; p is skipped
-    when a leading minor of G vanishes mod p.  The kernel's T mod p gives
-    the next Garner digit d of W = G^{-1} V mod M.  The digits are kept, one
-    float64 array per prime, for the next prime's Horner step; W is one flat
-    row-major list of Python ints, updated to W + M d, a representative of
-    each entry mod M that is not reduced into [0, M).  The loop returns once
-    _certified accepts D and X = D W mod M, which the module docstring shows
-    proves G X = D V.  Raises SingularMatrixError when the primes run out.
+    Draws at most MAX_PRIMES primes from prime_stream(r).  Without orbits,
+    r = 1 and each prime runs the kernel on G mod p, the lookup of N**l mod
+    p indexed by loop_mat.  With orbits (pairings.rotation_orbits, r columns,
+    1 < r <= BLOCK), the loop counts and V are gathered once on the orbit
+    representatives' rows, and each prime p = 1 (mod r) solves the rotation
+    blocks by _block_solve.  A prime is skipped when a leading minor of G, or
+    of a block, vanishes mod p.  T = G^{-1} V mod p gives the next Garner
+    digit d of W = G^{-1} V mod M.  The digits are kept, one float64 array
+    per prime, for the next prime's Horner step; W is one flat row-major list
+    of Python ints, updated to W + M d, a representative of each entry mod M
+    that is not reduced into [0, M).  The loop returns once _certified
+    accepts D and X = D W mod M, which the module docstring shows proves
+    G X = D V.  Raises SingularMatrixError when the primes run out.
     """
     max_loops = int(loop_mat.max())
     scale = loop_mat.shape[0] * N ** max_loops  # n max|G|
     W, M, digits, primes = [0] * V.size, 1, [], []
-    for p in itertools.islice(prime_stream(), MAX_PRIMES):
+    blocks = orbits is not None and 1 < orbits.shape[1] <= BLOCK
+    r = orbits.shape[1] if blocks else 1
+    if blocks:  # the representatives' rows: loop_mat[rep_a, rho^u rep_b], V[rho^u rep_a]
+        loop_mat = loop_mat[orbits[:, :1], orbits.T[:, None, :]]
+        V = V[orbits.T]
+    for p in itertools.islice(prime_stream(r), MAX_PRIMES):
         pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
-        # G mod p goes straight into the kernel, which frees it once [G | V] is built.
-        T = _solve_mod_prime(pows[loop_mat], V, p)
+        # The residues go straight in; the dense kernel frees G mod p once [G | V] is built.
+        T = (_block_solve(pows[loop_mat], V, orbits, p) if blocks
+             else _solve_mod_prime(pows[loop_mat], V, p))
         if T is None:
             continue  # p divides a leading minor; skip
         d = _garner_digit(T, digits, primes, p)
@@ -330,13 +462,16 @@ def fraction_free_inverse(loop_mat: np.ndarray, N: int) -> tuple[list[list[int]]
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
-                   v_idx: Sequence[int]) -> Fraction:
+                   v_idx: Sequence[int], orbits: Optional[np.ndarray] = None) -> Fraction:
     """Exact u^T G^{-1} v for G = N**loop_mat, u/v 0-1 indicators.
 
     u_idx and v_idx index the rows of loop_mat.  The certified solve with
     V = v proves G X = D v, so the value is sum(X[r] for r in u_idx) / D.
+    orbits, the rotation orbits of loop_mat's pairings
+    (pairings.rotation_orbits), lets each prime solve the rotation blocks
+    instead of G; without them the solve is dense.
     """
     v = np.zeros((loop_mat.shape[0], 1))
     v[list(v_idx), 0] = 1
-    D, X = _gram_solve(loop_mat, N, v)
+    D, X = _gram_solve(loop_mat, N, v, orbits)
     return Fraction(sum(X[r] for r in u_idx), D)

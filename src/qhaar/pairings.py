@@ -268,9 +268,8 @@ def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
         return L
     n = len(plist)
     L = np.zeros((n, n), dtype=np.int8)  # at most k/2 loops; k is far below 256
-    index = {p.bits: a for a, p in enumerate(plist)}
-    rot = _index_map(plist, index, [(i + 1) % k for i in range(k)])
-    ref = _index_map(plist, index, [-i % k for i in range(k)])
+    rot = _rotation(k)
+    ref = _index_map(plist, {p.bits: a for a, p in enumerate(plist)}, [-i % k for i in range(k)])
     back = sorted(range(n), key=rot.__getitem__)  # the inverse rotation
     partners = [p.partners() for p in plist]
     done = bytearray(n)
@@ -298,6 +297,62 @@ def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
 
 
 loop_matrix.cache_info = _loop_matrix.cache_info
+
+
+@lru_cache(maxsize=None)
+def _rotation(k: int) -> list[int]:
+    """Position in enumerate_nc_pairings(k) of each pairing turned by i -> i + 1 (mod k)."""
+    plist = enumerate_nc_pairings(k)
+    return _index_map(plist, {p.bits: a for a, p in enumerate(plist)},
+                      [(i + 1) % k for i in range(k)])
+
+
+def rotation_orbits(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
+    """The orbits of the pattern's rotation on word_pairings(k, pattern), as an (m, r) array.
+
+    The rotation turns the points by the pattern's smallest period d (d = 1
+    for no pattern or an alternating one, which fits every pairing), so it
+    maps the pairings fitting the pattern to themselves, and r = k / d turns
+    make the identity.  Row a lists the orbit of its first, smallest
+    position rep_a: orbits[a, t] is rep_a turned t times, for t < r, so an
+    orbit of s positions repeats with period s, and r / s is the order of
+    its stabilizer.  Rows are in the order of their representatives.  An
+    aperiodic pattern gives r = 1: one orbit per pairing, in list order.
+    Cached by (k, canonical pattern), read-only; the caller has checked the
+    pattern (loop_matrix).
+    """
+    pat = tuple(pattern) if pattern is not None else None
+    return _rotation_orbits(k, canonical_pattern(pat))
+
+
+@lru_cache(maxsize=None)
+def _rotation_orbits(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
+    rot = _rotation(k)
+    if pattern is None:
+        d, turn = 1, rot
+    else:
+        d = next(d for d in range(1, k + 1) if pattern[d:] + pattern[:d] == pattern)
+        S = compatible_indices(enumerate_nc_pairings(k), _parity(pattern))
+        pos = {s: i for i, s in enumerate(S)}
+        turn = []
+        for s in S:
+            for _ in range(d):
+                s = rot[s]
+            turn.append(pos[s])
+    r = k // d if k else 1
+    seen = bytearray(len(turn))
+    orbits = []
+    for a in range(len(turn)):
+        if not seen[a]:
+            row = [a]
+            for _ in range(r - 1):
+                row.append(turn[row[-1]])
+            for b in row:
+                seen[b] = 1
+            orbits.append(row)
+    out = np.array(orbits, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)

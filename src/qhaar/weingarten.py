@@ -10,7 +10,8 @@ Both routes pass pairings.loop_matrix and N to exactla's one certified solve
 of G X = D V, which proves the identity before it returns.  Tables (V = I,
 so wg_num = X and wg_den = D) are cached; a word longer than TABLE_KMAX is
 instead one solve with V the indicator column of its column-compatible
-pairings, summed over its row-compatible pairings.
+pairings, summed over its row-compatible pairings, and split into rotation
+blocks by the rotation orbits of its pairings (pairings.rotation_orbits).
 
 cycle_type_sums reduces a table for ncpoly.linear_state: S_λ(k, N) sums
 Wg(p, q) over the pairs whose union p ∪ q has cycle half-lengths λ
@@ -175,8 +176,9 @@ def _moment(rows: list[int], cols: list[int], pattern: Optional[tuple[str, ...]]
         num = table.wg_num
         return Fraction(sum(num[p][q] for p in R for q in C), table.wg_den)
 
-    # Large-k route: single exact bilinear solve, no full inverse.
-    return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N, R, C)
+    # Large-k route: single exact bilinear solve by rotation blocks, no full inverse.
+    return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N, R, C,
+                                  pairings.rotation_orbits(k, pattern))
 
 
 def unitarity_contraction(word: GeneratorWord, N: int, position: int) -> Fraction:

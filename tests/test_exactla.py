@@ -89,13 +89,116 @@ def test_kernel_solves_gram_systems_exactly(k, N):
             assert GT == V.astype(np.int64).tolist()
 
 
+@pytest.mark.parametrize("n", [1, 4, 5, 65])
+def test_stacked_kernel_solves_each_system_of_the_stack(n):
+    # A stack runs its pivot blocks in numpy, a single system in Python ints;
+    # both must give each system's residues, and None when any one of them
+    # meets a vanishing leading minor.
+    p = next(exactla.prime_stream())
+    rng = np.random.default_rng(n)
+    A = rng.integers(p - 64, p, (3, n, n)).astype(np.float64)
+    V = rng.integers(0, 2, (3, n, 2)).astype(np.float64)
+    T = exactla._solve_mod_prime(A, V, p)
+    assert T.shape == (3, n, 2) and np.abs(T).max() <= p // 2 + 1
+    for a, v, t in zip(A, V, T):
+        assert np.array_equal(np.mod(t, p), np.mod(exactla._solve_mod_prime(a, v, p), p))
+    A[1, 0, 0] = 0  # the first leading minor of the middle system vanishes
+    assert exactla._solve_mod_prime(A, V, p) is None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 12, 14, 16])
+def test_root_of_unity_is_primitive(r):
+    for p in itertools.islice(exactla.prime_stream(r), 3):
+        w = exactla._root_of_unity(r, p)
+        assert len({pow(w, t, p) for t in range(r)}) == r and pow(w, r, p) == 1
+
+
+def orbit_stack(loop_mat, V, orbits):
+    """The representatives' rows: L[u, a, b] = loop_mat[rep_a, rho^u rep_b], V[u, a] = V[rho^u rep_a].
+
+    The same gather as exactla._gram_solve's.
+    """
+    return loop_mat[orbits[:, :1], orbits.T[:, None, :]], V[orbits.T]
+
+
+BLOCK_CASES = ([(k, None, N) for k in (4, 8, 12, 14, 16) for N in (2, 3, 8)]
+               + [(12, "11**11**11**", 3), (16, "11**11**11**11**", 3)])
+
+
+@pytest.mark.parametrize("k, pattern, N", BLOCK_CASES)
+def test_block_residues_equal_the_dense_kernel(k, pattern, N):
+    # Every case has an orbit with a nontrivial stabilizer, whose rows are
+    # missing from some blocks and whose residues carry the 1/s factor.
+    pattern = pattern and tuple(pattern)
+    loop_mat, orbits = pairings.loop_matrix(k, pattern), pairings.rotation_orbits(k, pattern)
+    r = orbits.shape[1]
+    assert r > 1 and (orbits == orbits[:, :1]).sum(axis=1).max() > 1
+    n = loop_mat.shape[0]
+    V = np.zeros((n, 2))
+    V[::3, 0] = V[1::2, 1] = 1
+    L, Vs = orbit_stack(loop_mat, V, orbits)
+    for p in itertools.islice(exactla.prime_stream(r), 2):
+        assert (p - 1) % r == 0
+        pows = np.array([pow(N, l, p) for l in range(int(loop_mat.max()) + 1)], dtype=np.float64)
+        T = exactla._block_solve(pows[L], Vs, orbits, p)
+        assert T.shape == (n, 2) and np.abs(T).max() <= p // 2 + 1
+        want = exactla._solve_mod_prime(pows[loop_mat], V, p)
+        assert np.array_equal(np.mod(T, p), np.mod(want, p))
+
+
+def test_prime_stream_residue_classes_match_a_sieve():
+    primes = oracles.sieve_primes_descending(exactla.PRIME_START - 30000, exactla.PRIME_START)
+    for r in (1, 3, 4, 14, 16):
+        want = [p for p in primes if p % r == 1 % r]
+        assert len(want) >= 20
+        assert list(itertools.islice(exactla.prime_stream(r), 20)) == want[:20]
+
+
+def k16_o_word_inputs():
+    """Loop matrix, orbits and compatible indices of criterion 7's order-16 word."""
+    letters = [(2, 2, "1"), (1, 1, "1"), (1, 1, "1"), (2, 2, "1")] * 4
+    plist = pairings.word_pairings(16)
+    R = pairings.compatible_indices(plist, [i for i, _, _ in letters])
+    C = pairings.compatible_indices(plist, [j for _, j, _ in letters])
+    return pairings.loop_matrix(16), pairings.rotation_orbits(16), R, C
+
+
+def test_a_skipped_block_prime_leaves_the_moment_unchanged(monkeypatch):
+    loops, orbits, R, C = k16_o_word_inputs()
+    drawn = counting_stream(monkeypatch)
+    want = exactla.bilinear_solve(loops, 3, R, C, orbits)
+    honest = len(drawn)
+    real_kernel, skipped = exactla._solve_mod_prime, []
+
+    def skip_first(A, V, p):
+        if not skipped:
+            skipped.append(p)
+            return None
+        return real_kernel(A, V, p)
+
+    monkeypatch.setattr(exactla, "_solve_mod_prime", skip_first)
+    drawn.clear()
+    assert exactla.bilinear_solve(loops, 3, R, C, orbits) == want
+    assert skipped == drawn[:1] and len(drawn) == honest + 1
+
+
+def test_block_route_gives_up_after_max_primes(monkeypatch):
+    loops, orbits, R, C = k16_o_word_inputs()
+    monkeypatch.setattr(exactla, "MAX_PRIMES", 3)
+    monkeypatch.setattr(exactla, "_solve_mod_prime", lambda A, V, p: None)
+    drawn = counting_stream(monkeypatch)
+    with pytest.raises(SingularMatrixError):
+        exactla.bilinear_solve(loops, 3, R, C, orbits)
+    assert len(drawn) == 3 and all((p - 1) % 16 == 0 for p in drawn)
+
+
 def counting_stream(monkeypatch, first=()):
     """Patch exactla.prime_stream to yield `first`, then the real stream; count draws."""
     drawn = []
     real_stream = exactla.prime_stream
 
-    def stream():
-        for p in itertools.chain(first, real_stream()):
+    def stream(*residue_class):
+        for p in itertools.chain(first, real_stream(*residue_class)):
             drawn.append(p)
             yield p
 
@@ -297,6 +400,7 @@ def test_modular_route_matches_table_route_on_random_words(model, N, data):
     loops = np.array(pairings.loop_matrix(k, pattern), dtype=np.int64)
     want = weingarten.haar_moment(weingarten.GeneratorWord(tuple(letters), model), N)
     assert exactla.bilinear_solve(loops, N, R, C) == want
+    assert exactla.bilinear_solve(loops, N, R, C, pairings.rotation_orbits(k, pattern)) == want
 
 
 def k8_moment_inputs():
@@ -377,3 +481,35 @@ def test_prime_loop_matches_the_reference_loop(monkeypatch, k, pattern, N, rhs):
     assert got == want
     if k >= 6:
         assert got[2]  # the D chain ran
+
+
+def adjoint_square(w, model):
+    """The letters of w* w: the word, reversed and starred, then the word; never a zero moment."""
+    flip = {"1": "*", "*": "1"} if model == "u+" else {"1": "1"}
+    return [(i, j, flip[e]) for i, j, e in reversed(w)] + list(w)
+
+
+@pytest.mark.parametrize("model, stars, N, r", [
+    ("o+", "1111111", 3, 14), ("o+", "1111111", 8, 14), ("o+", "11111111", 3, 16),
+    ("u+", "1*1*1*1*", 3, 16),  # alternating: the O_N^+ pairings and blocks
+    ("u+", "11**11**", 3, 4),  # the periodic pattern 11**11**11**11**
+    ("u+", "11*1*1*", 3, 1),  # aperiodic: a stack of one, the dense solve
+])
+def test_block_route_matches_the_dense_route_past_the_tables(model, stars, N, r):
+    rng = random.Random(stars + str(N))
+    w = [(rng.randint(1, 2), rng.randint(1, N), e) for e in stars]
+    letters = adjoint_square(w, model)
+    k = len(letters)
+    colours = tuple(e for _, _, e in letters) if model == "u+" else None
+    pattern = pairings.canonical_pattern(colours)
+    plist = pairings.word_pairings(k, pattern)
+    R = pairings.compatible_indices(plist, [i for i, _, _ in letters])
+    C = pairings.compatible_indices(plist, [j for _, j, _ in letters])
+    orbits = pairings.rotation_orbits(k, pattern)
+    assert orbits.shape[1] == r
+    loops = pairings.loop_matrix(k, pattern)
+    want = exactla.bilinear_solve(loops, N, R, C)
+    assert want > 0
+    assert exactla.bilinear_solve(loops, N, R, C, orbits) == want
+    assert weingarten.haar_moment(weingarten.GeneratorWord(tuple(letters), model), N,
+                                  kmax=k) == want

@@ -338,6 +338,29 @@ def test_loop_matrix_is_invariant_under_rotation_and_reflection(pattern, count):
         assert np.array_equal(L[np.ix_(perm, perm)], L)
 
 
+@pytest.mark.parametrize("k, pattern", [(k, None) for k in (0, 2, 4, 8, 12, 14)]
+                         + [(12, "11**11**11**"), (12, "1*1*1*1*1*1*"), (12, "111111******"),
+                            (16, "11**11**11**11**"), (12, "11*1*1*1*1**")])
+def test_rotation_orbits_are_the_orbits_of_the_period_rotation(k, pattern):
+    # Row a turns its representative, the orbit's smallest position, t times
+    # by the pattern's period (1 when it alternates); rows partition the list.
+    pattern = pattern and tuple(pattern)
+    plist = pairings.word_pairings(k, pattern)
+    index = {p.pairs: a for a, p in enumerate(plist)}
+    d = 1 if pairings.canonical_pattern(pattern) is None else period(pattern)
+    turn = [index[tuple(sorted(tuple(sorted(((a - 1 + d) % k + 1, (b - 1 + d) % k + 1)))
+                                   for a, b in p.pairs))] for p in plist]
+    orbits = pairings.rotation_orbits(k, pattern)
+    assert orbits.shape[1] == max(k // d, 1) and not orbits.flags.writeable
+    assert orbits is pairings.rotation_orbits(k, pattern and list(pattern))
+    for row in orbits.tolist():
+        assert row[0] == min(row)
+        assert row[1:] == [turn[a] for a in row[:-1]]
+        assert turn[row[-1]] == row[0]
+    assert sorted(set(orbits.ravel().tolist())) == list(range(len(plist)))
+    assert orbits[:, 0].tolist() == sorted(set(orbits[:, 0].tolist()))
+
+
 def test_pattern_check_agrees_with_the_listing():
     # Both decide colours by _parity labels; the oracle checks each pair's
     # colours directly and lists every matching.

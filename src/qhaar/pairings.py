@@ -12,7 +12,8 @@ so it joins a '1' to a '*' iff its ends share the label (colour is '1') xor
 (position odd), _parity.  The colored pairings are the uncoloured ones
 compatible with those labels, in order, so a colored loop matrix is a
 principal submatrix of the uncoloured one, which loop_matrix builds by
-dihedral orbits.
+dihedral orbits.  rotation_orbits lists the orbits of the rotation by a
+pattern's period, by which exactla splits the Gram matrix into blocks.
 
 `word_pairings` and `compatible_indices` are the one place that lists the
 pairings indexing a word and filters them by its labels; finite-N moments,

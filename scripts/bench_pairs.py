@@ -21,7 +21,11 @@ built before the clock starts), in a fresh process; a cold
 coloured `loop_matrix(16, pattern)` for each of COLOURED_PATTERNS, each
 in a fresh process; `rapid_decay.dn_constant(N)` with the default
 truncation for each N in DN_NS, each in a fresh process (the `D_N` scan
-layer, timed directly); and criterion 5 (the `D_N` bracket at five N),
+layer, timed directly); for each k in WALK_KS, a cold `loop_matrix(k)` and
+then `cycle_types(k)`, in one fresh process per k with the pairing list
+built before the clock starts; the first 14 primes p = 1 (mod 14) and
+then the first MAX_PRIMES primes p = 1 (mod 16) from an empty
+`prime_stream` cache, in that order, in one fresh process; and criterion 5 (the `D_N` bracket at five N),
 criterion 7 and criterion 9 (the k <= 12 Weingarten tables at N = 2..10)
 each run alone under pytest; `bilinear_solve` inside `haar_moment` for
 one order-14 word and for criterion 7's order-16 word, at N = 3 and N = 8,
@@ -200,6 +204,34 @@ rapid_decay.dn_constant(int(sys.argv[1]))
 print(json.dumps(time.perf_counter() - t))
 """
 
+# The pair walks of the pairings module: the k = 12 table, order-14 and order-16 moments.
+WALK_KS = (12, 14, 16)
+
+WALKS = """
+import json, sys, time
+from qhaar import pairings
+k = int(sys.argv[1])
+pairings.enumerate_nc_pairings(k)
+t = time.perf_counter()
+pairings.loop_matrix(k)
+out = {"loop_matrix_s": time.perf_counter() - t}
+t = time.perf_counter()
+pairings.cycle_types(k)
+out["cycle_types_s"] = time.perf_counter() - t
+print(json.dumps(out))
+"""
+
+COLD_PRIMES = """
+import itertools, json, time
+from qhaar import exactla
+out = {}
+for r, count in ((14, 14), (16, exactla.MAX_PRIMES)):
+    t = time.perf_counter()
+    list(itertools.islice(exactla.prime_stream(r), count))
+    out[f"cold_primes_r{r}_{count}_s"] = time.perf_counter() - t
+print(json.dumps(out))
+"""
+
 
 def env_for(tree: str) -> dict:
     env = dict(os.environ)
@@ -271,6 +303,11 @@ def timing_run(tree: str) -> dict:
             timed([sys.executable, "-c", COLOURED, pattern], tree)[1])
     for N in DN_NS:
         out[f"dn_constant_N{N}_s"] = json.loads(timed([sys.executable, "-c", DN, str(N)], tree)[1])
+    for k in WALK_KS:
+        walks = json.loads(timed([sys.executable, "-c", WALKS, str(k)], tree)[1])
+        out[f"loop_matrix_k{k}_s"] = walks["loop_matrix_s"]
+        out[f"cycle_types_k{k}_s"] = walks["cycle_types_s"]
+    out.update(json.loads(timed([sys.executable, "-c", COLD_PRIMES], tree)[1]))
     for num in (5, 7, 9):
         out[f"criterion{num}_s"] = timed(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

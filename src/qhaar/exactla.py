@@ -37,8 +37,8 @@ is 0: A X = D V exactly, however D was found.  Each D scans the entries in
 order and stops at the first one that fails, once the next D's candidate
 entry is known too, so a rejected D costs a few entries, not a pass over
 the table.  The primes come from ``prime_stream``, which finds them by
-trial division, exact for every candidate, once per process, and yields
-those p = 1 (mod r) that the rotation blocks need.
+trial division, exact for every candidate, testing only the candidates
+p = 1 (mod r) that the rotation blocks need, once per process and class.
 
 Rotation blocks.  Turning the k points by the pattern's smallest period d
 (d = 1 without colours) maps the pairings fitting it to themselves and keeps
@@ -140,27 +140,29 @@ S = 4
 MAX_PRIMES = 162
 
 
-# The primes prime_stream has found so far, in the order it yields them.
-_primes: list[int] = []
+# The primes prime_stream has found so far in each class n = 1 (mod m), keyed by m,
+# in the order it yields them.
+_primes: dict[int, list[int]] = {}
 
 
 def prime_stream(r: int = 1):
     """Descending primes p = 1 (mod r) from PRIME_START: odd n with no odd divisor d <= isqrt(n).
 
-    Each prime is found once per process, by trial division, and kept in
-    _primes, whatever r; a later stream reads them from there and yields
-    those in its residue class.
+    Only the n = 1 (mod m) are tested, m = lcm(2, r), which are the odd n in
+    the class.  Each prime is found once per process, by trial division,
+    and kept in _primes[m]; a later stream of the class reads it from there.
     """
+    m = math.lcm(2, r)
+    found = _primes.setdefault(m, [])
     for i in itertools.count():
-        if i == len(_primes):
-            start = _primes[-1] - 2 if _primes else PRIME_START
-            p = next((n for n in range(start, 3, -2)
+        if i == len(found):
+            start = found[-1] - m if found else PRIME_START - (PRIME_START - 1) % m
+            p = next((n for n in range(start, 3, -m)
                       if all(n % d for d in range(3, math.isqrt(n) + 1, 2))), None)
             if p is None:
                 return
-            _primes.append(p)
-        if (_primes[i] - 1) % r == 0:
-            yield _primes[i]
+            found.append(p)
+        yield found[i]
 
 
 def _reduce(X: np.ndarray, p: int) -> np.ndarray:

@@ -5,15 +5,19 @@ pair list) so that matrix indexing is reproducible across runs.  The Gram
 entry between two pairings is N**loops, where loops counts the closed loops
 obtained by gluing one diagram to the reflection of the other; for pair
 partitions this equals the number of connected components of the union
-multigraph, which is what we compute.
+multigraph.
+
+One walker, _walk, visits the pairs (p, q) by dihedral orbits and records
+the cycle type of p ∪ q, the half-lengths of its cycles, as a one-byte code
+per pair.  cycle_types returns those codes; loop_matrix is their lengths,
+since a loop is a cycle.  rotation_orbits lists the orbits of the rotation
+by a pattern's period, by which exactla splits the Gram matrix into blocks.
 
 Colours are labels: a non-crossing pair joins points an odd distance apart,
 so it joins a '1' to a '*' iff its ends share the label (colour is '1') xor
 (position odd), _parity.  The colored pairings are the uncoloured ones
 compatible with those labels, in order, so a colored loop matrix is a
-principal submatrix of the uncoloured one, which loop_matrix builds by
-dihedral orbits.  rotation_orbits lists the orbits of the rotation by a
-pattern's period, by which exactla splits the Gram matrix into blocks.
+principal submatrix of the uncoloured one.
 
 `word_pairings` and `compatible_indices` are the one place that lists the
 pairings indexing a word and filters them by its labels; finite-N moments,
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,28 +190,6 @@ def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] 
     return not stack
 
 
-def loops_from_partners(mp: list[int], mq: list[int], k: int) -> int:
-    """Loop count from two 0-based partner arrays.
-
-    The union of two perfect matchings decomposes into even cycles.  Walking
-    mq∘mp from s alternates a p-edge x -> mp[x] and a q-edge, so it goes round
-    the whole union-cycle of s once, meeting every point of it as x or mp[x].
-    """
-    seen = 0
-    cycles = 0
-    for s in range(k):
-        if not (seen >> s) & 1:
-            cycles += 1
-            x = s
-            while True:
-                y = mp[x]
-                seen |= 1 << x | 1 << y
-                x = mq[y]
-                if x == s:
-                    break
-    return cycles
-
-
 def loop_matrix(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
     """Pairwise loop counts over the (colored) canonical pairing list.
 
@@ -240,26 +223,13 @@ def _index_map(plist: Sequence[NCPairPartition], index: dict, g: list[int]) -> l
 
 @lru_cache(maxsize=None)
 def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
-    """loops(p, q) over word_pairings(k, pattern), one walked row per dihedral orbit.
+    """loops(p, q) over word_pairings(k, pattern): the lengths of the cycle types of _walk.
 
     A pattern takes the principal submatrix on its compatible positions:
-    loops depend only on the two pairings.
-
-    Why the uncoloured build is exact: loops(p, q) is the number of
-    components of the multigraph p ∪ q on the k points.  A rotation or a
-    reflection g of the points keeps non-crossing pairings non-crossing and
-    maps p ∪ q onto g·p ∪ g·q, relabelling vertices only, so
-    loops(g·p, g·q) = loops(p, q), and g permutes the canonical list.  Hence
-    L[g·a, c] = L[a, g⁻¹·c] for pairing positions a and c, and the row of
-    g·a is the row of a permuted.
-
-    The maps used are i -> i + 1 and i -> -i (mod k); slot masks turn each
-    into a permutation of positions.  For each position a not yet written,
-    loops_from_partners walks its row, except in the columns of rows already
-    written, where L[a, c] = L[c, a].  The inverse rotation then carries that
-    row round the rotation orbit of a, and each row met is written reflected
-    too, which writes the whole dihedral orbit.  k = 0 needs no case of its
-    own: its one empty pairing has no loops.
+    loops depend only on the two pairings.  The uncoloured matrix lets _walk
+    write its codes into the array's own bytes, then maps each row to the
+    lengths of its types with bytes.translate, row by row, so the build holds
+    no second n x n buffer and keeps no code once it returns.
     """
     plist = enumerate_nc_pairings(k)
     if pattern is not None:
@@ -269,30 +239,10 @@ def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
         return L
     n = len(plist)
     L = np.zeros((n, n), dtype=np.int8)  # at most k/2 loops; k is far below 256
-    rot = _rotation(k)
-    ref = _index_map(plist, {p.bits: a for a, p in enumerate(plist)}, [-i % k for i in range(k)])
-    back = sorted(range(n), key=rot.__getitem__)  # the inverse rotation
-    partners = [p.partners() for p in plist]
-    done = bytearray(n)
-    for a, mp in enumerate(partners):
-        if done[a]:
-            continue
-        row = L[:, a].tolist()
-        for c, mq in enumerate(partners):
-            if not done[c]:
-                row[c] = loops_from_partners(mp, mq, k)
-        b = a
-        while True:  # b goes round the rotation orbit of a, row is its row
-            if not done[b]:
-                L[b] = row
-                done[b] = 1
-            if not done[ref[b]]:
-                L[ref[b]] = list(map(row.__getitem__, ref))  # a reflection is an involution
-                done[ref[b]] = 1
-            b = rot[b]
-            if b == a:
-                break
-            row = list(map(row.__getitem__, back))
+    flat = memoryview(L).cast("B")
+    lengths = bytes(map(len, _walk(k, flat))).ljust(256, b"\0")
+    for i in range(0, n * n, n):
+        flat[i:i + n] = bytes(flat[i:i + n]).translate(lengths)
     L.flags.writeable = False
     return L
 
@@ -363,47 +313,95 @@ def cycle_types(k: int) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
     Returns (codes, types): the union of plist[a] and plist[c], plist the
     canonical list of n pairings, has cycles of 2L points for the L in
     types[codes[a * n + c]], a sorted tuple with sum k/2 and one entry per
-    loop.  Both pairings join points of opposite parity, so walking
+    loop.  One _walk, into a buffer of its own: loop_matrix does not keep
+    the codes, so a caller of only the loop matrix never holds them.
+    """
+    codes = bytearray(len(enumerate_nc_pairings(k)) ** 2)
+    types = _walk(k, codes)
+    return bytes(codes), types
+
+
+def _walk(k: int, out) -> tuple[tuple[int, ...], ...]:
+    """A one-byte code of the cycle type of p ∪ q for every two pairings, by dihedral orbits.
+
+    out is a writable buffer of n * n bytes, n the length of plist =
+    enumerate_nc_pairings(k); plist[a] ∪ plist[c] gets its code at
+    out[a * n + c], and the returned tuple lists the types by code, each the
+    sorted half-lengths of the cycles.
+
+    One pair: both pairings join points of opposite parity, so walking
     x -> mq[mp[x]] from an even point x meets every even point of x's cycle
-    and no other: a cycle of 2L points is one orbit of L even points.  That
-    orbit structure is the cycle type of a permutation of the k/2 even
-    points, looked up in a dict by its tuple; each pair of the upper
-    triangle is walked once and mirrored, since the union does not depend
-    on the order of p and q.  Pure Python, no numpy: k <= 12 gives at most
-    11 types and 17,424 one-byte codes.
+    and no other, and a cycle of 2L points is one orbit of L even points.
+    The lengths are kept as the base-(k/2 + 1) number whose digit L counts
+    the cycles of L even points (a count is at most k/2), and a number met
+    for the first time gets the next code.
+
+    Why orbits are exact: a rotation or a reflection g of the points keeps
+    non-crossing pairings non-crossing and maps p ∪ q onto g·p ∪ g·q,
+    relabelling vertices only, so the two unions have one cycle type, and g
+    permutes plist.  Hence T[g·a, c] = T[a, g⁻¹·c] for the types T and
+    pairing positions a and c, and the row of g·a is the row of a permuted.
+    The maps used are i -> i + 1 and i -> -i (mod k); slot masks turn each
+    into a permutation of positions.  For each position a not yet written,
+    its row is walked, except in the columns of rows already written, where
+    T[a, c] = T[c, a] (the union does not depend on the order of p and q).
+    The inverse rotation then carries that row round the rotation orbit of
+    a, and each row met is written reflected too, which writes the whole
+    dihedral orbit.  k = 0 needs no case of its own: its one empty pairing
+    has the empty type.  Codes fit a byte while k/2 has at most 256
+    partitions, that is for k <= 32.
     """
     plist = enumerate_nc_pairings(k)
-    n = len(plist)
+    n, h = len(plist), k // 2
+    rot = _rotation(k)
+    ref = _index_map(plist, {p.bits: a for a, p in enumerate(plist)}, [-i % k for i in range(k)])
+    # Row permutations, C-level on bytes.  With n = 1 no row is ever permuted.
+    turn_back = itemgetter(*sorted(range(n), key=rot.__getitem__))  # the inverse rotation
+    reflect = itemgetter(*ref)  # a reflection is an involution
     # even[a][i]: the partner of point 2i in plist[a], as an odd point // 2; odd: the reverse.
-    partners = [p.partners() for p in plist]
-    even = [tuple(mp[x] // 2 for x in range(0, k, 2)) for mp in partners]
-    odd = [[mp[x] // 2 for x in range(1, k, 2)] for mp in partners]
-    codes = bytearray(n * n)
-    code_of_perm: dict = {}
-    types: dict = {}
-    for a, pa in enumerate(even):
-        for c in range(a, n):
-            perm = tuple(map(odd[c].__getitem__, pa))  # x -> mq[mp[x]] on even points / 2
-            code = code_of_perm.get(perm)
-            if code is None:
-                code = code_of_perm[perm] = types.setdefault(_cycle_type(perm), len(types))
-            codes[a * n + c] = codes[c * n + a] = code
-    return bytes(codes), tuple(types)
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted cycle lengths of a permutation of range(len(perm))."""
-    seen = [False] * len(perm)
-    lengths = []
-    for s in range(len(perm)):
-        if not seen[s]:
-            length, x = 0, s
-            while not seen[x]:
-                seen[x] = True
-                x = perm[x]
-                length += 1
-            lengths.append(length)
-    return tuple(sorted(lengths))
+    # bytes, not tuples: at k = 18 tuples held 0.6 MB more, which stayed in the process peak.
+    even, odd = [], []
+    for p in plist:
+        mp = p.partners()
+        even.append(bytes(x // 2 for x in mp[0::2]))
+        odd.append(bytes(x // 2 for x in mp[1::2]))
+    digit = [(h + 1) ** length for length in range(h + 1)]
+    code_of: dict = {}
+    done = bytearray(n)
+    for a, mp in enumerate(even):
+        if done[a]:
+            continue
+        row = bytearray(out[a::n])
+        for c, mq in enumerate(odd):
+            if done[c]:
+                continue
+            key = seen = 0
+            for s in range(h):
+                if not seen >> s & 1:
+                    x, length = s, 0
+                    while True:
+                        seen |= 1 << x
+                        x = mq[mp[x]]
+                        length += 1
+                        if x == s:
+                            break
+                    key += digit[length]
+            row[c] = code_of.setdefault(key, len(code_of))
+        b = a
+        while True:  # b goes round the rotation orbit of a, row is its row
+            if not done[b]:
+                out[b * n:(b + 1) * n] = row
+                done[b] = 1
+            if not done[ref[b]]:
+                out[ref[b] * n:(ref[b] + 1) * n] = bytes(reflect(row))
+                done[ref[b]] = 1
+            b = rot[b]
+            if b == a:
+                break
+            row = bytes(turn_back(row))
+    return tuple(tuple(length for length in range(1, h + 1)
+                       for _ in range(key // digit[length] % (h + 1)))
+                 for key in code_of)
 
 
 def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None

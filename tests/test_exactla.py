@@ -148,10 +148,25 @@ def test_block_residues_equal_the_dense_kernel(k, pattern, N):
 
 def test_prime_stream_residue_classes_match_a_sieve():
     primes = oracles.sieve_primes_descending(exactla.PRIME_START - 30000, exactla.PRIME_START)
-    for r in (1, 3, 4, 14, 16):
+    for r in (1, 3, 4, 14, 16, 18, 20):
         want = [p for p in primes if p % r == 1 % r]
         assert len(want) >= 20
         assert list(itertools.islice(exactla.prime_stream(r), 20)) == want[:20]
+
+
+def test_a_second_stream_of_a_class_reads_the_first_ones_primes(monkeypatch):
+    # r = 7 and r = 14 step through one class, n = 1 (mod 14); a stream that
+    # reads found primes divides nothing.
+    monkeypatch.setattr(exactla, "_primes", {})
+    first = list(itertools.islice(exactla.prime_stream(14), 14))
+    assert exactla._primes == {14: first}
+
+    def no_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(exactla.math, "isqrt", no_division)
+    assert list(itertools.islice(exactla.prime_stream(14), 14)) == first
+    assert list(itertools.islice(exactla.prime_stream(7), 14)) == first
 
 
 def k16_o_word_inputs():
@@ -222,12 +237,12 @@ def test_prime_stream_matches_a_sieve():
 def test_interleaved_prime_streams_share_one_cache(monkeypatch):
     # Two interleaved streams read one cache, which holds what either has drawn.
     want = oracles.sieve_primes_descending(exactla.PRIME_START - 300, exactla.PRIME_START)[:8]
-    monkeypatch.setattr(exactla, "_primes", [])
+    monkeypatch.setattr(exactla, "_primes", {})
     first, second = exactla.prime_stream(), exactla.prime_stream()
     got = [(next(first), next(first), next(second)) for _ in range(4)]
     assert [x for a, b, _ in got for x in (a, b)] == want
     assert [c for _, _, c in got] == want[:4]
-    assert exactla._primes == want
+    assert exactla._primes == {2: want}
 
 
 def test_exactness_inequality():

@@ -175,7 +175,9 @@ def test_colored_alternating_count_is_catalan():
 
 
 def loop_count(p, q):
-    return pairings.loops_from_partners(p.partners(), q.partners(), p.k)
+    """loops(p, q), read from the loop matrix."""
+    index = {r.pairs: a for a, r in enumerate(pairings.enumerate_nc_pairings(p.k))}
+    return int(pairings.loop_matrix(p.k)[index[p.pairs], index[q.pairs]])
 
 
 def test_loop_count_examples():
@@ -277,6 +279,13 @@ def period(pattern):
                if all(pattern[i] == pattern[(i + d) % k] for i in range(k)))
 
 
+def image_positions(plist, g):
+    """Position in plist of the image of each pairing under the 0-based point map g."""
+    index = {p.pairs: a for a, p in enumerate(plist)}
+    return [index[tuple(sorted(tuple(sorted((g(a - 1) + 1, g(b - 1) + 1))) for a, b in p.pairs))]
+            for p in plist]
+
+
 def mirrors(pattern):
     """Every s for which i -> s - i (mod k) fixes the pattern."""
     k = len(pattern)
@@ -326,15 +335,13 @@ def test_loop_matrix_is_invariant_under_rotation_and_reflection(pattern, count):
     k = 12
     pattern = pattern and tuple(pattern)
     plist = pairings.word_pairings(k, pattern)
-    index = {p.pairs: a for a, p in enumerate(plist)}
     d = 1 if pattern is None else period(pattern)
     maps = [lambda i, r=r: (i + r) % k for r in range(d, k, d)]
     maps += [lambda i, s=s: (s - i) % k for s in (range(k) if pattern is None else mirrors(pattern))]
     assert len(maps) == count
     L = pairings.loop_matrix(k, pattern)
     for g in maps:
-        perm = [index[tuple(sorted(tuple(sorted((g(a - 1) + 1, g(b - 1) + 1)))
-                                   for a, b in p.pairs))] for p in plist]
+        perm = image_positions(plist, g)
         assert np.array_equal(L[np.ix_(perm, perm)], L)
 
 
@@ -399,8 +406,7 @@ def test_cycle_types_match_the_loops_and_the_rotation():
         codes, types = pairings.cycle_types(k)
         assert len(codes) == n * n and len(set(types)) == len(types)
         L = pairings.loop_matrix(k).tolist()
-        index = {p.bits: a for a, p in enumerate(plist)}
-        rot = pairings._index_map(plist, index, [(i + 1) % k for i in range(k)])
+        rot = pairings._rotation(k)
         for a in range(n):
             for c in range(n):
                 t = types[codes[a * n + c]]
@@ -409,3 +415,31 @@ def test_cycle_types_match_the_loops_and_the_rotation():
                 assert codes[c * n + a] == codes[a * n + c]
                 assert codes[rot[a] * n + rot[c]] == codes[a * n + c]
     assert len(pairings.cycle_types(12)[1]) == 11  # every partition of 6
+
+
+def test_cycle_types_match_union_find_on_a_sample_at_k14():
+    k = 14
+    plist = pairings.enumerate_nc_pairings(k)
+    n = len(plist)
+    codes, types = pairings.cycle_types(k)
+    assert len(codes) == n * n and len(set(types)) == len(types) == 15  # partitions of 7
+    rng = random.Random(14)
+    for _ in range(2000):
+        a, c = rng.randrange(n), rng.randrange(n)
+        assert types[codes[a * n + c]] == union_half_lengths(plist[a], plist[c]), (a, c)
+
+
+@pytest.mark.parametrize("k", range(0, 15, 2))
+def test_cycle_types_are_dihedral_invariant(k):
+    # The rotation i -> i + 1 and the reflection i -> -i generate the dihedral
+    # group; each only relabels the points of p ∪ q, so it keeps the code.
+    plist = pairings.enumerate_nc_pairings(k)
+    n = len(plist)
+    codes, types = pairings.cycle_types(k)
+    C = np.frombuffer(codes, dtype=np.uint8).reshape(n, n)
+    assert np.array_equal(C, C.T)
+    assert np.array_equal(np.array([len(t) for t in types], dtype=np.int8)[C],
+                          pairings.loop_matrix(k))
+    for g in (lambda i: (i + 1) % k, lambda i: -i % k):
+        perm = image_positions(plist, g)
+        assert np.array_equal(C[np.ix_(perm, perm)], C)

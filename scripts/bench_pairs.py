@@ -11,13 +11,13 @@ the timings outside perfbench, again alternating which checkout goes
 first: criterion 7's order-16 moment at N = 3 and N = 8 in a fresh process
 after building `loop_matrix(16)`; the modular kernel `_solve_mod_prime` on
 the k = 12 Gram matrix at N = 3 with V = I (the full inverse that a
-k = 12 Weingarten table needs) and on the k = 14 and k = 16 ones with one
-right-hand column, each the median over the first five primes, and
-drawing the first 14 and the first MAX_PRIMES primes from
-`prime_stream`, the median of five draws, in a fresh process; the whole
-certified build of the k = 12 table, `fraction_free_inverse(loop_matrix(12),
-N)` at N = 3 and N = 4 (kernel, CRT and certificate, with the loop matrix
-built before the clock starts), in a fresh process; a cold
+k = 12 Weingarten table needed before tables were solved by rotation
+blocks) and on the k = 14 and k = 16 ones with one right-hand column, each
+the median over the first five primes, in a fresh process; the whole
+certified build of the k = 12 table as `weingarten` runs it,
+`weingarten_table(12, N)` at N = 3 and N = 4 (kernel, CRT, certificate
+and the table's tuples, with the loop matrix and the rotation orbits built
+before the clock starts), in a fresh process; a cold
 coloured `loop_matrix(16, pattern)` for each of COLOURED_PATTERNS, each
 in a fresh process; `rapid_decay.dn_constant(N)` with the default
 truncation for each N in DN_NS, each in a fresh process (the `D_N` scan
@@ -98,25 +98,19 @@ for name, k in (("kernel_k12_inverse_s", 12), ("kernel_k14_s", 14), ("kernel_k16
         exactla._solve_mod_prime(A, V, p)
         times.append(time.perf_counter() - t)
     out[name] = statistics.median(times)
-for count in (14, exactla.MAX_PRIMES):
-    times = []
-    for _ in range(5):
-        t = time.perf_counter()
-        list(itertools.islice(exactla.prime_stream(), count))
-        times.append(time.perf_counter() - t)
-    out[f"primes{count}_s"] = statistics.median(times)
 print(json.dumps(out))
 """
 
 CERTIFIED = """
 import json, time
-from qhaar import exactla, pairings
-loop_mat = pairings.loop_matrix(12)
+from qhaar import pairings, weingarten
+pairings.loop_matrix(12)
+pairings.rotation_orbits(12)
 out = {}
 for N in (3, 4):
     t = time.perf_counter()
-    exactla.fraction_free_inverse(loop_mat, N)
-    out[f"inverse_k12_N{N}_s"] = time.perf_counter() - t
+    weingarten.weingarten_table(12, N)
+    out[f"table_k12_N{N}_s"] = time.perf_counter() - t
 print(json.dumps(out))
 """
 

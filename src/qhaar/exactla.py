@@ -1,29 +1,31 @@
 """Exact linear algebra mod primes: certified inverses and bilinear solves.
 
-Both routes are one certified solve of A X = D V, modulo primes below 2**23,
-for the Gram matrix A = N**loops taken as (loop_mat, N), loop_mat from
-pairings.loop_matrix; no bigint A exists.
+Both are one certified solve of A X = D V, modulo primes below 2**23, for
+the Gram matrix A = N**loops taken as (loop_mat, N), loop_mat from
+pairings.loop_matrix; no bigint A exists.  Each prime solves the rotation
+blocks of A (below).
 
-* ``fraction_free_inverse`` -- V = I: the exact inverse X/D of A.  Used for
-  full Weingarten tables.
+* ``fraction_free_inverse`` -- V the indicator columns of the rotation
+  orbits' representatives: the exact inverse X/D of A, its other columns
+  filled in by the rotation (below).  Used for full Weingarten tables.
 
 * ``bilinear_solve`` -- V = v, a 0-1 indicator column: the exact value of
   u^T A^{-1} v = sum(X[r] for r in u) / D.  Used for single large-k moments
-  where the full table is out of reach, and solved by rotation blocks
-  (below) when the pairings' rotation orbits are given.
+  where the full table is out of reach.
 
 Both go through one prime loop, ``_gram_solve``: for each prime it builds
-A mod p, or its rotation blocks, runs the kernel, skips the primes described
-below, and combines the residues T = A^{-1} V mod p into W = A^{-1} V mod M,
-M the product of the primes used.  The combination is Garner's mixed-radix
-CRT (Garner, IRE Trans. Electronic Computers EC-8, 1959), in float64:
-W = d_1 + p_1 (d_2 + p_2 (... d_j)), and for a new prime p, ``_garner_digit``
-takes W mod p by Horner over the earlier digits, then the new digit
-d = (T - W mod p) (1/M mod p), both with ``_reduce``.  Exactness: every digit and residue has size at most p/2 + 1
-for its own prime, and every prime is at most P = PRIME_START.  A Horner
-value is a reduced value times a residue in [0, p), plus a digit:
-at most (P/2 + 1)(P - 1) + P/2 + 1.  T - W mod p has size at most p + 1, and
-times 1/M mod p in [0, p) at most (P + 1)(P - 1).  Both are below
+the rotation blocks of A mod p, runs the kernel on them, skips the primes
+described below, and combines the residues T = A^{-1} V mod p into
+W = A^{-1} V mod M, M the product of the primes used.  The combination is
+Garner's mixed-radix CRT (Garner, IRE Trans. Electronic Computers EC-8,
+1959), in float64: W = d_1 + p_1 (d_2 + p_2 (... d_j)), and for a new prime
+p, ``_garner_digit`` takes W mod p by Horner over the earlier digits, then
+the new digit d = (T - W mod p) (1/M mod p), both with ``_reduce``.
+Exactness: every digit and residue has size at most p/2 + 1 for its own
+prime, and every prime is at most P = PRIME_START.  A Horner value is a
+reduced value times a residue in [0, p), plus a digit: at most
+(P/2 + 1)(P - 1) + P/2 + 1.  T - W mod p has size at most p + 1, and times
+1/M mod p in [0, p) at most (P + 1)(P - 1).  Both are below
 P**2 < 2**46 < 2**52, so float64 holds them and ``_reduce`` is exact.  The
 bigint side is then one update per entry and prime, W + M d, which keeps W
 as a representative of each entry mod M, not reduced into [0, M).
@@ -61,9 +63,20 @@ x = sum_j F_j z_j / r, that is x[rho^t rep_a] = (1/s) sum_j w^(jt) z_j[a].
 ``_block_solve`` gathers only the representatives' rows G[rep_a, rho^u rep_b],
 transforms them by the r x r matrix of powers of w, pads each block with
 identity rows to one size (their rows and columns of G_j are 0 mod p), and
-solves all r blocks in one stacked kernel call; the dense solve is the
-r = 1 case, a stack of one.  Blocks have at most about n/r rows: 14 systems
-of 34 rows instead of 429 at k = 14, 16 of 95 instead of 1430 at k = 16.
+solves all r blocks in one stacked kernel call.  An aperiodic colour
+pattern has r = 1, one orbit per pairing, and its stack of one is A itself.
+Blocks have at most about n/r rows: 14 systems of 34 rows instead of 429 at
+k = 14, 16 of 95 instead of 1430 at k = 16.
+
+Representative columns.  A table needs every column of A^{-1} but solves
+only the m columns of the orbit representatives, V = [e_rep_a].  With P the
+permutation matrix of rho, G[rho a, rho b] = G[a, b] says P A = A P, so
+P A^{-1} = A^{-1} P, and column rho^t rep_a of A^{-1} is column rep_a with
+its rows turned: A^{-1}[rho^t i, rho^t rep_a] = A^{-1}[i, rep_a].  The
+certificate proves A X = D V on the columns solved, and P^t times that is
+A (P^t X) = D P^t V, the same identity on the turned columns; so the whole
+table is proven.  Every table entry is an entry of the columns solved, so
+the gcd that reduces X/D over them is the gcd over the table.
 
 Why the blocks need no pivoting either: over C, with w = exp(2 pi i/r),
 each G_j is F_j^H G F_j / r for nonzero vectors with disjoint supports and
@@ -72,14 +85,15 @@ minors are nonzero elements of Z[w].  Reducing Z[w] mod p sends w to a
 primitive r-th root mod p (a root of the r-th cyclotomic polynomial mod p,
 p not dividing r), and each block mod p is the image of G_j; an identity
 row leaves the leading minors those of the unpadded block.  A leading
-minor's image vanishes only when p divides its nonzero norm, so as in the
-dense case only finitely many primes are skipped, each when a leading minor
-of any block vanishes, and a skipped prime never changes the result.  The
-certificate sees only T = A^{-1} V mod p, so every result is proven as
-before.  Exactness: w's powers are residues in [0, p), and each transform
-is a matmul of inner dimension r over reduced residues, so with r <= BLOCK
-every partial sum stays below BLOCK p**2 < 2**52; larger r falls back to
-the dense solve.
+minor's image vanishes only when p divides its nonzero norm, so as for A
+itself (below) only finitely many primes are skipped, each when a leading
+minor of any block vanishes, and a skipped prime never changes the result.
+The certificate sees only T = A^{-1} V mod p, so it proves every result
+however the blocks found T.  Exactness: w's powers are residues in [0, p),
+and each transform is a matmul of inner dimension r over reduced residues,
+so with r <= BLOCK every partial sum stays below BLOCK p**2 < 2**52.
+_gram_solve refuses r > BLOCK, which no pairing list reaches: r <= k, and
+loop matrices need k <= 32 (pairings._walk).
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
 Pernet, ACM TOMS 35, 2008), on a stack of systems at once.  Per prime it
@@ -87,8 +101,8 @@ solves A T = V mod p by blocked LU without pivoting, then back
 substitution, on one copy of [A mod p | V] in blocks of BLOCK columns.
 Forward elimination, block by block: copy the diagonal block out and invert
 it in place by Gauss-Jordan in steps of S pivots, each step inverting its
-S x S pivot block (pivot-free, pivot by pivot in column order: in Python
-ints for a stack of one, across the stack in numpy for more) and carrying
+S x S pivot block (pivot-free, pivot by pivot in column order, across
+the stack in numpy) and carrying
 that to the rest of the diagonal block by one rank-S update; normalize the
 block row by the inverse, to [I | R], and subtract multiples of R from the
 rows below only.
@@ -128,7 +142,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import InvalidArgumentError, SingularMatrixError
 
 # First candidate prime: BLOCK*(p-1)**2 + p < 2**52 keeps float64 matmuls exact.
 PRIME_START = (1 << 23) - 1
@@ -181,33 +195,14 @@ def _reduce(X: np.ndarray, p: int) -> np.ndarray:
 def _inverse_small(P: np.ndarray, p: int) -> Optional[np.ndarray]:
     """P^{-1} mod p for a stack P (r x s x s) of small float64 residue blocks, or None.
 
-    Pivot-free Gauss-Jordan, pivot by pivot in column order: row k becomes
-    row / pivot with 1 / pivot at k, and every other row i loses P[i][k]
-    times it, with -P[i][k] / pivot left at k.  One block runs in place in
-    Python ints, where numpy's cost per call would outweigh the work; a
-    larger stack takes each pivot across the whole stack in numpy, on a
-    copy, reducing every entry after each pivot, so each product has two
-    factors of size at most p/2 + 1 or below p.  Returns float64 residues;
-    None if any block of the stack meets a zero pivot.
+    Pivot-free Gauss-Jordan, pivot by pivot in column order, each pivot
+    across the whole stack in numpy, on a copy: row k becomes row / pivot
+    with 1 / pivot at k, and every other row i loses P[i][k] times it, with
+    -P[i][k] / pivot left at k.  Every entry is reduced after each pivot, so
+    each product has two factors of size at most p/2 + 1 or below p.
+    Returns float64 residues; None if any block of the stack meets a zero
+    pivot.
     """
-    if len(P) == 1:
-        P = [[int(x) for x in r] for r in P[0].tolist()]
-        s = len(P)
-        for k in range(s):
-            pivot = P[k][k] % p
-            if pivot == 0:
-                return None
-            inv = pow(pivot, -1, p)
-            row = P[k]
-            row[k] = 1
-            row = P[k] = [x * inv % p for x in row]
-            for i in range(s):
-                if i != k:
-                    other = P[i]
-                    f = other[k]
-                    other[k] = 0
-                    P[i] = [(x - f * y) % p for x, y in zip(other, row)]
-        return np.array([P], dtype=np.float64)
     P = P.copy()
     for k in range(P.shape[1]):
         try:
@@ -404,36 +399,36 @@ def _garner_digit(T: np.ndarray, digits: list[np.ndarray], primes: list[int],
 
 
 def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray,
-                orbits: Optional[np.ndarray] = None) -> tuple[int, list[int]]:
+                orbits: np.ndarray) -> tuple[int, list[int]]:
     """(D, X) with G X = D V exactly for G = N**loop_mat, X a flat row-major list.
 
-    Draws at most MAX_PRIMES primes from prime_stream(r).  Without orbits,
-    r = 1 and each prime runs the kernel on G mod p, the lookup of N**l mod
-    p indexed by loop_mat.  With orbits (pairings.rotation_orbits, r columns,
-    1 < r <= BLOCK), the loop counts and V are gathered once on the orbit
-    representatives' rows, and each prime p = 1 (mod r) solves the rotation
-    blocks by _block_solve.  A prime is skipped when a leading minor of G, or
-    of a block, vanishes mod p.  T = G^{-1} V mod p gives the next Garner
-    digit d of W = G^{-1} V mod M.  The digits are kept, one float64 array
-    per prime, for the next prime's Horner step; W is one flat row-major list
-    of Python ints, updated to W + M d, a representative of each entry mod M
-    that is not reduced into [0, M).  The loop returns once _certified
-    accepts D and X = D W mod M, which the module docstring shows proves
-    G X = D V.  Raises SingularMatrixError when the primes run out.
+    orbits is pairings.rotation_orbits of loop_mat's pairings (m x r).  The
+    loop counts and V are gathered once on the orbit representatives' rows,
+    and each of at most MAX_PRIMES primes p = 1 (mod r) from prime_stream(r)
+    solves the rotation blocks by _block_solve; with r = 1, one orbit per
+    pairing, that is one stacked system, G itself.  A prime is skipped when
+    a leading minor of a block vanishes mod p.  T = G^{-1} V mod p gives the
+    next Garner digit d of W = G^{-1} V mod M.  The digits are kept, one
+    float64 array per prime, for the next prime's Horner step; W is one flat
+    row-major list of Python ints, updated to W + M d, a representative of
+    each entry mod M that is not reduced into [0, M).  The loop returns once
+    _certified accepts D and X = D W mod M, which the module docstring shows
+    proves G X = D V.  Raises InvalidArgumentError when r > BLOCK, past the
+    transforms' exactness bound, and SingularMatrixError when the primes run
+    out.
     """
+    r = orbits.shape[1]
+    if r > BLOCK:
+        raise InvalidArgumentError(f"{r} rotations exceed BLOCK = {BLOCK}")
     max_loops = int(loop_mat.max())
     scale = loop_mat.shape[0] * N ** max_loops  # n max|G|
     W, M, digits, primes = [0] * V.size, 1, [], []
-    blocks = orbits is not None and 1 < orbits.shape[1] <= BLOCK
-    r = orbits.shape[1] if blocks else 1
-    if blocks:  # the representatives' rows: loop_mat[rep_a, rho^u rep_b], V[rho^u rep_a]
-        loop_mat = loop_mat[orbits[:, :1], orbits.T[:, None, :]]
-        V = V[orbits.T]
+    # The representatives' rows: loop_mat[rep_a, rho^u rep_b], V[rho^u rep_a].
+    loop_mat = loop_mat[orbits[:, :1], orbits.T[:, None, :]]
+    V = V[orbits.T]
     for p in itertools.islice(prime_stream(r), MAX_PRIMES):
         pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
-        # The residues go straight in; the dense kernel frees G mod p once [G | V] is built.
-        T = (_block_solve(pows[loop_mat], V, orbits, p) if blocks
-             else _solve_mod_prime(pows[loop_mat], V, p))
+        T = _block_solve(pows[loop_mat], V, orbits, p)
         if T is None:
             continue  # p divides a leading minor; skip
         d = _garner_digit(T, digits, primes, p)
@@ -451,27 +446,44 @@ def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray,
     raise SingularMatrixError(f"no exact result within {MAX_PRIMES} primes")
 
 
-def fraction_free_inverse(loop_mat: np.ndarray, N: int) -> tuple[list[list[int]], int]:
+def fraction_free_inverse(loop_mat: np.ndarray, N: int, orbits: np.ndarray
+                          ) -> tuple[list[list[int]], int]:
     """Invert G = N**loop_mat exactly; returns (X, D) with G^{-1} = X/D, reduced.
 
-    The certified solve with V = I proves G X = D I.  Dividing by gcd(D, X)
-    leaves D the least common denominator.
+    orbits is pairings.rotation_orbits of loop_mat's pairings (m x r).  The
+    certified solve takes V the indicator columns of the m orbit
+    representatives and proves G X = D V on them.  The other columns are
+    turns of these (module docstring): G^{-1}[rho^t i, rho^t rep_a] =
+    G^{-1}[i, rep_a], where rho^t orbits[b, u] = orbits[b, u + t], indices
+    mod r.  Every entry of G^{-1} is thus an entry of the columns solved, so
+    dividing by gcd(D, X) leaves D the least common denominator.
     """
-    n = loop_mat.shape[0]
-    D, X = _gram_solve(loop_mat, N, np.eye(n))
+    n, (m, r) = loop_mat.shape[0], orbits.shape
+    V = np.zeros((n, m))
+    V[orbits[:, 0], np.arange(m)] = 1
+    D, X = _gram_solve(loop_mat, N, V, orbits)
     g = math.gcd(D, *X)
-    return [[x // g for x in X[i:i + n]] for i in range(0, n * n, n)], D // g
+    solved = [[x // g for x in X[a::m]] for a in range(m)]  # column rep_a, by rows
+    orbit_rows = orbits.tolist()
+    cols: list = [None] * n
+    for t in range(r):
+        back = [0] * n  # back[rho^t i] = i
+        for orbit in orbit_rows:
+            for u, i in enumerate(orbit):
+                back[orbit[(u + t) % r]] = i
+        for orbit, col in zip(orbit_rows, solved):
+            cols[orbit[t]] = [col[i] for i in back]
+    return [list(row) for row in zip(*cols)], D // g
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
-                   v_idx: Sequence[int], orbits: Optional[np.ndarray] = None) -> Fraction:
+                   v_idx: Sequence[int], orbits: np.ndarray) -> Fraction:
     """Exact u^T G^{-1} v for G = N**loop_mat, u/v 0-1 indicators.
 
-    u_idx and v_idx index the rows of loop_mat.  The certified solve with
-    V = v proves G X = D v, so the value is sum(X[r] for r in u_idx) / D.
-    orbits, the rotation orbits of loop_mat's pairings
-    (pairings.rotation_orbits), lets each prime solve the rotation blocks
-    instead of G; without them the solve is dense.
+    u_idx and v_idx index the rows of loop_mat, and orbits is
+    pairings.rotation_orbits of its pairings, by whose blocks each prime
+    solves.  The certified solve with V = v proves G X = D v, so the value
+    is sum(X[r] for r in u_idx) / D.
     """
     v = np.zeros((loop_mat.shape[0], 1))
     v[list(v_idx), 0] = 1

@@ -6,12 +6,14 @@ A moment of a generator word of even length k is the double sum over
     delta_p(row indices) * delta_q(column indices) * Wg(p, q),
 
 where Wg is the exact rational inverse of the Gram matrix G = N**loops.
-Both routes pass pairings.loop_matrix and N to exactla's one certified solve
-of G X = D V, which proves the identity before it returns.  Tables (V = I,
-so wg_num = X and wg_den = D) are cached; a word longer than TABLE_KMAX is
-instead one solve with V the indicator column of its column-compatible
-pairings, summed over its row-compatible pairings, and split into rotation
-blocks by the rotation orbits of its pairings (pairings.rotation_orbits).
+Both routes pass pairings.loop_matrix, N and the rotation orbits of the
+pairings (pairings.rotation_orbits) to exactla's one certified solve of
+G X = D V, which proves the identity before it returns and splits G into
+rotation blocks.  A table solves the columns of the orbit representatives
+and fills in the rest by the rotation (wg_num = X, wg_den = D), and is
+cached; a word longer than TABLE_KMAX is instead one solve with V the
+indicator column of its column-compatible pairings, summed over its
+row-compatible pairings.
 
 cycle_type_sums reduces a table for ncpoly.linear_state: S_λ(k, N) sums
 Wg(p, q) over the pairs whose union p ∪ q has cycle half-lengths λ
@@ -106,7 +108,8 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
 
 @lru_cache(maxsize=None)
 def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> WeingartenTable:
-    num, den = exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N)
+    num, den = exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N,
+                                             pairings.rotation_orbits(k, pattern))
     return WeingartenTable(k=k, N=N, pattern=pattern,
                            wg_num=tuple(tuple(r) for r in num), wg_den=den)
 

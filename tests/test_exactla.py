@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qhaar import exactla, pairings, weingarten
-from qhaar.errors import SingularMatrixError
+from qhaar.errors import InvalidArgumentError, SingularMatrixError
 
 import oracles
 
@@ -35,6 +35,11 @@ def indicator(n, idx):
     V = np.zeros((n, 1))
     V[idx, 0] = 1
     return V
+
+
+def one_orbit_each(loop_mat):
+    """Rotation orbits of one pairing each, r = 1: the solve is one system, G itself."""
+    return np.arange(loop_mat.shape[0])[:, None]
 
 
 def block_edge_matrix(n):
@@ -91,9 +96,9 @@ def test_kernel_solves_gram_systems_exactly(k, N):
 
 @pytest.mark.parametrize("n", [1, 4, 5, 65])
 def test_stacked_kernel_solves_each_system_of_the_stack(n):
-    # A stack runs its pivot blocks in numpy, a single system in Python ints;
-    # both must give each system's residues, and None when any one of them
-    # meets a vanishing leading minor.
+    # A stack of three and each of its systems alone, a 2-D call: both must
+    # give each system's residues, and None when any one of them meets a
+    # vanishing leading minor.
     p = next(exactla.prime_stream())
     rng = np.random.default_rng(n)
     A = rng.integers(p - 64, p, (3, n, n)).astype(np.float64)
@@ -306,11 +311,12 @@ def test_prime_dividing_a_leading_minor_is_skipped(monkeypatch):
     gram = np.array(pairings.gram_matrix(4, 3), dtype=np.float64)
     assert gram[0, 0] == 9
     assert exactla._solve_mod_prime(gram % 3, indicator(2, [0, 1]), 3) is None
-    counting_stream(monkeypatch, first=(3,))
-    loops = np.array(pairings.loop_matrix(4), dtype=np.int64)
+    # The table first: it solves by rotation blocks, on primes p = 1 (mod 4) only.
     table = weingarten.weingarten_table(4, 3)
     want = sum(table.wg(0, q) for q in (0, 1))
-    assert exactla.bilinear_solve(loops, 3, [0], [0, 1]) == want
+    counting_stream(monkeypatch, first=(3,))
+    loops = np.array(pairings.loop_matrix(4), dtype=np.int64)
+    assert exactla.bilinear_solve(loops, 3, [0], [0, 1], one_orbit_each(loops)) == want
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 5, 64, 65, 70])
@@ -343,7 +349,9 @@ def test_prime_three_is_skipped_for_the_k4_table(monkeypatch):
     gram = pairings.gram_matrix(4, 3)
     assert exactla._solve_mod_prime(np.array(gram) % 3.0, np.eye(2), 3) is None
     drawn = counting_stream(monkeypatch, first=(3,))
-    assert exactla.fraction_free_inverse(pairings.loop_matrix(4), 3) == ([[3, -1], [-1, 3]], 24)
+    loop_mat = pairings.loop_matrix(4)
+    assert exactla.fraction_free_inverse(loop_mat, 3, one_orbit_each(loop_mat)) \
+        == ([[3, -1], [-1, 3]], 24)
     assert drawn[0] == 3 and len(drawn) >= 2
 
 
@@ -351,7 +359,7 @@ def test_wrong_candidate_denominator_is_rejected(monkeypatch):
     gram = pairings.gram_matrix(10, 3)
     want = oracles.bareiss_inverse(gram)
     drawn = counting_stream(monkeypatch)
-    assert same_inverse(exactla.fraction_free_inverse(pairings.loop_matrix(10), 3), want)
+    assert same_inverse(certified_table(10, 3), want)
     honest, accepted_at = len(drawn), math.prod(drawn)
     # Where the honest run was accepted, the first denominator returned is
     # multiplied by the modulus: then D W = 0 mod M, so X = 0 would be
@@ -367,15 +375,27 @@ def test_wrong_candidate_denominator_is_rejected(monkeypatch):
 
     monkeypatch.setattr(exactla, "rational_reconstruct", wrong_first)
     drawn.clear()
-    got = exactla.fraction_free_inverse(pairings.loop_matrix(10), 3)
+    got = certified_table(10, 3)
     assert lies
     assert same_inverse(got, want) and got[1] == want[1] // math.gcd(want[1], *sum(want[0], []))
     assert len(drawn) > honest
 
 
+def certified_table(k, N, pattern=None):
+    """fraction_free_inverse as weingarten._build_table calls it, through the rotation orbits."""
+    return exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N,
+                                         pairings.rotation_orbits(k, pattern))
+
+
 def test_certified_inverse_matches_bareiss_oracle():
+    # Uncoloured tables (r = k), a periodic coloured pattern (period 4, so
+    # r = 2) and aperiodic ones (r = 1, one orbit per pairing), each solved
+    # on its representative columns and filled in by the rotation.
     rng = random.Random(7)
-    cases = [(k, None) for k in range(2, 11, 2)]
+    periodic, aperiodic = tuple("11**11**"), tuple("11*1*1**")
+    assert pairings.rotation_orbits(8, periodic).shape[1] == 2
+    assert pairings.rotation_orbits(8, aperiodic).shape[1] == 1
+    cases = [(k, None) for k in range(2, 11, 2)] + [(8, periodic), (8, aperiodic)]
     for k in range(4, 11, 2):
         for _ in range(2):
             pattern = ["1", "*"] * (k // 2)
@@ -384,11 +404,23 @@ def test_certified_inverse_matches_bareiss_oracle():
     for k, pattern in cases:
         for N in range(2, 7):
             gram = pairings.gram_matrix(k, N, pattern)
-            assert same_inverse(exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N),
-                                oracles.bareiss_inverse(gram))
+            assert same_inverse(certified_table(k, N, pattern), oracles.bareiss_inverse(gram))
     gram = pairings.gram_matrix(12, 3)
-    assert same_inverse(exactla.fraction_free_inverse(pairings.loop_matrix(12), 3),
-                        oracles.bareiss_inverse(gram))
+    assert same_inverse(certified_table(12, 3), oracles.bareiss_inverse(gram))
+
+
+def test_more_rotations_than_block_raise_before_any_prime(monkeypatch):
+    # r > BLOCK would break the transforms' exactness bound BLOCK p**2 < 2**52.
+    loop_mat = pairings.loop_matrix(4)
+    orbits = np.tile(np.arange(2)[:, None], (1, exactla.BLOCK + 1))
+    drawn = counting_stream(monkeypatch)
+    with pytest.raises(InvalidArgumentError):
+        exactla.fraction_free_inverse(loop_mat, 3, orbits)
+    with pytest.raises(InvalidArgumentError):
+        exactla.bilinear_solve(loop_mat, 3, [0], [1], orbits)
+    assert drawn == []
+    assert exactla.fraction_free_inverse(loop_mat, 3, orbits[:, :exactla.BLOCK]) \
+        == ([[3, -1], [-1, 3]], 24)
 
 
 @settings(deadline=None, max_examples=60)
@@ -414,7 +446,7 @@ def test_modular_route_matches_table_route_on_random_words(model, N, data):
     C = pairings.compatible_indices(plist, [j for _, j, _ in letters])
     loops = np.array(pairings.loop_matrix(k, pattern), dtype=np.int64)
     want = weingarten.haar_moment(weingarten.GeneratorWord(tuple(letters), model), N)
-    assert exactla.bilinear_solve(loops, N, R, C) == want
+    assert exactla.bilinear_solve(loops, N, R, C, one_orbit_each(loops)) == want
     assert exactla.bilinear_solve(loops, N, R, C, pairings.rotation_orbits(k, pattern)) == want
 
 
@@ -431,7 +463,7 @@ def k8_moment_inputs():
 def test_certificate_rejects_a_wrong_vector_denominator(monkeypatch):
     loops, R, C, want = k8_moment_inputs()
     drawn = counting_stream(monkeypatch)
-    assert exactla.bilinear_solve(loops, 3, R, C) == want
+    assert exactla.bilinear_solve(loops, 3, R, C, one_orbit_each(loops)) == want
     honest, accepted_at = len(drawn), math.prod(drawn)
     # Where the honest run was accepted, the first denominator returned is
     # multiplied by the modulus: then D W = 0 mod M, so X = 0 (a moment of
@@ -447,7 +479,7 @@ def test_certificate_rejects_a_wrong_vector_denominator(monkeypatch):
 
     monkeypatch.setattr(exactla, "rational_reconstruct", wrong_first)
     drawn.clear()
-    assert exactla.bilinear_solve(loops, 3, R, C) == want
+    assert exactla.bilinear_solve(loops, 3, R, C, one_orbit_each(loops)) == want
     assert lies
     assert len(drawn) > honest
 
@@ -457,11 +489,12 @@ def test_both_routes_give_up_after_max_primes(monkeypatch):
     # the one prime allowed is skipped and no residue is ever combined.
     monkeypatch.setattr(exactla, "MAX_PRIMES", 1)
     counting_stream(monkeypatch, first=(3,))
+    loop_mat = pairings.loop_matrix(12)
     with pytest.raises(SingularMatrixError):
-        exactla.fraction_free_inverse(pairings.loop_matrix(12), 3)
+        exactla.fraction_free_inverse(loop_mat, 3, one_orbit_each(loop_mat))
     loops, R, C, _ = k8_moment_inputs()
     with pytest.raises(SingularMatrixError):
-        exactla.bilinear_solve(loops, 3, R, C)
+        exactla.bilinear_solve(loops, 3, R, C, one_orbit_each(loops))
 
 
 def recorded_prime_loop(monkeypatch, solve, loop_mat, N, V):
@@ -491,7 +524,8 @@ def test_prime_loop_matches_the_reference_loop(monkeypatch, k, pattern, N, rhs):
     loop_mat = pairings.loop_matrix(k, None if pattern is None else tuple(pattern))
     n = loop_mat.shape[0]
     V = np.eye(n) if rhs == "I" else indicator(n, list(range(0, n, 3)))
-    got = recorded_prime_loop(monkeypatch, exactla._gram_solve, loop_mat, N, V)
+    got = recorded_prime_loop(monkeypatch, lambda L, N, V: exactla._gram_solve(
+        L, N, V, one_orbit_each(L)), loop_mat, N, V)
     want = recorded_prime_loop(monkeypatch, oracles.reference_gram_solve, loop_mat, N, V)
     assert got == want
     if k >= 6:
@@ -523,7 +557,7 @@ def test_block_route_matches_the_dense_route_past_the_tables(model, stars, N, r)
     orbits = pairings.rotation_orbits(k, pattern)
     assert orbits.shape[1] == r
     loops = pairings.loop_matrix(k, pattern)
-    want = exactla.bilinear_solve(loops, N, R, C)
+    want = exactla.bilinear_solve(loops, N, R, C, one_orbit_each(loops))
     assert want > 0
     assert exactla.bilinear_solve(loops, N, R, C, orbits) == want
     assert weingarten.haar_moment(weingarten.GeneratorWord(tuple(letters), model), N,

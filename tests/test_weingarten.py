@@ -270,7 +270,8 @@ def test_modular_route_matches_table_route():
         R = [a for a, p in enumerate(plist) if all(rows[x - 1] == rows[y - 1] for x, y in p.pairs)]
         C = [a for a, p in enumerate(plist) if all(cols[x - 1] == cols[y - 1] for x, y in p.pairs)]
         loops = np.array(pairings.loop_matrix(k, pattern), dtype=np.int64)
-        got = exactla.bilinear_solve(loops, N, R, C)
+        # One orbit per pairing (r = 1) against the table's rotation blocks.
+        got = exactla.bilinear_solve(loops, N, R, C, np.arange(len(plist))[:, None])
         assert got == weingarten.haar_moment(gw(word, model), N)
 
 

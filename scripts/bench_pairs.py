@@ -10,10 +10,8 @@ checkout gets one `--trace 1` run per workload.  Last come three pairs of
 the timings outside perfbench, again alternating which checkout goes
 first: criterion 7's order-16 moment at N = 3 and N = 8 in a fresh process
 after building `loop_matrix(16)`; the modular kernel `_solve_mod_prime` on
-the k = 12 Gram matrix at N = 3 with V = I (the full inverse that a
-k = 12 Weingarten table needed before tables were solved by rotation
-blocks) and on the k = 14 and k = 16 ones with one right-hand column, each
-the median over the first five primes, in a fresh process; the whole
+the k = 14 and k = 16 Gram matrices at N = 3 with one right-hand column,
+each the median over the first five primes, in a fresh process; the whole
 certified build of the k = 12 table as `weingarten` runs it,
 `weingarten_table(12, N)` at N = 3 and N = 4 (kernel, CRT, certificate
 and the table's tuples, with the loop matrix and the rotation orbits built
@@ -35,7 +33,11 @@ row reads the same in trees whose solve takes other arguments); and
 `qhaar moment` of `x[1,1]` repeated 18 times at N = 3 with `--kmax 18`, in
 a fresh process: its wall time, the child's own peak RSS (VmHWM, read by
 the child itself at exit) and its stdout, which must be byte-identical
-across both checkouts and all pairs (`order18_stdout_identical`).  In the
+across both checkouts and all pairs (`order18_stdout_identical`); and the
+free-limit norm `lp_norm(parse_poly(FREE_POLY), 10, None)` in a fresh
+process: the call's time and the process's wall time, the child's VmHWM
+and the value, which must be identical likewise
+(`free_lp10_value_identical`).  In the
 change checkout only, each timing pair also times one prime of the
 rotation-block solve (`exactla._block_solve`, residues and transforms
 included) against the dense kernel on the same Gram matrix at k = 14 and
@@ -85,11 +87,10 @@ import itertools, json, statistics, time
 import numpy as np
 from qhaar import exactla, pairings
 out = {}
-for name, k in (("kernel_k12_inverse_s", 12), ("kernel_k14_s", 14), ("kernel_k16_s", 16)):
+for name, k in (("kernel_k14_s", 14), ("kernel_k16_s", 16)):
     loop_mat = pairings.loop_matrix(k)
     n = loop_mat.shape[0]
-    # The table route's full inverse at k = 12; one column past it.
-    V = np.eye(n) if k == 12 else (np.arange(n) % 3 == 0).astype(np.float64)[:, None]
+    V = (np.arange(n) % 3 == 0).astype(np.float64)[:, None]
     times = []
     for p in itertools.islice(exactla.prime_stream(), 5):
         pows = np.array([pow(3, l, p) for l in range(int(loop_mat.max()) + 1)], dtype=np.float64)
@@ -146,6 +147,19 @@ sys.stdout.flush()
 hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(int(hwm.split()[1]) / 1024, file=sys.stderr)
 sys.exit(rc)
+"""
+
+# lp_words' free-limit side: (P* P)^5 has 59,049 words for these three letters.
+FREE_POLY = "x[2,1]+x[2,2]+x[3,1]"
+
+FREE_LIMIT = """
+import json, sys, time
+from qhaar import ncpoly
+t = time.perf_counter()
+value = ncpoly.lp_norm(ncpoly.parse_poly(sys.argv[1]), 10, None)
+s = time.perf_counter() - t
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(json.dumps({"s": s, "vmhwm_mb": int(hwm.split()[1]) / 1024, "value": str(value)}))
 """
 
 BLOCK_PRIME = """
@@ -318,6 +332,12 @@ def timing_run(tree: str) -> dict:
     out["order18_cold_s"] = time.perf_counter() - t
     out["order18_vmhwm_mb"] = float(proc.stderr.split()[-1])
     out["order18_stdout"] = proc.stdout
+    t = time.perf_counter()
+    free = json.loads(timed([sys.executable, "-c", FREE_LIMIT, FREE_POLY], tree)[1])
+    out["free_lp10_cold_s"] = time.perf_counter() - t
+    out["free_lp10_s"] = free["s"]
+    out["free_lp10_vmhwm_mb"] = free["vmhwm_mb"]
+    out["free_lp10_value"] = free["value"]
     return out
 
 
@@ -361,6 +381,8 @@ def main() -> int:
             json.loads(timed([sys.executable, "-c", BLOCK_PRIME], trees["change"])[1]))
         result["order18_stdout_identical"] = len(
             {p[side]["order18_stdout"] for p in result["timing_pairs"] for side in trees}) == 1
+        result["free_lp10_value_identical"] = len(
+            {p[side]["free_lp10_value"] for p in result["timing_pairs"] for side in trees}) == 1
         result["median_table"] = median_table(result["pairs"], result["timing_pairs"],
                                               result["change_only"])
         save(result, args.out)

@@ -274,9 +274,13 @@ def _solve_mod_prime(A: np.ndarray, V: np.ndarray, p: int) -> Optional[np.ndarra
 def _root_of_unity(r: int, p: int) -> int:
     """The first primitive r-th root of unity mod p among g**((p-1)/r), g = 2, 3, ...
 
-    p = 1 (mod r).  w = g**((p-1)/r) has w**r = 1, and its order is r unless w**(r/q) = 1 for
-    a prime q dividing r.
+    p = 1 (mod r), else InvalidArgumentError: there is no such root, and the search would not
+    end.  w = g**((p-1)/r) has w**r = 1, and its order is r unless w**(r/q) = 1 for a prime q
+    dividing r.
     """
+    if (p - 1) % r:
+        raise InvalidArgumentError(f"no primitive {r}-th root of unity mod {p}: "
+                                   f"{p} is not 1 (mod {r})")
     factors = [q for q in range(2, r + 1) if r % q == 0 and all(q % d for d in range(2, q))]
     for g in itertools.count(2):
         w = pow(g, (p - 1) // r, p)

@@ -16,7 +16,8 @@ expanding anything (its docstring gives the derivation):
     h((a* a)^m) = N^(m h0) Σ_λ S_λ(2m, N) Π_{L in λ} tr((C* C)^L).
 
 Every other polynomial, the free limit and k = 2m past the table route
-expand (a* a)^m into words and evaluate each with state_eval.
+go word by word without expanding (a* a)^m: with b = a* a, state_eval
+takes the pairs of words of b^floor(m/2) and b^ceil(m/2), one moment each.
 
 Text format accepted by parse_poly: terms separated by + / -, monomials as
 products of letters x[i,j], v[i,j], v*[i,j] joined by '*', optional '^n'
@@ -245,36 +246,61 @@ def scaled_generators(P: NCPolynomial, N: int) -> NCPolynomial:
 
 
 def state_eval(a: NCPolynomial, N: Optional[int] = None,
-               kmax: int = weingarten.DEFAULT_KMAX) -> GaussianRational:
-    """Haar state (finite N) or free limit state (N=None), extended linearly.
+               kmax: int = weingarten.DEFAULT_KMAX,
+               right: Optional[NCPolynomial] = None) -> GaussianRational:
+    """Haar state (finite N) or free limit state (N=None) of a * right, extended linearly.
 
-    At finite N the distinct letters of all the words are checked once, and
-    each word's moment is then taken from its rows, columns and colours.
+    right=None is the unit, so state_eval(a, N) is the state of a.  The
+    product is never expanded: the sum runs over the pairs of terms c_u u of
+    a and c_v v of right, one moment call on the word u v each, and c_u c_v
+    is formed only when that moment is nonzero.  The letters of both factors
+    are checked once (finite N), and a sqrt(N) power in either factor refuses
+    the limit state before any moment is taken.
+
+    By linearity this is the state of the expanded product.  When the terms
+    of a share one word length and one sqrt(N) power, distinct pairs give
+    distinct terms, so each term of the product gets one moment call;
+    otherwise a term may come from several pairs and is evaluated once per
+    pair.  A word whose coefficients cancel in the product is still
+    evaluated: past kmax it is refused (possibly naming another required_k
+    than the expansion would), and an odd sqrt(N) power on a nonzero moment
+    raises.
     """
-    if N is not None and a.terms:
-        letters = dict.fromkeys(x for word, _ in a.terms for x in word)
+    right = NCPolynomial.constant(1, a.model) if right is None else right
+    a._check(right)
+    if not (a.terms and right.terms):
+        return ZERO
+    if N is None:
+        if any(h for poly in (a, right) for _, h in poly.terms):
+            raise ValueError("sqrt(N)-scaled terms cannot be evaluated in the limit state")
+        if a.model == "o+":  # a letter (i, j, "1") is its own label
+            moment = freelimit.semicircular_moment
+        else:
+            def moment(word):
+                return freelimit.circular_moment([((i, j), eps) for i, j, eps in word])
+    else:
+        letters = dict.fromkeys(x for poly in (a, right) for word, _ in poly.terms for x in word)
         weingarten.check_letters(letters, a.model)
         weingarten.check_dimension(letters, N)
+        unitary = a.model == "u+"
+
+        def moment(word):
+            return weingarten._moment([i for i, _, _ in word], [j for _, j, _ in word],
+                                      tuple(eps for _, _, eps in word) if unitary else None,
+                                      N, kmax)
     total = ZERO
-    for (word, h), c in a.terms.items():
-        if N is None:
-            if h != 0:
-                raise ValueError("sqrt(N)-scaled terms cannot be evaluated in the limit state")
-            if a.model == "o+":
-                m = freelimit.semicircular_moment([(i, j) for i, j, _ in word])
-            else:
-                m = freelimit.circular_moment([((i, j), eps) for i, j, eps in word])
-            if m:
-                total = total + c * m
-        else:
-            mom = weingarten._moment([i for i, _, _ in word], [j for _, j, _ in word],
-                                     tuple(eps for _, _, eps in word) if a.model == "u+" else None,
-                                     N, kmax)
+    right_terms = list(right.terms.items())
+    for (w1, h1), c1 in a.terms.items():
+        for (w2, h2), c2 in right_terms:
+            mom = moment(w1 + w2)
             if not mom:
                 continue
+            h = h1 + h2
             if h % 2:
                 raise ValueError("odd sqrt(N) power with nonzero moment is irrational")
-            total = total + c * (mom * Fraction(N) ** (h // 2))
+            if h:
+                mom = mom * Fraction(N) ** (h // 2)
+            total = total + c1 * c2 * mom
     return total
 
 
@@ -305,7 +331,7 @@ def linear_state(a: NCPolynomial, m: int, N: int,
     C only through C* C.  With one-letter forms, U_N^+ of either star flag
     gives the same alternating pattern, hence the same uncoloured sums.
 
-    Everything else returns None, and lp_norm then expands the words:
+    Everything else returns None, and lp_norm then goes word by word:
     products of letters, constants, mixed star flags or powers, k past
     TABLE_KMAX or kmax (where the per-word route solves or refuses).  The
     letters are checked as state_eval checks them.
@@ -342,15 +368,18 @@ def lp_norm(a: NCPolynomial, p: int, N: Optional[int] = None,
 
     The inner moment is exact; only the final root is floating, computed at
     the working precision qnum.PRECISION_BITS.  At finite N a linear form
-    takes linear_state, with no word expansion; every other case expands
-    (a* a)^m and evaluates it word by word through state_eval.
+    takes linear_state, with no word expansion.  Every other case makes one
+    state_eval call on L = b^floor(m/2) with right factor R = b^ceil(m/2),
+    b = a* a, so (a* a)^m = L R is never expanded: at p = 10 a three-letter
+    form gives 81 + 729 terms in L and R, not 59,049 words.
     """
     if p < 2 or p % 2:
         raise InvalidArgumentError(f"p must be an even integer >= 2, got {p}")
     m = p // 2
     value = None if N is None else linear_state(a, m, N, kmax)
     if value is None:
-        value = state_eval((a.adjoint() * a) ** m, N, kmax=kmax)
+        b = a.adjoint() * a
+        value = state_eval(b ** (m // 2), N, kmax=kmax, right=b ** (m - m // 2))
     if not value.is_real or value.re < 0:
         raise ValueError(f"(a* a)^m moment must be real nonnegative, got {value}")
     with mpmath.workprec(qnum.PRECISION_BITS):

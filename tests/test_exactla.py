@@ -118,6 +118,12 @@ def test_root_of_unity_is_primitive(r):
         assert len({pow(w, t, p) for t in range(r)}) == r and pow(w, r, p) == 1
 
 
+def test_root_of_unity_refuses_a_prime_outside_its_class():
+    # 3 is not 1 (mod 4), so there is no primitive 4th root of unity mod 3 to find.
+    with pytest.raises(InvalidArgumentError, match="not 1 \\(mod 4\\)"):
+        exactla._root_of_unity(4, 3)
+
+
 def orbit_stack(loop_mat, V, orbits):
     """The representatives' rows: L[u, a, b] = loop_mat[rep_a, rho^u rep_b], V[u, a] = V[rho^u rep_a].
 

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhaar import exactla, freelimit, ncpoly, weingarten
+from qhaar import exactla, freelimit, ncpoly, qnum, weingarten
 from qhaar.errors import (InvalidDimensionError, InvalidIndexError, ModelMismatchError,
                           PolyParseError, ResourceLimitError)
 from qhaar.ncpoly import ONE, ZERO, GaussianRational, NCPolynomial
@@ -326,7 +326,7 @@ def random_linear_form(rng, model, eps, N, terms, h0):
 
 
 def word_route_norm(a, p, N, kmax=weingarten.DEFAULT_KMAX):
-    """lp_norm as it is computed without linear_state, by expanding (a* a)^(p/2)."""
+    """lp_norm as it is computed without linear_state, word by word through state_eval."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ncpoly, "linear_state", lambda *args: None)
         return ncpoly.lp_norm(a, p, N, kmax=kmax)
@@ -414,6 +414,124 @@ class TestLinearState:
         a = ncpoly.scaled_generators(x(5, 1) + x(1, 5), 4)
         assert not a.terms and ncpoly.linear_state(a, 2, 4) is None
         assert ncpoly.lp_norm(a, 4, 4) == 0
+
+
+def random_poly(rng, model, N, lengths, powers=(0,), complex_parts=False) -> NCPolynomial:
+    """Three terms, each a random word of a length drawn from `lengths` and letters at most
+    min(N, 2), times sqrt(N)^(its length + a draw from `powers`), as scaled_generators leaves it."""
+    stars = "1*" if model == "u+" else "1"
+    top = min(N or 2, 2)
+    terms = {}
+    for _ in range(3):
+        word = tuple((rng.randint(1, top), rng.randint(1, top), rng.choice(stars))
+                     for _ in range(rng.choice(lengths)))
+        h = len(word) + rng.choice(powers) if N else 0
+        terms[(word, h)] = GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                                            rng.randint(1, 5) if complex_parts else 0)
+    return NCPolynomial(model, terms)
+
+
+PAIR_CASES = {
+    "homogeneous": dict(lengths=(2,)),
+    "non-homogeneous": dict(lengths=(1, 2, 3)),
+    "constant term": dict(lengths=(0, 2)),
+    "mixed powers": dict(lengths=(2,), powers=(0, 2)),
+    "complex coefficient": dict(lengths=(1, 2), complex_parts=True),
+}
+
+
+class TestPairedState:
+    """state_eval(L, N, right=R) against the state of the expanded product L R."""
+
+    @pytest.mark.parametrize("model", ["o+", "u+"])
+    @pytest.mark.parametrize("N", [2, 3, 4, None])
+    def test_equals_the_state_of_the_expanded_product(self, model, N):
+        rng = random.Random(f"{model} {N}")
+        nonzero = 0
+        for name, case in PAIR_CASES.items():
+            for _ in range(4):
+                L = random_poly(rng, model, N, **case)
+                # With L* in the right factor the product has a positive part, so it is rarely 0.
+                R = L.adjoint() + random_poly(rng, model, N, **case)
+                want = ncpoly.state_eval(L * R, N)
+                assert ncpoly.state_eval(L, N, right=R) == want, (name, L.terms, R.terms)
+                nonzero += bool(want)
+        assert nonzero >= 15
+
+    def test_right_none_is_the_unit(self):
+        a = x(1, 1) * x(1, 1) + x(1, 2).scale(GaussianRational(2, 3)) * x(1, 2)
+        for N in (3, None):
+            assert (ncpoly.state_eval(a, N) == ncpoly.state_eval(a, N, right=NCPolynomial.constant(1))
+                    == ncpoly.state_eval(NCPolynomial.constant(1), N, right=a))
+
+    def test_a_zero_factor_needs_no_dimension(self):
+        assert ncpoly.state_eval(x(1, 1), 1, right=NCPolynomial("o+")) == ZERO
+        assert ncpoly.state_eval(NCPolynomial("o+"), 1, right=x(1, 1)) == ZERO
+
+    def test_factors_of_two_models_are_refused(self):
+        with pytest.raises(ModelMismatchError):
+            ncpoly.state_eval(x(1, 1), 3, right=vgen(1, 1))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_scaled_factor_refuses_the_limit_state(self, side):
+        scaled = NCPolynomial("o+", {(((1, 1, "1"),), 2): ONE})
+        factors = (scaled, x(1, 1)) if side == "left" else (x(1, 1), scaled)
+        with pytest.raises(ValueError, match="cannot be evaluated in the limit state"):
+            ncpoly.state_eval(factors[0], None, right=factors[1])
+        with pytest.raises(ValueError, match="cannot be evaluated in the limit state"):
+            ncpoly.state_eval(factors[0] * factors[1], None)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_an_odd_power_on_a_nonzero_moment_is_irrational(self, side):
+        odd = NCPolynomial("o+", {(((1, 1, "1"),), 1): ONE})
+        factors = (odd, x(1, 1)) if side == "left" else (x(1, 1), odd)
+        for a, right in (factors, (factors[0] * factors[1], None)):
+            with pytest.raises(ValueError, match="irrational"):
+                ncpoly.state_eval(a, 3, right=right)
+
+    @pytest.mark.parametrize("word, model, N", [
+        (((1, 1, "1"), (0, 1, "1")), "o+", 3),
+        (((1, 1, "1"), (1, 1, "*")), "o+", 3),
+        (((1, 1, "x"), (1, 1, "1")), "u+", 3),
+        (((1, 4, "1"), (1, 4, "1")), "o+", 3),
+        (((1, 4, "1"),), "u+", 3),
+    ])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_bad_letters_in_either_factor_raise_as_the_product_does(self, word, model, N, side):
+        good = NCPolynomial(model, {(((1, 1, "1"), (1, 1, "1")), 0): ONE})
+        bad = NCPolynomial(model, {(word, 0): ONE})
+        factors = (bad, good) if side == "left" else (good, bad)
+        with pytest.raises(Exception) as product:
+            ncpoly.state_eval(factors[0] * factors[1], N)
+        with pytest.raises(type(product.value)) as paired:
+            ncpoly.state_eval(factors[0], N, right=factors[1])
+        assert str(paired.value) == str(product.value)
+
+    @pytest.mark.parametrize("p, kmax", [(14, 12), (8, 6), (10, 8)])
+    def test_past_kmax_a_homogeneous_form_refuses_as_the_expansion_does(self, p, kmax):
+        a = ncpoly.scaled_generators(x(1, 1) + x(1, 2).scale(ncpoly.I), 3)
+        b, m = a.adjoint() * a, p // 2
+        with pytest.raises(ResourceLimitError) as expanded:
+            ncpoly.state_eval(b ** m, 3, kmax=kmax)
+        with pytest.raises(ResourceLimitError) as paired:
+            ncpoly.state_eval(b ** (m // 2), 3, kmax=kmax, right=b ** (m - m // 2))
+        assert str(paired.value) == str(expanded.value) == f"word length {p} exceeds kmax={kmax}"
+        assert paired.value.required_k == expanded.value.required_k == p
+
+    @pytest.mark.parametrize("model, counter", [("o+", "semicircular_moment"),
+                                                ("u+", "circular_moment")])
+    @pytest.mark.parametrize("p", [2, 4, 6, 8])
+    def test_one_moment_per_word_of_the_expansion(self, model, counter, p, monkeypatch):
+        a = NCPolynomial(model, {(((i, j, "1"),), 0): GaussianRational(i, j)
+                                 for i, j in ((1, 1), (1, 2), (2, 1))})
+        b = a.adjoint() * a
+        words = len((b ** (p // 2)).terms)
+        want = ncpoly.state_eval(b ** (p // 2), None)
+        evals = spy(monkeypatch, ncpoly, "state_eval")
+        moments = spy(monkeypatch, freelimit, counter)
+        with mpmath.workprec(qnum.PRECISION_BITS):
+            assert ncpoly.lp_norm(a, p, None) == mpmath.root(want.re, p)
+        assert len(evals) == 1 and len(moments) == words == 3 ** p
 
 
 class TestScaledGenerators:

@@ -37,13 +37,18 @@ across both checkouts and all pairs (`order18_stdout_identical`); and the
 free-limit norm `lp_norm(parse_poly(FREE_POLY), 10, None)` in a fresh
 process: the call's time and the process's wall time, the child's VmHWM
 and the value, which must be identical likewise
-(`free_lp10_value_identical`).  In the
-change checkout only, each timing pair also times one prime of the
+(`free_lp10_value_identical`); and `qhaar lp 'x[1,1]+x[1,2]' --N 3 --p 14
+--kmax 14` in a fresh process: its wall time, the child's VmHWM and its
+stdout, which must be identical likewise (`lp14_stdout_identical`).  In
+the change checkout only, each timing pair also times one prime of the
 rotation-block solve (`exactla._block_solve`, residues and transforms
 included) against the dense kernel on the same Gram matrix at k = 14 and
 k = 16, N = 3, one right-hand column, the median over the first five
-primes p = 1 (mod k), and checks that their residues are equal
-(`change_only`).
+primes p = 1 (mod k), and checks that their residues are equal; and runs
+the same `lp` at p = 16 with `--kmax 16`, timed and measured likewise
+(`change_only`; a tree that takes such a form word by word needs minutes
+for it).  After the traced runs, each checkout reports what its cached
+k = 12 table at N = 3 holds (`k12_table`: rows, ints and their bytes).
 After the timing pairs, `perfbench/report.py` runs once on the change
 (default seed) and its table is kept as `report_table`.
 Nothing runs concurrently.  The JSON holds `nproc`, every run's metrics
@@ -147,6 +152,29 @@ sys.stdout.flush()
 hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(int(hwm.split()[1]) / 1024, file=sys.stderr)
 sys.exit(rc)
+"""
+
+# A linear form past order 12: `lp` at p = k with --kmax k.
+LP_FORM = """
+import sys
+from qhaar import cli
+rc = cli.main(["lp", "x[1,1]+x[1,2]", "--N", "3", "--p", sys.argv[1], "--kmax", sys.argv[1]])
+sys.stdout.flush()
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(int(hwm.split()[1]) / 1024, file=sys.stderr)
+sys.exit(rc)
+"""
+
+# The ints the cached k = 12 table at N = 3 holds: its representative columns, or the
+# n x n numerators of trees that keep the whole table, and their bytes as Python objects.
+TABLE_INTS = """
+import json, sys
+from qhaar import weingarten
+t = weingarten.weingarten_table(12, 3)
+rows = t.cols if hasattr(t, "cols") else t.wg_num
+ints = [x for row in rows for x in row]
+print(json.dumps({"rows": len(rows), "ints": len(ints), "bytes": sys.getsizeof(rows)
+                  + sum(map(sys.getsizeof, rows)) + sum(map(sys.getsizeof, ints))}))
 """
 
 # lp_words' free-limit side: (P* P)^5 has 59,049 words for these three letters.
@@ -298,6 +326,12 @@ def median_table(pairs: list[dict], timing_pairs: list[dict],
                          f"{statistics.median(dense):.4g} s, dense/block "
                          f"{statistics.median(dense) / statistics.median(block):.3g}, "
                          f"equal residues {equal} ({len(block)} runs)")
+    if change_only:
+        cold = statistics.median(run["lp16_cold_s"] for run in change_only)
+        hwm = statistics.median(run["lp16_vmhwm_mb"] for run in change_only)
+        outs = sorted({run["lp16_stdout"] for run in change_only})
+        lines.append(f"lp p=16 (change only): {cold:.4g} s cold, VmHWM {hwm:.4g} MB, "
+                     f"stdout {outs} ({len(change_only)} runs)")
     return lines
 
 
@@ -332,6 +366,7 @@ def timing_run(tree: str) -> dict:
     out["order18_cold_s"] = time.perf_counter() - t
     out["order18_vmhwm_mb"] = float(proc.stderr.split()[-1])
     out["order18_stdout"] = proc.stdout
+    out.update(lp_form_run(tree, 14))
     t = time.perf_counter()
     free = json.loads(timed([sys.executable, "-c", FREE_LIMIT, FREE_POLY], tree)[1])
     out["free_lp10_cold_s"] = time.perf_counter() - t
@@ -339,6 +374,15 @@ def timing_run(tree: str) -> dict:
     out["free_lp10_vmhwm_mb"] = free["vmhwm_mb"]
     out["free_lp10_value"] = free["value"]
     return out
+
+
+def lp_form_run(tree: str, p: int) -> dict:
+    """`lp` of LP_FORM at this p in a fresh process: wall time, the child's VmHWM, stdout."""
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", LP_FORM, str(p)], cwd=tree, env=env_for(tree),
+                          capture_output=True, text=True, timeout=3600, check=True)
+    return {f"lp{p}_cold_s": time.perf_counter() - t,
+            f"lp{p}_vmhwm_mb": float(proc.stderr.split()[-1]), f"lp{p}_stdout": proc.stdout}
 
 
 def save(result: dict, path: str):
@@ -371,18 +415,23 @@ def main() -> int:
         save(result, args.out)
     result["traced"] = {side: {w: run(tree, w, 0, 1)["metrics"] for w in WORKLOADS}
                         for side, tree in trees.items()}
+    result["k12_table"] = {side: json.loads(timed([sys.executable, "-c", TABLE_INTS], tree)[1])
+                           for side, tree in trees.items()}
     for i in range(3):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
         for side in order:
             pair[side] = timing_run(trees[side])
         result["timing_pairs"].append(pair)
-        result["change_only"].append(
-            json.loads(timed([sys.executable, "-c", BLOCK_PRIME], trees["change"])[1]))
+        change_only = json.loads(timed([sys.executable, "-c", BLOCK_PRIME], trees["change"])[1])
+        change_only.update(lp_form_run(trees["change"], 16))
+        result["change_only"].append(change_only)
         result["order18_stdout_identical"] = len(
             {p[side]["order18_stdout"] for p in result["timing_pairs"] for side in trees}) == 1
         result["free_lp10_value_identical"] = len(
             {p[side]["free_lp10_value"] for p in result["timing_pairs"] for side in trees}) == 1
+        result["lp14_stdout_identical"] = len(
+            {p[side]["lp14_stdout"] for p in result["timing_pairs"] for side in trees}) == 1
         result["median_table"] = median_table(result["pairs"], result["timing_pairs"],
                                               result["change_only"])
         save(result, args.out)

@@ -6,8 +6,9 @@ pairings.loop_matrix; no bigint A exists.  Each prime solves the rotation
 blocks of A (below).
 
 * ``fraction_free_inverse`` -- V the indicator columns of the rotation
-  orbits' representatives: the exact inverse X/D of A, its other columns
-  filled in by the rotation (below).  Used for full Weingarten tables.
+  orbits' representatives: those columns X/D of the exact inverse of A,
+  which determine all of it by the rotation (below).  Used for Weingarten
+  tables.
 
 * ``bilinear_solve`` -- V = v, a 0-1 indicator column: the exact value of
   u^T A^{-1} v = sum(X[r] for r in u) / D.  Used for single large-k moments
@@ -68,15 +69,16 @@ pattern has r = 1, one orbit per pairing, and its stack of one is A itself.
 Blocks have at most about n/r rows: 14 systems of 34 rows instead of 429 at
 k = 14, 16 of 95 instead of 1430 at k = 16.
 
-Representative columns.  A table needs every column of A^{-1} but solves
-only the m columns of the orbit representatives, V = [e_rep_a].  With P the
-permutation matrix of rho, G[rho a, rho b] = G[a, b] says P A = A P, so
-P A^{-1} = A^{-1} P, and column rho^t rep_a of A^{-1} is column rep_a with
-its rows turned: A^{-1}[rho^t i, rho^t rep_a] = A^{-1}[i, rep_a].  The
-certificate proves A X = D V on the columns solved, and P^t times that is
-A (P^t X) = D P^t V, the same identity on the turned columns; so the whole
-table is proven.  Every table entry is an entry of the columns solved, so
-the gcd that reduces X/D over them is the gcd over the table.
+Representative columns.  A table solves and keeps only the m columns of
+the orbit representatives, V = [e_rep_a], and reads every other entry
+through the rotation.  With P the permutation matrix of rho,
+G[rho a, rho b] = G[a, b] says P A = A P, so P A^{-1} = A^{-1} P, and
+column rho^t rep_a of A^{-1} is column rep_a with its rows turned:
+A^{-1}[i, rho^t rep_a] = A^{-1}[rho^-t i, rep_a].  The certificate proves
+A X = D V on the columns solved, and P^t times that is
+A (P^t X) = D P^t V, the same identity on the turned columns; so every
+entry read is proven.  Every entry of A^{-1} is an entry of the columns
+solved, so the gcd that reduces X/D over them is the gcd over A^{-1}.
 
 Why the blocks need no pivoting either: over C, with w = exp(2 pi i/r),
 each G_j is F_j^H G F_j / r for nonzero vectors with disjoint supports and
@@ -452,32 +454,22 @@ def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray,
 
 def fraction_free_inverse(loop_mat: np.ndarray, N: int, orbits: np.ndarray
                           ) -> tuple[list[list[int]], int]:
-    """Invert G = N**loop_mat exactly; returns (X, D) with G^{-1} = X/D, reduced.
+    """The representative columns of G^{-1} for G = N**loop_mat, exactly: (X, D), reduced.
 
-    orbits is pairings.rotation_orbits of loop_mat's pairings (m x r).  The
-    certified solve takes V the indicator columns of the m orbit
-    representatives and proves G X = D V on them.  The other columns are
-    turns of these (module docstring): G^{-1}[rho^t i, rho^t rep_a] =
-    G^{-1}[i, rep_a], where rho^t orbits[b, u] = orbits[b, u + t], indices
-    mod r.  Every entry of G^{-1} is thus an entry of the columns solved, so
-    dividing by gcd(D, X) leaves D the least common denominator.
+    orbits is pairings.rotation_orbits of loop_mat's pairings (m x r), and
+    X[a][i] / D = G^{-1}[i, rep_a] for rep_a = orbits[a, 0].  The certified
+    solve takes V the indicator columns of the m representatives and proves
+    G X = D V on them.  Every other entry is a turn of these (module
+    docstring): G^{-1}[rho^t i, rho^t rep_a] = G^{-1}[i, rep_a], where
+    rho^t orbits[b, u] = orbits[b, u + t], indices mod r.  So dividing by
+    gcd(D, X) leaves D the least common denominator of all of G^{-1}.
     """
-    n, (m, r) = loop_mat.shape[0], orbits.shape
+    n, m = loop_mat.shape[0], orbits.shape[0]
     V = np.zeros((n, m))
     V[orbits[:, 0], np.arange(m)] = 1
     D, X = _gram_solve(loop_mat, N, V, orbits)
     g = math.gcd(D, *X)
-    solved = [[x // g for x in X[a::m]] for a in range(m)]  # column rep_a, by rows
-    orbit_rows = orbits.tolist()
-    cols: list = [None] * n
-    for t in range(r):
-        back = [0] * n  # back[rho^t i] = i
-        for orbit in orbit_rows:
-            for u, i in enumerate(orbit):
-                back[orbit[(u + t) % r]] = i
-        for orbit, col in zip(orbit_rows, solved):
-            cols[orbit[t]] = [col[i] for i in back]
-    return [list(row) for row in zip(*cols)], D // g
+    return [[x // g for x in X[a::m]] for a in range(m)], D // g
 
 
 def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],

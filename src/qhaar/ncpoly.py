@@ -15,9 +15,11 @@ expanding anything (its docstring gives the derivation):
 
     h((a* a)^m) = N^(m h0) Σ_λ S_λ(2m, N) Π_{L in λ} tr((C* C)^L).
 
-Every other polynomial, the free limit and k = 2m past the table route
-go word by word without expanding (a* a)^m: with b = a* a, state_eval
-takes the pairs of words of b^floor(m/2) and b^ceil(m/2), one moment each.
+The sums S_λ come from one Weingarten table, its representative columns
+only, at every k = 2m up to kmax.  Every other polynomial and the free
+limit go word by word without expanding (a* a)^m: with b = a* a,
+state_eval takes the pairs of words of b^floor(m/2) and b^ceil(m/2), one
+moment each.
 
 Text format accepted by parse_poly: terms separated by + / -, monomials as
 products of letters x[i,j], v[i,j], v*[i,j] joined by '*', optional '^n'
@@ -315,7 +317,7 @@ def linear_state(a: NCPolynomial, m: int, N: int,
 
     The route covers a = sqrt(N)^h0 Σ C_ij u_ij: a nonzero polynomial whose
     terms are single letters with one star flag and one sqrt(N) power h0,
-    with k = 2m at most TABLE_KMAX and kmax.  Then
+    with k = 2m at most kmax.  Then
 
         h((a* a)^m) = N^(m h0) Σ_λ S_λ(k, N) Π_{L in λ} τ_L,  τ_L = tr((C* C)^L),
 
@@ -332,12 +334,12 @@ def linear_state(a: NCPolynomial, m: int, N: int,
     gives the same alternating pattern, hence the same uncoloured sums.
 
     Everything else returns None, and lp_norm then goes word by word:
-    products of letters, constants, mixed star flags or powers, k past
-    TABLE_KMAX or kmax (where the per-word route solves or refuses).  The
-    letters are checked as state_eval checks them.
+    products of letters, constants, mixed star flags or powers, and k past
+    kmax (where the per-word route refuses).  The letters are checked as
+    state_eval checks them.
     """
     k = 2 * m
-    if not a.terms or k > min(kmax, weingarten.TABLE_KMAX):
+    if not a.terms or k > kmax:
         return None
     h0 = next(iter(a.terms))[1]
     letters = [word[0] for word, h in a.terms if len(word) == 1 and h == h0]

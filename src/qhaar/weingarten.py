@@ -10,10 +10,12 @@ Both routes pass pairings.loop_matrix, N and the rotation orbits of the
 pairings (pairings.rotation_orbits) to exactla's one certified solve of
 G X = D V, which proves the identity before it returns and splits G into
 rotation blocks.  A table solves the columns of the orbit representatives
-and fills in the rest by the rotation (wg_num = X, wg_den = D), and is
-cached; a word longer than TABLE_KMAX is instead one solve with V the
-indicator column of its column-compatible pairings, summed over its
-row-compatible pairings.
+and keeps only those (cols = X, wg_den = D); Wg commutes with the
+rotation, so every other entry is read from them (WeingartenTable.num).
+Tables are cached.  A word of length at most TABLE_KMAX sums table
+entries; a longer word is instead one solve with V the indicator column
+of its column-compatible pairings, summed over its row-compatible
+pairings.
 
 cycle_type_sums reduces a table for ncpoly.linear_state: S_λ(k, N) sums
 Wg(p, q) over the pairs whose union p ∪ q has cycle half-lengths λ
@@ -21,12 +23,13 @@ Wg(p, q) over the pairs whose union p ∪ q has cycle half-lengths λ
 of h((a* a)^{k/2}) is Wg(p, q) Π_{L in λ} tr((C* C)^L): both pairings join
 a* positions to a positions, so every cycle alternates them and depends on
 C only through C* C.  With C = I each cycle gives N, and the sum is
-tr(Wg G) = Catalan(k/2).
+tr(Wg G) = Catalan(k/2).  The sums read each representative column once,
+weighted by its orbit's size, at every k up to kmax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -35,7 +38,8 @@ from . import exactla, pairings
 from .errors import (InvalidArgumentError, InvalidDimensionError, InvalidIndexError,
                      ResourceLimitError)
 
-# Largest k whose moments haar_moment reads from a full table (Gram size 132 at k=12).
+# Largest k whose word moments _moment reads from a table (132 pairings at k=12); longer
+# words take one bilinear_solve each.  Linear forms take a table at every k up to kmax.
 TABLE_KMAX = 12
 # Hard default admission limit; callers may raise it explicitly.
 DEFAULT_KMAX = 12
@@ -78,20 +82,39 @@ def check_dimension(letters: Iterable[Letter], N: int):
 
 @dataclass(frozen=True)
 class WeingartenTable:
-    """Exact inverse num/den of the Gram matrix over the canonical pairings."""
+    """Exact inverse Wg of the Gram matrix over the canonical pairings: its representative columns.
+
+    orbits is pairings.rotation_orbits(k, pattern) as lists, and cols[a][i]
+    / wg_den is Wg(i, rep_a) for rep_a = orbits[a][0].  Wg commutes with the
+    rotation rho (exactla's module docstring), so for q = rho^t rep_a,
+    Wg(p, q) = Wg(rho^-t p, rep_a), and for p = orbits[b][u],
+    rho^-t p = orbits[b][(u - t) mod r].  _where[p] = (b, u) finds p.
+    """
 
     k: int
     N: int
     pattern: Optional[tuple[str, ...]]
-    wg_num: tuple[tuple[int, ...], ...]
+    orbits: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
     wg_den: int
+    _where: dict = field(init=False, repr=False, compare=False)
 
-    def wg(self, a: int, b: int) -> Fraction:
-        return Fraction(self.wg_num[a][b], self.wg_den)
+    def __post_init__(self):
+        object.__setattr__(self, "_where", {p: (b, u) for b, orbit in enumerate(self.orbits)
+                                            for u, p in enumerate(orbit)})
+
+    def num(self, p: int, q: int) -> int:
+        """wg_den Wg(p, q), an integer."""
+        a, t = self._where[q]
+        b, u = self._where[p]
+        return self.cols[a][self.orbits[b][u - t]]  # a negative index wraps mod r
+
+    def wg(self, p: int, q: int) -> Fraction:
+        return Fraction(self.num(p, q), self.wg_den)
 
     @property
     def size(self) -> int:
-        return len(self.wg_num)
+        return len(self._where)
 
 
 def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
@@ -108,10 +131,10 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
 
 @lru_cache(maxsize=None)
 def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> WeingartenTable:
-    num, den = exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N,
-                                             pairings.rotation_orbits(k, pattern))
-    return WeingartenTable(k=k, N=N, pattern=pattern,
-                           wg_num=tuple(tuple(r) for r in num), wg_den=den)
+    orbits = pairings.rotation_orbits(k, pattern)
+    cols, den = exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N, orbits)
+    return WeingartenTable(k=k, N=N, pattern=pattern, orbits=tuple(map(tuple, orbits.tolist())),
+                           cols=tuple(map(tuple, cols)), wg_den=den)
 
 
 def cycle_type_sums(k: int, N: int, kmax: int = DEFAULT_KMAX
@@ -128,13 +151,21 @@ def cycle_type_sums(k: int, N: int, kmax: int = DEFAULT_KMAX
 
 @lru_cache(maxsize=None)
 def _cycle_type_sums(k: int, N: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """S_λ = Σ_a s_a Σ_i [code(i, rep_a) = λ] cols[a][i] / wg_den, s_a the size of orbit a.
+
+    The rotation keeps cycle types and permutes the pairings, so the pairs
+    (p, rho^t rep_a) give, with p = rho^t i, the pairs (i, rep_a) once for
+    each of the s_a columns of orbit a.
+    """
     codes, types = pairings.cycle_types(k)
     table = _build_table(k, N, None)
     n = table.size
     sums = [0] * len(types)
-    for a, row in enumerate(table.wg_num):
-        for code, x in zip(codes[a * n:(a + 1) * n], row):
-            sums[code] += x
+    for orbit, col in zip(table.orbits, table.cols):
+        s, rep = len(set(orbit)), orbit[0]
+        # Row rep of the codes: the union p ∪ q does not depend on the order of p and q.
+        for code, x in zip(codes[rep * n:(rep + 1) * n], col):
+            sums[code] += s * x
     return tuple((t, Fraction(s, table.wg_den)) for t, s in zip(types, sums))
 
 
@@ -176,8 +207,8 @@ def _moment(rows: list[int], cols: list[int], pattern: Optional[tuple[str, ...]]
 
     if k <= TABLE_KMAX:
         table = weingarten_table(k, N, pattern, kmax=kmax)
-        num = table.wg_num
-        return Fraction(sum(num[p][q] for p in R for q in C), table.wg_den)
+        num = table.num
+        return Fraction(sum(num(p, q) for p in R for q in C), table.wg_den)
 
     # Large-k route: single exact bilinear solve by rotation blocks, no full inverse.
     return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N, R, C,

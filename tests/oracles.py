@@ -12,7 +12,8 @@ moments also come from O_N^+ ones by free complexification.  The D_N scan
 is kept in its earlier form, on mpmath.mpf objects, to pin the library's
 raw-tuple scan bit for bit.  The exact prime loop is kept with its
 earlier bigint CRT and eager certificate, to pin the library's Garner
-digits and lazy certificate step by step.
+digits and lazy certificate step by step.  At N = 2, o2_moment computes
+moments from O_2^+ ≅ SU_{-1}(2) with no Gram matrix at all.
 """
 
 from __future__ import annotations
@@ -433,3 +434,91 @@ def reference_gram_solve(loop_mat, N: int, V):
         if found is not None:
             return found[0], found[1].tolist()
     raise SingularMatrixError(f"no exact result within {exactla.MAX_PRIMES} primes")
+
+
+def _gmul(x, y):
+    """The product of two Gaussian numbers given as (re, im) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+# The letters of SU_{-1}(2): 0 = a, 1 = a*, 2 = c, 3 = c*.  G[k][l] is the letter at
+# entry (k, l) of its fundamental matrix g = [[a, c*], [c, a*]]; SQRT2_V is sqrt(2) V.
+G = ((0, 3), (2, 1))
+SQRT2_V = (((1, 0), (1, 0)), ((0, 1), (0, -1)))
+
+
+def o2_moment(positions) -> Fraction:
+    """Exact Haar state of O_2^+ on a product of linear forms in u_ij, with no Gram matrix.
+
+    Each position is a letter (i, j), 1-based, standing for u_ij, or a 2 x 2
+    matrix C of rationals standing for Σ C[i][j] u_(i+1)(j+1); a word and a
+    power of a linear form cost the same.
+
+    Proof.  O_2^+ ≅ SU_{-1}(2) (Banica, C. R. Acad. Sci. Paris 322, 1996).
+    At q = -1 the unitary fundamental matrix of Woronowicz's SU_q(2),
+    [[a, -q c*], [c, a*]], is g = [[a, c*], [c, a*]], and unitarity says that
+    c and c* commute, that a* a + c* c = 1 = a a* + c* c, so a and a* commute
+    too, and that a c = -c a and a c* = -c* a: every a-letter anticommutes
+    with every c-letter.  With V = [[1, 1], [i, -i]] / sqrt(2),
+
+        2 w = 2 V g V* = [[a + a* + c + c*, i(a* - a) + i(c* - c)],
+                          [i(a - a*) + i(c* - c), a + a* - c - c*]]
+
+    is unitary with self-adjoint entries, so orthogonal, and Δ(w) = w ⊗ w
+    since V is scalar: u_ij -> w_ij realises the isomorphism, and the Haar
+    state of O_2^+ is that of SU_{-1}(2) on the images.
+
+    A product of positions expands into monomials in the four letters.
+    Sorting a monomial to a^p a*^q c^r c*^s moves each a-letter left past
+    the c-letters before it, one sign each.  The walk over positions keeps
+    the counts (p, q, r, s) of the letters placed so far, with a coefficient
+    for each; an a-letter placed after r + s c-letters takes the sign
+    (-1)^(r + s).
+
+    The Haar state h of a sorted monomial.  The quotient a -> z, c -> 0 onto
+    the circle T is a Hopf *-morphism; applied to either leg of Δ it sends a
+    monomial to z^(p - q - r + s) ⊗ itself, or to itself ⊗ z^(p - q + r - s),
+    and the invariance of h then makes h vanish unless p = q and r = s.
+    Then the monomial is (1 - x)^p x^r with x = c* c.  The character
+    χ = tr w = tr g = a + a* has h(χ^(2m)) = Catalan(m), the number of
+    non-crossing pairings of 2m points that fix u^(⊗2m) (Banica, as above);
+    as a, a* commute, only the term C(2m, m) (a* a)^m survives h, so
+    h((1 - x)^m) = 1 / (m + 1) for every m: 1 - x, and so x, is uniform on
+    [0, 1], and h((1 - x)^p x^r) = ∫_0^1 (1 - t)^p t^r dt = p! r! / (p + r + 1)!.
+    """
+    two_w = [[[(0, 0)] * 4 for _ in range(2)] for _ in range(2)]  # 2 w_ij over the letters
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        (a, b), (c, d), x = SQRT2_V[i][k], SQRT2_V[j][l], G[k][l]
+        old = two_w[i][j][x]
+        two_w[i][j][x] = (old[0] + a * c + b * d, old[1] + b * c - a * d)  # + V_ik conj(V_jl)
+    states = {(0, 0, 0, 0): (Fraction(1), Fraction(0))}
+    for pos in positions:
+        if isinstance(pos[0], int):
+            C = [[0, 0], [0, 0]]
+            C[pos[0] - 1][pos[1] - 1] = 1
+        else:
+            C = pos
+        form = [tuple(sum(Fraction(C[i][j]) * two_w[i][j][x][part]
+                          for i in range(2) for j in range(2)) / 2 for part in (0, 1))
+                for x in range(4)]
+        nxt: dict = {}
+        for counts, coeff in states.items():
+            for x, f in enumerate(form):
+                if f == (0, 0):
+                    continue
+                z = _gmul(coeff, f)
+                if x < 2 and (counts[2] + counts[3]) % 2:
+                    z = (-z[0], -z[1])
+                key = counts[:x] + (counts[x] + 1,) + counts[x + 1:]
+                old = nxt.get(key, (0, 0))
+                nxt[key] = (old[0] + z[0], old[1] + z[1])
+        states = nxt
+    total = [Fraction(0), Fraction(0)]
+    for (p, q, r, s), (re, im) in states.items():
+        if p == q and r == s:
+            weight = Fraction(math.factorial(p) * math.factorial(r), math.factorial(p + r + 1))
+            total[0] += re * weight
+            total[1] += im * weight
+    if total[1]:
+        raise ValueError(f"an O_2^+ moment of real forms came out complex: {total}")
+    return total[0]

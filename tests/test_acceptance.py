@@ -247,7 +247,7 @@ def test_criterion_9_oracle_equivalence():
                 n = t.size
                 gram = pairings.gram_matrix(k, N)
                 for i in range(n):
-                    row = t.wg_num[i]
+                    row = [t.num(i, x) for x in range(n)]
                     for j in range(n):
                         s = sum(row[x] * gram[x][j] for x in range(n))
                         assert s == (t.wg_den if i == j else 0)

@@ -345,10 +345,13 @@ def test_first_vanishing_leading_minor_is_detected_in_any_block(order):
     assert np.mod(T, p).astype(np.int64).tolist() == solve_reference(A[:m, :m], V[:m], p)
 
 
-def same_inverse(got, want):
-    """(X, D) and (Y, E) give the same inverse: X/D == Y/E entrywise, as Fractions."""
+def same_inverse(got, want, k, pattern=None):
+    """(X, D) holds the representative columns of the inverse Y/E of the (k, pattern) Gram
+    matrix: X[a]/D is column rep_a of Y/E entrywise, as Fractions, for every representative."""
     (X, D), (Y, E) = got, want
-    return all(x * E == y * D for rx, ry in zip(X, Y) for x, y in zip(rx, ry))
+    reps = pairings.rotation_orbits(k, pattern)[:, 0].tolist()
+    return (len(X) == len(reps) and all(len(col) == len(Y) for col in X)
+            and all(x * E == Y[i][rep] * D for col, rep in zip(X, reps) for i, x in enumerate(col)))
 
 
 def test_prime_three_is_skipped_for_the_k4_table(monkeypatch):
@@ -365,7 +368,7 @@ def test_wrong_candidate_denominator_is_rejected(monkeypatch):
     gram = pairings.gram_matrix(10, 3)
     want = oracles.bareiss_inverse(gram)
     drawn = counting_stream(monkeypatch)
-    assert same_inverse(certified_table(10, 3), want)
+    assert same_inverse(certified_table(10, 3), want, 10)
     honest, accepted_at = len(drawn), math.prod(drawn)
     # Where the honest run was accepted, the first denominator returned is
     # multiplied by the modulus: then D W = 0 mod M, so X = 0 would be
@@ -383,7 +386,7 @@ def test_wrong_candidate_denominator_is_rejected(monkeypatch):
     drawn.clear()
     got = certified_table(10, 3)
     assert lies
-    assert same_inverse(got, want) and got[1] == want[1] // math.gcd(want[1], *sum(want[0], []))
+    assert same_inverse(got, want, 10) and got[1] == want[1] // math.gcd(want[1], *sum(want[0], []))
     assert len(drawn) > honest
 
 
@@ -396,7 +399,7 @@ def certified_table(k, N, pattern=None):
 def test_certified_inverse_matches_bareiss_oracle():
     # Uncoloured tables (r = k), a periodic coloured pattern (period 4, so
     # r = 2) and aperiodic ones (r = 1, one orbit per pairing), each solved
-    # on its representative columns and filled in by the rotation.
+    # on its representative columns, which are all it returns.
     rng = random.Random(7)
     periodic, aperiodic = tuple("11**11**"), tuple("11*1*1**")
     assert pairings.rotation_orbits(8, periodic).shape[1] == 2
@@ -410,9 +413,10 @@ def test_certified_inverse_matches_bareiss_oracle():
     for k, pattern in cases:
         for N in range(2, 7):
             gram = pairings.gram_matrix(k, N, pattern)
-            assert same_inverse(certified_table(k, N, pattern), oracles.bareiss_inverse(gram))
+            assert same_inverse(certified_table(k, N, pattern), oracles.bareiss_inverse(gram),
+                                k, pattern)
     gram = pairings.gram_matrix(12, 3)
-    assert same_inverse(certified_table(12, 3), oracles.bareiss_inverse(gram))
+    assert same_inverse(certified_table(12, 3), oracles.bareiss_inverse(gram), 12)
 
 
 def test_more_rotations_than_block_raise_before_any_prime(monkeypatch):

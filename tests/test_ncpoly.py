@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import random
 import re
@@ -390,12 +391,30 @@ class TestLinearState:
         assert str(route.value) == str(words.value) == f"word length {p} exceeds kmax={kmax}"
         assert route.value.required_k == words.value.required_k == p
 
-    def test_past_the_table_route_solves_word_by_word(self, monkeypatch):
-        a = ncpoly.scaled_generators(x(1, 2), 3)
-        assert ncpoly.linear_state(a, 7, 3, kmax=14) is None
+    def test_past_order_12_a_linear_form_takes_one_table(self, monkeypatch):
+        # p = 14 at kmax 14: the state the word route computes, with no bilinear_solve.
+        a = ncpoly.scaled_generators(x(1, 2).scale(GaussianRational(2, -1)), 3)
+        b = a.adjoint() * a
+        want = ncpoly.state_eval(b ** 3, 3, kmax=14, right=b ** 4)
+        norm = word_route_norm(a, 14, 3, kmax=14)
+        assert ncpoly.linear_state(a, 7, 3, kmax=14) == want
         solves = spy(monkeypatch, exactla, "bilinear_solve")
-        assert ncpoly.lp_norm(a, 14, 3, kmax=14) == word_route_norm(a, 14, 3, kmax=14)
-        assert len(solves) == 2  # one word, once per side
+        assert ncpoly.lp_norm(a, 14, 3, kmax=14) == norm
+        assert not solves
+        # With C = I every cycle gives N: Σ_λ S_λ N^(len λ) = tr(Wg G) = Catalan(k/2).
+        for k in (14, 16):
+            sums = weingarten.cycle_type_sums(k, 3, kmax=k)
+            assert sum(S * 3 ** len(lam) for lam, S in sums) == math.comb(k, k // 2) // (k // 2 + 1)
+
+    @pytest.mark.parametrize("C", [((1, 1), (0, 0)), ((0, 2), (Fraction(-1, 3), 0)),
+                                   ((1, -1), (2, Fraction(1, 2)))])
+    def test_equals_the_n2_oracle_past_order_12(self, C):
+        # O_2^+ = SU_{-1}(2): an oracle with no Gram matrix, one position per letter of a^(2m).
+        a = sum((x(i + 1, j + 1).scale(c) for i, row in enumerate(C) for j, c in enumerate(row)
+                 if c), NCPolynomial("o+"))
+        for k in (14, 16):
+            want = oracles.o2_moment([C] * k)
+            assert ncpoly.linear_state(a, k // 2, 2, kmax=k) == GaussianRational(want)
 
     @pytest.mark.parametrize("a, N, error", [
         (x(1, 1) + x(1, 4), 3, InvalidIndexError),

@@ -51,7 +51,7 @@ def test_wg_times_gram_is_identity_small():
             n = t.size
             for i in range(n):
                 for j in range(n):
-                    s = sum(t.wg_num[i][x] * gram[x][j] for x in range(n))
+                    s = sum(t.num(i, x) * gram[x][j] for x in range(n))
                     assert s == (t.wg_den if i == j else 0)
 
 
@@ -339,7 +339,7 @@ def test_k14_table_is_built_silently_and_exactly(caplog):
     gram = pairings.gram_matrix(14, 3)
     for i in (0, 1, 200, 428):
         for j in range(t.size):
-            s = sum(t.wg_num[i][x] * gram[x][j] for x in range(t.size))
+            s = sum(t.num(i, x) * gram[x][j] for x in range(t.size))
             assert s == (t.wg_den if i == j else 0)
 
 
@@ -358,3 +358,58 @@ def test_table_pattern_must_fit_k():
         weingarten.weingarten_table(2, 3, ("1", "1"))
     t = weingarten.weingarten_table(4, 3, ("1", "*", "1", "*"))
     assert (t.k, t.size, t.pattern) == (4, 2, ("1", "*", "1", "*"))
+
+
+# Uncoloured tables serve O_N^+ and alternating U_N^+ words (r = k turns); coloured ones
+# serve U_N^+, periodic (r = 2 or 3 turns; at k = 8 every orbit is one pairing, at k = 12
+# some have 2 or 3) or aperiodic (r = 1).
+COMPACT_CASES = [(k, None) for k in range(2, 11, 2)] + [
+    (8, tuple("11**11**")), (12, tuple("11**11**11**")), (12, tuple("11*1**11*1**")),
+    (8, tuple("11*1*1**")), (10, tuple("1**1*11**1"))]
+
+
+@pytest.mark.parametrize("k, pattern", COMPACT_CASES)
+def test_compact_table_reads_the_bareiss_inverse(k, pattern):
+    orbits = pairings.rotation_orbits(k, pattern)
+    for N in (2, 3, 4):
+        t = weingarten.weingarten_table(k, N, pattern)
+        Y, E = oracles.bareiss_inverse(pairings.gram_matrix(k, N, pattern))
+        assert t.size == len(Y)
+        assert len(t.cols) == orbits.shape[0] and all(len(col) == t.size for col in t.cols)
+        assert all(t.wg(a, b) == Fraction(Y[a][b], E) for a in range(t.size) for b in range(t.size))
+
+
+@pytest.mark.parametrize("pattern", [tuple("11**11**11**"), tuple("11*1**11*1**"),
+                                     tuple("11*1*1**1*1*")])
+def test_compact_table_times_gram_is_identity_on_whole_rows_at_k12(pattern):
+    # Uncoloured k = 12 tables get every row in criterion 9.
+    for N in (2, 3, 4):
+        t = weingarten.weingarten_table(12, N, pattern)
+        gram = pairings.gram_matrix(12, N, pattern)
+        for i in range(t.size):
+            row = [t.num(i, x) for x in range(t.size)]
+            for j in range(t.size):
+                assert sum(w * gram[x][j] for x, w in enumerate(row)) == (t.wg_den if i == j else 0)
+
+
+def test_the_k12_table_holds_its_representative_columns_only():
+    t = weingarten.weingarten_table(12, 3)
+    assert len(t.cols) == 14 and {len(col) for col in t.cols} == {132}
+
+
+def test_o2_oracle_equals_the_weingarten_route():
+    # Rotated w* w words are never zero; the others mostly are.
+    rng = random.Random(2602)
+    words, nonzero = [], 0
+    for k in range(2, 15, 2):
+        for _ in range(3):
+            half = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(k // 2)]
+            w = half[::-1] + half
+            t = rng.randrange(k)
+            words.append(w[t:] + w[:t])
+            words.append([(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(k)])
+    for w in words:
+        want = weingarten.haar_moment(gw([u(i, j) for i, j in w], "o+"), 2, kmax=14)
+        assert oracles.o2_moment(w) == want, w
+        nonzero += bool(want)
+    assert nonzero >= len(words) // 2

@@ -39,7 +39,11 @@ process: the call's time and the process's wall time, the child's VmHWM
 and the value, which must be identical likewise
 (`free_lp10_value_identical`); and `qhaar lp 'x[1,1]+x[1,2]' --N 3 --p 14
 --kmax 14` in a fresh process: its wall time, the child's VmHWM and its
-stdout, which must be identical likewise (`lp14_stdout_identical`).  In
+stdout, which must be identical likewise (`lp14_stdout_identical`); and
+`qhaar lp QUADRATIC --N 3 --p 8 --kmax 16` in a fresh process, its 70
+nonzero words of order 16 past the table route: its wall time, the
+child's VmHWM and its stdout, which must be identical likewise
+(`quad8_stdout_identical`).  In
 the change checkout only, each timing pair also times one prime of the
 rotation-block solve (`exactla._block_solve`, residues and transforms
 included) against the dense kernel on the same Gram matrix at k = 14 and
@@ -154,11 +158,12 @@ print(int(hwm.split()[1]) / 1024, file=sys.stderr)
 sys.exit(rc)
 """
 
-# A linear form past order 12: `lp` at p = k with --kmax k.
+# `lp` of a polynomial at N = 3: a linear form past order 12 at p = k with --kmax k, and
+# a quadratic whose p = 8 norm takes words of order 16, one certified solve per class.
 LP_FORM = """
 import sys
 from qhaar import cli
-rc = cli.main(["lp", "x[1,1]+x[1,2]", "--N", "3", "--p", sys.argv[1], "--kmax", sys.argv[1]])
+rc = cli.main(["lp", sys.argv[1], "--N", "3", "--p", sys.argv[2], "--kmax", sys.argv[3]])
 sys.stdout.flush()
 hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(int(hwm.split()[1]) / 1024, file=sys.stderr)
@@ -176,6 +181,10 @@ ints = [x for row in rows for x in row]
 print(json.dumps({"rows": len(rows), "ints": len(ints), "bytes": sys.getsizeof(rows)
                   + sum(map(sys.getsizeof, rows)) + sum(map(sys.getsizeof, ints))}))
 """
+
+# Its 70 nonzero order-16 words at p = 8 fall into 7 classes of turns, reflections and
+# transposition.
+QUADRATIC = "x[1,1]*x[2,2]+x[1,2]*x[2,1]"
 
 # lp_words' free-limit side: (P* P)^5 has 59,049 words for these three letters.
 FREE_POLY = "x[2,1]+x[2,2]+x[3,1]"
@@ -366,7 +375,8 @@ def timing_run(tree: str) -> dict:
     out["order18_cold_s"] = time.perf_counter() - t
     out["order18_vmhwm_mb"] = float(proc.stderr.split()[-1])
     out["order18_stdout"] = proc.stdout
-    out.update(lp_form_run(tree, 14))
+    out.update(lp_form_run(tree, "lp14", "x[1,1]+x[1,2]", 14, 14))
+    out.update(lp_form_run(tree, "quad8", QUADRATIC, 8, 16))
     t = time.perf_counter()
     free = json.loads(timed([sys.executable, "-c", FREE_LIMIT, FREE_POLY], tree)[1])
     out["free_lp10_cold_s"] = time.perf_counter() - t
@@ -376,13 +386,14 @@ def timing_run(tree: str) -> dict:
     return out
 
 
-def lp_form_run(tree: str, p: int) -> dict:
-    """`lp` of LP_FORM at this p in a fresh process: wall time, the child's VmHWM, stdout."""
+def lp_form_run(tree: str, name: str, poly: str, p: int, kmax: int) -> dict:
+    """`lp` of LP_FORM in a fresh process: wall time, the child's VmHWM, stdout, as name_*."""
     t = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", LP_FORM, str(p)], cwd=tree, env=env_for(tree),
-                          capture_output=True, text=True, timeout=3600, check=True)
-    return {f"lp{p}_cold_s": time.perf_counter() - t,
-            f"lp{p}_vmhwm_mb": float(proc.stderr.split()[-1]), f"lp{p}_stdout": proc.stdout}
+    proc = subprocess.run([sys.executable, "-c", LP_FORM, poly, str(p), str(kmax)], cwd=tree,
+                          env=env_for(tree), capture_output=True, text=True, timeout=3600,
+                          check=True)
+    return {f"{name}_cold_s": time.perf_counter() - t,
+            f"{name}_vmhwm_mb": float(proc.stderr.split()[-1]), f"{name}_stdout": proc.stdout}
 
 
 def save(result: dict, path: str):
@@ -424,14 +435,15 @@ def main() -> int:
             pair[side] = timing_run(trees[side])
         result["timing_pairs"].append(pair)
         change_only = json.loads(timed([sys.executable, "-c", BLOCK_PRIME], trees["change"])[1])
-        change_only.update(lp_form_run(trees["change"], 16))
+        change_only.update(lp_form_run(trees["change"], "lp16", "x[1,1]+x[1,2]", 16, 16))
         result["change_only"].append(change_only)
         result["order18_stdout_identical"] = len(
             {p[side]["order18_stdout"] for p in result["timing_pairs"] for side in trees}) == 1
         result["free_lp10_value_identical"] = len(
             {p[side]["free_lp10_value"] for p in result["timing_pairs"] for side in trees}) == 1
-        result["lp14_stdout_identical"] = len(
-            {p[side]["lp14_stdout"] for p in result["timing_pairs"] for side in trees}) == 1
+        for name in ("lp14", "quad8"):
+            result[f"{name}_stdout_identical"] = len(
+                {p[side][f"{name}_stdout"] for p in result["timing_pairs"] for side in trees}) == 1
         result["median_table"] = median_table(result["pairs"], result["timing_pairs"],
                                               result["change_only"])
         save(result, args.out)

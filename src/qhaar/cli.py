@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import sys
@@ -231,7 +232,9 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="qhaar",
                                  description="Exact O_N^+/U_N^+ Haar moments and RD bounds")
     sub = ap.add_subparsers(dest="command", required=True)

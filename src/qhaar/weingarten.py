@@ -15,7 +15,41 @@ rotation, so every other entry is read from them (WeingartenTable.num).
 Tables are cached.  A word of length at most TABLE_KMAX sums table
 entries; a longer word is instead one solve with V the indicator column
 of its column-compatible pairings, summed over its row-compatible
-pairings.
+pairings, and that solve is memoized by the word's class.
+
+The memo.  Past TABLE_KMAX, _moment first decides in O(k) whether any
+pairing fits the rows and the columns (pairings.has_compatible_pairing
+under the pattern); a word with none is 0.  Any other word is solved as
+its class key (_class_key): the least (kernel(rows∘g), kernel(cols∘g),
+pattern∘g) over the 2k turns and reflections g of the points, taken with
+rows and columns as given and swapped, where kernel renames the labels
+1, 2, ... in order of first appearance.  _class_moment caches the solve
+by (key, N), unbounded like the tables; haar_moment.cache_info reports
+its hits and misses.  Every word of a class has one moment
+
+    h = Σ_{p in R, q in C} Wg_e(p, q),
+
+R and C the pairings fitting the colours e whose pairs join equal row,
+respectively column, labels:
+
+- A dihedral map g of the points maps non-crossing pairings onto
+  non-crossing pairings.  Each pair keeps its two ends' colours and
+  labels, so p fits e and the rows of a word iff g p fits e∘g^-1 and the
+  moved rows, and likewise for columns: g maps R and C onto those of the
+  moved word.  The union g p ∪ g q is p ∪ q with its points renamed, so
+  every loop count, hence the Gram matrix and its inverse, is kept:
+  Wg_{e∘g^-1}(g p, g q) = Wg_e(p, q), and the sum is unchanged.
+  A turned or reflected pattern alternates iff the pattern does, so
+  canonical patterns stay canonical.
+- A bijective relabelling of the rows or the columns keeps which
+  positions carry equal labels, so it keeps R and C: h reads the labels
+  only through their kernels.
+- Swapping rows and columns swaps R and C, and Wg is symmetric because
+  the Gram matrix is.
+- A reflection moves each star flag with its letter and flips none: the
+  key reverses the pattern and nothing else.
+
+Wg depends on N, so N is part of the memo's key.
 
 cycle_type_sums reduces a table for ncpoly.linear_state: S_λ(k, N) sums
 Wg(p, q) over the pairs whose union p ∪ q has cycle half-lengths λ
@@ -29,9 +63,9 @@ weighted by its orbit's size, at every k up to kmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import exactla, pairings
@@ -88,7 +122,8 @@ class WeingartenTable:
     / wg_den is Wg(i, rep_a) for rep_a = orbits[a][0].  Wg commutes with the
     rotation rho (exactla's module docstring), so for q = rho^t rep_a,
     Wg(p, q) = Wg(rho^-t p, rep_a), and for p = orbits[b][u],
-    rho^-t p = orbits[b][(u - t) mod r].  _where[p] = (b, u) finds p.
+    rho^-t p = orbits[b][(u - t) mod r].  _turns locates every position once
+    per table, on the first read.
     """
 
     k: int
@@ -97,24 +132,41 @@ class WeingartenTable:
     orbits: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
     wg_den: int
-    _where: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_where", {p: (b, u) for b, orbit in enumerate(self.orbits)
-                                            for u, p in enumerate(orbit)})
+    @cached_property
+    def _turns(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+        """(where, back): q = rho^t rep_a for (a, t) = where[q], and back[p][t] = rho^-t p."""
+        where, back = [None] * self.size, [None] * self.size
+        for a, orbit in enumerate(self.orbits):
+            for u, p in enumerate(orbit):  # an orbit of s < r positions repeats: any u serves
+                where[p] = (a, u)
+                back[p] = tuple(orbit[u - t] for t in range(len(orbit)))  # wraps mod r
+        return tuple(where), tuple(back)
 
     def num(self, p: int, q: int) -> int:
         """wg_den Wg(p, q), an integer."""
-        a, t = self._where[q]
-        b, u = self._where[p]
-        return self.cols[a][self.orbits[b][u - t]]  # a negative index wraps mod r
+        where, back = self._turns
+        a, t = where[q]
+        return self.cols[a][back[p][t]]
+
+    def sum_num(self, R: Sequence[int], C: Sequence[int]) -> int:
+        """wg_den Σ Wg(p, q) over p in R and q in C, each position located once."""
+        where, back = self._turns
+        cols = self.cols
+        rows = [back[p] for p in R]
+        total = 0
+        for q in C:
+            a, t = where[q]
+            col = cols[a]
+            total += sum([col[turns[t]] for turns in rows])
+        return total
 
     def wg(self, p: int, q: int) -> Fraction:
         return Fraction(self.num(p, q), self.wg_den)
 
     @property
     def size(self) -> int:
-        return len(self._where)
+        return len(self.cols[0])
 
 
 def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
@@ -194,25 +246,66 @@ def _moment(rows: list[int], cols: list[int], pattern: Optional[tuple[str, ...]]
         return Fraction(0)
 
     pattern = pairings.canonical_pattern(pattern)
-    if k > kmax:  # refuse a nonzero moment before listing its Catalan-many pairings
-        if (pairings.has_compatible_pairing(rows, pattern)
+    if k > TABLE_KMAX or k > kmax:  # decide 0 before listing its Catalan-many pairings
+        if not (pairings.has_compatible_pairing(rows, pattern)
                 and pairings.has_compatible_pairing(cols, pattern)):
+            return Fraction(0)
+        if k > kmax:
             raise ResourceLimitError(f"word length {k} exceeds kmax={kmax}", required_k=k)
-        return Fraction(0)
+        return _class_moment(*_class_key(rows, cols, pattern), N)
+
     plist = pairings.word_pairings(k, pattern)
     R = pairings.compatible_indices(plist, rows)
     C = pairings.compatible_indices(plist, cols) if R else None
     if not C:
         return Fraction(0)
+    table = weingarten_table(k, N, pattern, kmax=kmax)
+    return Fraction(table.sum_num(R, C), table.wg_den)
 
-    if k <= TABLE_KMAX:
-        table = weingarten_table(k, N, pattern, kmax=kmax)
-        num = table.num
-        return Fraction(sum(num(p, q) for p in R for q in C), table.wg_den)
 
-    # Large-k route: single exact bilinear solve by rotation blocks, no full inverse.
-    return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N, R, C,
+def _kernel(labels: Sequence) -> tuple[int, ...]:
+    """The labels renamed 1, 2, ... in order of first appearance: their equality pattern."""
+    first = {x: i for i, x in enumerate(dict.fromkeys(labels), 1)}
+    return tuple(map(first.__getitem__, labels))
+
+
+def _class_key(rows: Sequence, cols: Sequence, pattern: Optional[tuple[str, ...]]
+              ) -> tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[str, ...]]]:
+    """The least (kernel(rows∘g), kernel(cols∘g), pattern∘g) over the word's class.
+
+    g runs over the k turns and the k reflections of the points, once with
+    rows and columns as given and once swapped; pattern is canonical
+    (pairings.canonical_pattern), and so is every pattern∘g.  Every word of
+    the class has one moment (the memo, in the module docstring), and the
+    key is itself a word of the class, with labels 1..m for m distinct
+    labels.
+    """
+    k = len(rows)
+    best = None
+    words = (rows, cols, pattern), (rows[::-1], cols[::-1], pattern and pattern[::-1])
+    for x, y, pat in words + tuple((y, x, pat) for x, y, pat in words):
+        for t in range(k):
+            head = _kernel(x[t:] + x[:t])
+            if best is None or head <= best[0]:  # the second kernel only breaks a tie
+                key = (head, _kernel(y[t:] + y[:t]), pat and pat[t:] + pat[:t])
+                if best is None or key < best:
+                    best = key
+    return best
+
+
+@lru_cache(maxsize=None)
+def _class_moment(rows: tuple[int, ...], cols: tuple[int, ...],
+                  pattern: Optional[tuple[str, ...]], N: int) -> Fraction:
+    """The moment of a class key (_class_key) at N: one certified solve, by rotation blocks."""
+    k = len(rows)
+    plist = pairings.word_pairings(k, pattern)
+    return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N,
+                                  pairings.compatible_indices(plist, rows),
+                                  pairings.compatible_indices(plist, cols),
                                   pairings.rotation_orbits(k, pattern))
+
+
+haar_moment.cache_info = _class_moment.cache_info
 
 
 def unitarity_contraction(word: GeneratorWord, N: int, position: int) -> Fraction:

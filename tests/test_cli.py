@@ -231,6 +231,21 @@ def test_unknown_format_rejected(capsys):
     assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process; a rejected call leaves nothing for the next.
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    for argv in (["lp", "x[1,1]"], ["dim", "--N", "3", "--kmax", "1"], ["lp", "x[1,1]"]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        seen.append((code, out.out, out.err))
+    assert seen[0] == seen[2] and seen[0][0] == 2 and "--p" in seen[0][2]
+    assert seen[1] == (0, "k,dim\n0,1\n1,3\n", "")
+
+
 def test_exit_code_resource_limit(capsys):
     for argv in (
         ["moment", "x[1,1]^14", "--N", "3", "--kmax", "12"],

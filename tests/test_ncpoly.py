@@ -393,6 +393,8 @@ class TestLinearState:
 
     def test_past_order_12_a_linear_form_takes_one_table(self, monkeypatch):
         # p = 14 at kmax 14: the state the word route computes, with no bilinear_solve.
+        # The memo is cleared first, so the word route solves here.
+        weingarten._class_moment.cache_clear()
         a = ncpoly.scaled_generators(x(1, 2).scale(GaussianRational(2, -1)), 3)
         b = a.adjoint() * a
         want = ncpoly.state_eval(b ** 3, 3, kmax=14, right=b ** 4)

@@ -320,7 +320,9 @@ def test_unitary_moments_are_the_free_complexification(N):
 
 def test_alternating_unitary_word_reuses_the_orthogonal_loop_matrix(monkeypatch):
     # The k=14 U_N^+ word alternates v / v*, so its modular solve asks for
-    # loop_matrix(14, None), the matrix O_N^+ words of length 14 use.
+    # loop_matrix(14, None), the matrix O_N^+ words of length 14 use.  The two
+    # words are one class, so the memo is cleared before each: both solve.
+    weingarten._class_moment.cache_clear()
     calls = []
     real = pairings.loop_matrix
     monkeypatch.setattr(pairings, "loop_matrix", lambda *a: calls.append(a) or real(*a))
@@ -328,6 +330,7 @@ def test_alternating_unitary_word_reuses_the_orthogonal_loop_matrix(monkeypatch)
     h = weingarten.haar_moment(gw(word, "u+"), 3, kmax=14)
     assert calls == [(14, None)]
     x_word = [u(i, j) for i, j, _ in word]
+    weingarten._class_moment.cache_clear()
     assert h == weingarten.haar_moment(gw(x_word, "o+"), 3, kmax=14)
 
 
@@ -413,3 +416,77 @@ def test_o2_oracle_equals_the_weingarten_route():
         assert oracles.o2_moment(w) == want, w
         nonzero += bool(want)
     assert nonzero >= len(words) // 2
+
+
+def class_variants(letters):
+    """The word turned, reflected, transposed, and all three at once; the stars stay put."""
+    turned = letters[3:] + letters[:3]
+    reflected = letters[::-1]
+    transposed = [(j, i, e) for i, j, e in letters]
+    return [turned, reflected, transposed, [(j, i, e) for i, j, e in reflected[5:] + reflected[:5]]]
+
+
+def class_key_of(letters, model):
+    rows, cols = [i for i, _, _ in letters], [j for _, j, _ in letters]
+    pattern = tuple(e for _, _, e in letters) if model == "u+" else None
+    return weingarten._class_key(rows, cols, pairings.canonical_pattern(pattern))
+
+
+def rotated_squares(rng, count, k, model, top=3):
+    """Turns of w* w for seeded words w of k/2 letters with indices at most top: never 0."""
+    flip = {"1": "*", "*": "1"} if model == "u+" else {"1": "1"}
+    words = []
+    for _ in range(count):
+        w = [(rng.randint(1, top), rng.randint(1, top), rng.choice("1*") if model == "u+" else "1")
+             for _ in range(k // 2)]
+        square = [(i, j, flip[e]) for i, j, e in reversed(w)] + w
+        t = rng.randrange(k)
+        words.append(square[t:] + square[:t])
+    return words
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_a_word_and_its_class_key_have_one_table_moment(N):
+    # The table route (k <= 12) never reads the memo, so it checks each key
+    # against its word; every turn, reflection and transposition has that key.
+    rng = random.Random(2700 + N)
+    cases = [(w, "o+") for k in (4, 8, 12) for w in rotated_squares(rng, 8, k, "o+")]
+    cases += [(w, "u+") for k in (4, 8, 12) for w in rotated_squares(rng, 8, k, "u+")]
+    cases += [(w, "u+") for w in sampled_unitary_words(rng, 40)]
+    nonzero = 0
+    for letters, model in cases:
+        key = class_key_of(letters, model)
+        assert all(class_key_of(w, model) == key for w in class_variants(letters)), letters
+        h = weingarten.haar_moment(gw(letters, model), N)
+        assert weingarten._moment(list(key[0]), list(key[1]), key[2], N, 12) == h, letters
+        nonzero += h != 0
+    assert nonzero >= len(cases) * 3 // 4
+
+
+def test_a_memo_hit_equals_a_cold_solve_of_each_variant():
+    # N = 8 follows N = 3 with the memo full: a key without N would answer it.
+    rng = random.Random(2714)
+    words = [(w, model) for model in ("o+", "u+") for w in rotated_squares(rng, 2, 14, model)]
+    assert any(pairings.canonical_pattern(tuple(e for *_, e in w)) for w, m in words if m == "u+")
+    for letters, model in words:
+        for N in (3, 8):
+            h = weingarten.haar_moment(gw(letters, model), N, kmax=14)
+            assert h > 0
+            for variant in class_variants(letters):
+                hits = weingarten.haar_moment.cache_info().hits
+                assert weingarten.haar_moment(gw(variant, model), N, kmax=14) == h
+                assert weingarten.haar_moment.cache_info().hits == hits + 1, variant
+                weingarten._class_moment.cache_clear()
+                assert weingarten.haar_moment(gw(variant, model), N, kmax=14) == h, variant
+                assert weingarten.haar_moment.cache_info().misses == 1
+
+
+def test_the_o2_oracle_agrees_with_the_memo_at_k14():
+    weingarten._class_moment.cache_clear()
+    rng = random.Random(2702)
+    words = [[(i, j, "1") for i, j, _ in w] for w in rotated_squares(rng, 2, 14, "o+", top=2)]
+    for letters in words:
+        for w in [letters] + class_variants(letters):
+            h = weingarten.haar_moment(gw(w, "o+"), 2, kmax=14)
+            assert h == oracles.o2_moment([(i, j) for i, j, _ in w]), w
+    assert weingarten.haar_moment.cache_info().hits >= 4 * len(words)

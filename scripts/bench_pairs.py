@@ -9,25 +9,28 @@ and the one that goes first alternates from seed to seed.  Then each
 checkout gets one `--trace 1` run per workload.  Last come three pairs of
 the timings outside perfbench, again alternating which checkout goes
 first: criterion 7's order-16 moment at N = 3 and N = 8 in a fresh process
-after building `loop_matrix(16)`; the modular kernel `_solve_mod_prime` on
+after building what the tree's moment route reads at k = 16 (READS: the
+representatives' rows `loop_rows(16)` where the tree has them, else
+`loop_matrix(16)`); the modular kernel `_solve_mod_prime` on
 the k = 14 and k = 16 Gram matrices at N = 3 with one right-hand column,
 each the median over the first five primes, in a fresh process; the whole
 certified build of the k = 12 table as `weingarten` runs it,
 `weingarten_table(12, N)` at N = 3 and N = 4 (kernel, CRT, certificate
-and the table's tuples, with the loop matrix and the rotation orbits built
+and the table's tuples, with READS at k = 12 and the rotation orbits built
 before the clock starts), in a fresh process; a cold
 coloured `loop_matrix(16, pattern)` for each of COLOURED_PATTERNS, each
 in a fresh process; `rapid_decay.dn_constant(N)` with the default
 truncation for each N in DN_NS, each in a fresh process (the `D_N` scan
-layer, timed directly); for each k in WALK_KS, a cold `loop_matrix(k)` and
-then `cycle_types(k)`, in one fresh process per k with the pairing list
-built before the clock starts; the first 14 primes p = 1 (mod 14) and
+layer, timed directly); for each k in WALK_KS, a cold build of READS at k
+(`moment_read_k*_s`) and then `cycle_types(k)`, in one fresh process per k
+with the pairing list built before the clock starts, and that process's
+VmHWM; the first 14 primes p = 1 (mod 14) and
 then the first MAX_PRIMES primes p = 1 (mod 16) from an empty
 `prime_stream` cache, in that order, in one fresh process; and criterion 5 (the `D_N` bracket at five N),
 criterion 7 and criterion 9 (the k <= 12 Weingarten tables at N = 2..10)
 each run alone under pytest; `bilinear_solve` inside `haar_moment` for
 one order-14 word and for criterion 7's order-16 word, at N = 3 and N = 8,
-each in a fresh process with the loop matrix built before the clock
+each in a fresh process with READS built before the clock
 starts (the call is timed by a wrapper on `exactla.bilinear_solve`, so the
 row reads the same in trees whose solve takes other arguments); and
 `qhaar moment` of `x[1,1]` repeated 18 times at N = 3 with `--kmax 18`, in
@@ -48,10 +51,12 @@ the change checkout only, each timing pair also times one prime of the
 rotation-block solve (`exactla._block_solve`, residues and transforms
 included) against the dense kernel on the same Gram matrix at k = 14 and
 k = 16, N = 3, one right-hand column, the median over the first five
-primes p = 1 (mod k), and checks that their residues are equal; and runs
-the same `lp` at p = 16 with `--kmax 16`, timed and measured likewise
-(`change_only`; a tree that takes such a form word by word needs minutes
-for it).  After the traced runs, each checkout reports what its cached
+primes p = 1 (mod k), and checks that their residues are equal; runs
+the same `lp` at p = 16 with `--kmax 16`, timed and measured likewise (a
+tree that takes such a form word by word needs minutes for it); and runs
+`qhaar moment` of `x[1,1]` repeated 20 times at N = 3 with `--kmax 20`,
+its wall time and the child's VmHWM (`change_only`; a tree that builds
+`loop_matrix(20)` needs 22 s and 695 MB for it).  After the traced runs, each checkout reports what its cached
 k = 12 table at N = 3 holds (`k12_table`: rows, ints and their bytes).
 After the timing pairs, `perfbench/report.py` runs once on the change
 (default seed) and its table is kept as `report_table`.
@@ -77,19 +82,23 @@ import time
 
 WORKLOADS = ("moment_modular", "lp_table", "lp_words", "dn_scan")
 
+# What a tree's moment route reads at k: the representatives' loop rows, or in trees
+# without them the whole loop matrix, with the cache key haar_moment uses.
+READS = "getattr(pairings, 'loop_rows', pairings.loop_matrix)"
+
 ORDER16 = """
 import json, time
 from qhaar import pairings, weingarten
 t = time.perf_counter()
-pairings.loop_matrix(16, None)  # the cache key haar_moment uses in older trees
-out = {"loop_matrix_s": time.perf_counter() - t}
+READS(16, None)
+out = {"reads_k16_s": time.perf_counter() - t}
 w = weingarten.GeneratorWord(tuple([(2, 2, "1"), (1, 1, "1"), (1, 1, "1"), (2, 2, "1")] * 4), "o+")
 for N in (3, 8):
     t = time.perf_counter(); h = weingarten.haar_moment(w, N, kmax=16)
     out[f"N{N}_s"] = time.perf_counter() - t
     out[f"N{N}_value"] = str(h)
 print(json.dumps(out))
-"""
+""".replace("READS", READS)
 
 KERNEL = """
 import itertools, json, statistics, time
@@ -114,7 +123,7 @@ print(json.dumps(out))
 CERTIFIED = """
 import json, time
 from qhaar import pairings, weingarten
-pairings.loop_matrix(12)
+READS(12, None)
 pairings.rotation_orbits(12)
 out = {}
 for N in (3, 4):
@@ -122,7 +131,7 @@ for N in (3, 4):
     weingarten.weingarten_table(12, N)
     out[f"table_k12_N{N}_s"] = time.perf_counter() - t
 print(json.dumps(out))
-"""
+""".replace("READS", READS)
 
 # One order-14 O_N^+ word, w* w for w = x11 x12 x21 x22 x11 x21 x12, and
 # criterion 7's order-16 word.
@@ -135,7 +144,7 @@ import json, sys, time
 from qhaar import exactla, pairings, weingarten
 letters = tuple((i, j, "1") for i, j in json.loads(sys.argv[1]))
 N = int(sys.argv[2])
-pairings.loop_matrix(len(letters))
+READS(len(letters), None)
 real, spent = exactla.bilinear_solve, []
 def timed_solve(*args, **kwargs):
     t = time.perf_counter()
@@ -146,12 +155,14 @@ def timed_solve(*args, **kwargs):
 exactla.bilinear_solve = timed_solve
 h = weingarten.haar_moment(weingarten.GeneratorWord(letters, "o+"), N, kmax=len(letters))
 print(json.dumps({"s": sum(spent), "value": str(h)}))
-"""
+""".replace("READS", READS)
 
-ORDER18 = """
+# `qhaar moment` of x[1,1]^k at N = 3 with --kmax k, k = sys.argv[1].
+ORDER_K = """
 import sys
 from qhaar import cli
-rc = cli.main(["moment", "*".join(["x[1,1]"] * 18), "--N", "3", "--kmax", "18"])
+k = sys.argv[1]
+rc = cli.main(["moment", "*".join(["x[1,1]"] * int(k)), "--N", "3", "--kmax", k])
 sys.stdout.flush()
 hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(int(hwm.split()[1]) / 1024, file=sys.stderr)
@@ -206,14 +217,15 @@ from qhaar import exactla, pairings
 out = {}
 for k in (14, 16):
     loop_mat, orbits = pairings.loop_matrix(k), pairings.rotation_orbits(k)
-    n, r = loop_mat.shape[0], orbits.shape[1]
+    (m, r), n = orbits.shape, loop_mat.shape[0]
     V = (np.arange(n) % 3 == 0).astype(np.float64)[:, None]
-    L, Vs = loop_mat[orbits[:, :1], orbits.T[:, None, :]], V[orbits.T]
+    L = pairings.loop_rows(k)[np.arange(m)[:, None], orbits.T[:, None, :]]
+    Vs, blocks = V[orbits.T], exactla._Blocks.of(orbits)
     block, dense, equal = [], [], True
     for p in itertools.islice(exactla.prime_stream(r), 5):
         pows = np.array([pow(3, l, p) for l in range(int(loop_mat.max()) + 1)])
         t = time.perf_counter()
-        T = exactla._block_solve(pows[L], Vs, orbits, p)
+        T = exactla._block_solve(pows[L], Vs, blocks, p)
         block.append(time.perf_counter() - t)
         t = time.perf_counter()
         D = exactla._solve_mod_prime(pows[loop_mat], V, p)
@@ -258,13 +270,15 @@ from qhaar import pairings
 k = int(sys.argv[1])
 pairings.enumerate_nc_pairings(k)
 t = time.perf_counter()
-pairings.loop_matrix(k)
-out = {"loop_matrix_s": time.perf_counter() - t}
+READS(k, None)
+out = {"moment_read_s": time.perf_counter() - t}
 t = time.perf_counter()
 pairings.cycle_types(k)
 out["cycle_types_s"] = time.perf_counter() - t
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+out["vmhwm_mb"] = int(hwm.split()[1]) / 1024
 print(json.dumps(out))
-"""
+""".replace("READS", READS)
 
 COLD_PRIMES = """
 import itertools, json, time
@@ -341,6 +355,11 @@ def median_table(pairs: list[dict], timing_pairs: list[dict],
         outs = sorted({run["lp16_stdout"] for run in change_only})
         lines.append(f"lp p=16 (change only): {cold:.4g} s cold, VmHWM {hwm:.4g} MB, "
                      f"stdout {outs} ({len(change_only)} runs)")
+        cold = statistics.median(run["order20_cold_s"] for run in change_only)
+        hwm = statistics.median(run["order20_vmhwm_mb"] for run in change_only)
+        outs = sorted({run["order20_stdout"] for run in change_only})
+        lines.append(f"moment x[1,1]^20 (change only): {cold:.4g} s cold, VmHWM {hwm:.4g} MB, "
+                     f"stdout {outs} ({len(change_only)} runs)")
     return lines
 
 
@@ -356,8 +375,9 @@ def timing_run(tree: str) -> dict:
         out[f"dn_constant_N{N}_s"] = json.loads(timed([sys.executable, "-c", DN, str(N)], tree)[1])
     for k in WALK_KS:
         walks = json.loads(timed([sys.executable, "-c", WALKS, str(k)], tree)[1])
-        out[f"loop_matrix_k{k}_s"] = walks["loop_matrix_s"]
+        out[f"moment_read_k{k}_s"] = walks["moment_read_s"]
         out[f"cycle_types_k{k}_s"] = walks["cycle_types_s"]
+        out[f"walk_k{k}_vmhwm_mb"] = walks["vmhwm_mb"]
     out.update(json.loads(timed([sys.executable, "-c", COLD_PRIMES], tree)[1]))
     for num in (5, 7, 9):
         out[f"criterion{num}_s"] = timed(
@@ -369,12 +389,7 @@ def timing_run(tree: str) -> dict:
                                      tree)[1])
             out[f"bilinear_{name}_N{N}_s"] = solve["s"]
             out[f"bilinear_{name}_N{N}_value"] = solve["value"]
-    t = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", ORDER18], cwd=tree, env=env_for(tree),
-                          capture_output=True, text=True, timeout=3600, check=True)
-    out["order18_cold_s"] = time.perf_counter() - t
-    out["order18_vmhwm_mb"] = float(proc.stderr.split()[-1])
-    out["order18_stdout"] = proc.stdout
+    out.update(order_run(tree, 18))
     out.update(lp_form_run(tree, "lp14", "x[1,1]+x[1,2]", 14, 14))
     out.update(lp_form_run(tree, "quad8", QUADRATIC, 8, 16))
     t = time.perf_counter()
@@ -384,6 +399,15 @@ def timing_run(tree: str) -> dict:
     out["free_lp10_vmhwm_mb"] = free["vmhwm_mb"]
     out["free_lp10_value"] = free["value"]
     return out
+
+
+def order_run(tree: str, k: int) -> dict:
+    """ORDER_K at k in a fresh process: wall time, the child's VmHWM, stdout, as order{k}_*."""
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", ORDER_K, str(k)], cwd=tree, env=env_for(tree),
+                          capture_output=True, text=True, timeout=3600, check=True)
+    return {f"order{k}_cold_s": time.perf_counter() - t,
+            f"order{k}_vmhwm_mb": float(proc.stderr.split()[-1]), f"order{k}_stdout": proc.stdout}
 
 
 def lp_form_run(tree: str, name: str, poly: str, p: int, kmax: int) -> dict:
@@ -436,6 +460,7 @@ def main() -> int:
         result["timing_pairs"].append(pair)
         change_only = json.loads(timed([sys.executable, "-c", BLOCK_PRIME], trees["change"])[1])
         change_only.update(lp_form_run(trees["change"], "lp16", "x[1,1]+x[1,2]", 16, 16))
+        change_only.update(order_run(trees["change"], 20))
         result["change_only"].append(change_only)
         result["order18_stdout_identical"] = len(
             {p[side]["order18_stdout"] for p in result["timing_pairs"] for side in trees}) == 1

@@ -1,9 +1,11 @@
 """Exact linear algebra mod primes: certified inverses and bilinear solves.
 
 Both are one certified solve of A X = D V, modulo primes below 2**23, for
-the Gram matrix A = N**loops taken as (loop_mat, N), loop_mat from
-pairings.loop_matrix; no bigint A exists.  Each prime solves the rotation
-blocks of A (below).
+the Gram matrix A = N**loops taken as (loop_rows, N, orbits): orbits from
+pairings.rotation_orbits, and loop_rows from pairings.loop_rows, the loop
+counts of the orbit representatives' rows only, which by the rotation
+(below) hold every entry of A; no bigint A and no whole loop matrix
+exists.  Each prime solves the rotation blocks of A (below).
 
 * ``fraction_free_inverse`` -- V the indicator columns of the rotation
   orbits' representatives: those columns X/D of the exact inverse of A,
@@ -14,9 +16,11 @@ blocks of A (below).
   u^T A^{-1} v = sum(X[r] for r in u) / D.  Used for single large-k moments
   where the full table is out of reach.
 
-Both go through one prime loop, ``_gram_solve``: for each prime it builds
-the rotation blocks of A mod p, runs the kernel on them, skips the primes
-described below, and combines the residues T = A^{-1} V mod p into
+Both go through one prime loop, ``_gram_solve``: it gathers the blocks'
+loop counts and finds what the orbits fix (``_Blocks``) once per solve,
+then for each prime builds the rotation blocks of A mod p, runs the kernel
+on them, skips the primes described below, and combines the residues
+T = A^{-1} V mod p into
 W = A^{-1} V mod M, M the product of the primes used.  The combination is
 Garner's mixed-radix CRT (Garner, IRE Trans. Electronic Computers EC-8,
 1959), in float64: W = d_1 + p_1 (d_2 + p_2 (... d_j)), and for a new prime
@@ -61,10 +65,13 @@ with G_j[a, b] = sum_{u<r} w^(ju) G[rep_a, rho^u rep_b], i.e.
 G_j = F_j^H G F_j / r over the block-j vectors F_j.  So A x = v splits into
 the r systems G_j z_j = b_j, b_j[a] = sum_t w^(-jt) v[rho^t rep_a], and
 x = sum_j F_j z_j / r, that is x[rho^t rep_a] = (1/s) sum_j w^(jt) z_j[a].
-``_block_solve`` gathers only the representatives' rows G[rep_a, rho^u rep_b],
-transforms them by the r x r matrix of powers of w, pads each block with
-identity rows to one size (their rows and columns of G_j are 0 mod p), and
-solves all r blocks in one stacked kernel call.  An aperiodic colour
+``_gram_solve`` gathers only the representatives' rows G[rep_a, rho^u rep_b]
+(pairings.loop_rows), and ``_block_solve`` transforms them by the r x r
+matrix of powers of w, pads each block with identity rows to one size
+(their rows and columns of G_j are 0 mod p), and solves all r blocks in
+one stacked kernel call.  The exponents j t mod r of that matrix, the
+orbit sizes s and the padded rows depend only on the orbits, and
+``_Blocks`` finds them once per solve, not once per prime.  An aperiodic colour
 pattern has r = 1, one orbit per pairing, and its stack of one is A itself.
 Blocks have at most about n/r rows: 14 systems of 34 rows instead of 429 at
 k = 14, 16 of 95 instead of 1430 at k = 16.
@@ -95,7 +102,7 @@ however the blocks found T.  Exactness: w's powers are residues in [0, p),
 and each transform is a matmul of inner dimension r over reduced residues,
 so with r <= BLOCK every partial sum stays below BLOCK p**2 < 2**52.
 _gram_solve refuses r > BLOCK, which no pairing list reaches: r <= k, and
-loop matrices need k <= 32 (pairings._walk).
+loop rows need k <= 32 (pairings._rep_rows).
 
 The kernel works in float64 BLAS, after FFLAS-FFPACK (Dumas, Giorgi and
 Pernet, ACM TOMS 35, 2008), on a stack of systems at once.  Per prime it
@@ -139,6 +146,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -290,38 +298,65 @@ def _root_of_unity(r: int, p: int) -> int:
             return w
 
 
-def _block_solve(G: np.ndarray, V: np.ndarray, orbits: np.ndarray, p: int
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """What the rotation blocks of one solve need at every prime, found once from its orbits.
+
+    orbits is pairings.rotation_orbits (m x r), and sizes[a] the size s of
+    orbit a, a divisor of r.  blank indexes the diagonal entries
+    G_j[a, a] of the identity rows, those with j s not 0 mod r, or is None.
+    jt[j, t] = j t mod r is the exponent of w in F, and jtc = -j t mod r
+    its conjugate's, in Fc.
+    """
+
+    orbits: np.ndarray
+    sizes: np.ndarray
+    blank: Optional[tuple[tuple[int, ...], ...]]
+    jt: np.ndarray
+    jtc: np.ndarray
+
+    @classmethod
+    def of(cls, orbits: np.ndarray) -> "_Blocks":
+        r = orbits.shape[1]
+        sizes = [len(set(row)) for row in orbits.tolist()]
+        blank = [(j, a, a) for a, s in enumerate(sizes) for j in range(r) if j * s % r]
+        jt = np.outer(np.arange(r), np.arange(r)) % r
+        return cls(orbits, np.array(sizes, dtype=np.intp),
+                   tuple(zip(*blank)) if blank else None, jt, -jt % r)
+
+
+def _block_solve(G: np.ndarray, V: np.ndarray, blocks: _Blocks, p: int
                  ) -> Optional[np.ndarray]:
     """G^{-1} V mod p, from one stacked kernel call on the rotation blocks of G.
 
-    orbits is pairings.rotation_orbits (m x r) and p = 1 (mod r).  G and V
-    are the float64 residues mod p of the rows of the orbit representatives:
-    G[u, a, b] = G[rep_a, rho^u rep_b] (r x m x m) and V[u, a] = V[rho^u rep_a]
-    (r x m x c).  Block j is G_j = sum_u w^(ju) G[u], and its right-hand side
-    sum_u w^(-ju) V[u], w a primitive r-th root of unity mod p; an orbit of
-    s positions has a row in block j only when w^(js) = 1, and elsewhere an
-    identity row keeps the stack square.  The block solutions z_j give
-    x[rho^t rep_a] = (1/s) sum_j w^(jt) z_j[a]; the module docstring proves
-    that this is G^{-1} V mod p.  Returns an n x c array with entries of size
-    at most p/2 + 1, or None if a leading minor of a block vanishes mod p.
+    blocks holds the orbits (pairings.rotation_orbits, m x r) and what
+    follows from them (_Blocks), and p = 1 (mod r).  G and V are the
+    float64 residues mod p of the rows of the orbit representatives:
+    G[u, a, b] = G[rep_a, rho^u rep_b] (r x m x m) and V[u, a] =
+    V[rho^u rep_a] (r x m x c).  Block j is G_j = sum_u w^(ju) G[u], and its
+    right-hand side sum_u w^(-ju) V[u], w a primitive r-th root of unity mod
+    p; an orbit of s positions has a row in block j only when w^(js) = 1,
+    and elsewhere an identity row keeps the stack square.  The block
+    solutions z_j give x[rho^t rep_a] = (1/s) sum_j w^(jt) z_j[a]; the
+    module docstring proves that this is G^{-1} V mod p.  Returns an n x c
+    array with entries of size at most p/2 + 1, or None if a leading minor
+    of a block vanishes mod p.
     """
+    orbits, sizes = blocks.orbits, blocks.sizes
     r = orbits.shape[1]
     w = _root_of_unity(r, p)
-    powers = [pow(w, e, p) for e in range(r)]
-    F = np.array([[powers[j * t % r] for t in range(r)] for j in range(r)], dtype=np.float64)
-    Fc = np.array([[powers[-j * t % r] for t in range(r)] for j in range(r)], dtype=np.float64)
-    sizes = [len(set(row)) for row in orbits.tolist()]
-    blank = [(j, a) for a, s in enumerate(sizes) for j in range(r) if j * s % r]
+    powers = np.array([pow(w, e, p) for e in range(r)], dtype=np.float64)
+    F = powers[blocks.jt]
     G = _reduce((F @ G.reshape(r, -1)).reshape(G.shape), p)
-    if blank:
-        j, a = zip(*blank)
-        G[j, a, a] = 1  # the rest of that row and column is 0 mod p already
-    Z = _solve_mod_prime(G, _reduce((Fc @ V.reshape(r, -1)).reshape(V.shape), p), p)
+    if blocks.blank:
+        G[blocks.blank] = 1  # the rest of that row and column is 0 mod p
+    Z = _solve_mod_prime(G, _reduce((powers[blocks.jtc] @ V.reshape(r, -1)).reshape(V.shape), p),
+                         p)
     if Z is None:
         return None
     X = _reduce((F @ Z.reshape(r, -1)).reshape(Z.shape), p)
-    X *= np.array([pow(s, -1, p) for s in sizes], dtype=np.float64)[:, None]
-    T = np.empty((sum(sizes), X.shape[2]))
+    X *= np.array([pow(s, -1, p) for s in range(1, r + 1)], dtype=np.float64)[sizes - 1, None]
+    T = np.empty((int(sizes.sum()), X.shape[2]))
     T[orbits.T] = _reduce(X, p)
     return T
 
@@ -404,37 +439,45 @@ def _garner_digit(T: np.ndarray, digits: list[np.ndarray], primes: list[int],
     return _reduce(r, p)
 
 
-def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray,
+def _gram_solve(loop_rows: np.ndarray, N: int, V: np.ndarray,
                 orbits: np.ndarray) -> tuple[int, list[int]]:
-    """(D, X) with G X = D V exactly for G = N**loop_mat, X a flat row-major list.
+    """(D, X) with G X = D V exactly for G = N**loops, X a flat row-major list.
 
-    orbits is pairings.rotation_orbits of loop_mat's pairings (m x r).  The
-    loop counts and V are gathered once on the orbit representatives' rows,
-    and each of at most MAX_PRIMES primes p = 1 (mod r) from prime_stream(r)
-    solves the rotation blocks by _block_solve; with r = 1, one orbit per
-    pairing, that is one stacked system, G itself.  A prime is skipped when
-    a leading minor of a block vanishes mod p.  T = G^{-1} V mod p gives the
-    next Garner digit d of W = G^{-1} V mod M.  The digits are kept, one
-    float64 array per prime, for the next prime's Horner step; W is one flat
-    row-major list of Python ints, updated to W + M d, a representative of
-    each entry mod M that is not reduced into [0, M).  The loop returns once
-    _certified accepts D and X = D W mod M, which the module docstring shows
-    proves G X = D V.  Raises InvalidArgumentError when r > BLOCK, past the
-    transforms' exactness bound, and SingularMatrixError when the primes run
-    out.
+    orbits is pairings.rotation_orbits of the pairings (m x r), and
+    loop_rows the loop counts of their representatives' rows (m x n,
+    pairings.loop_rows): row a is row orbits[a, 0] of the loop matrix.  The
+    loop counts and V are gathered once on those rows, the orbits' block
+    data (_Blocks) is found once, and each of at most MAX_PRIMES primes
+    p = 1 (mod r) from prime_stream(r) solves the rotation blocks by
+    _block_solve; with r = 1, one orbit per pairing, that is one stacked
+    system, G itself, and loop_rows is the whole loop matrix.  A prime is
+    skipped when a leading minor of a block vanishes mod p.
+    T = G^{-1} V mod p gives the next Garner digit d of W = G^{-1} V mod M.
+    The digits are kept, one float64 array per prime, for the next prime's
+    Horner step; W is one flat row-major list of Python ints, updated to
+    W + M d, a representative of each entry mod M that is not reduced into
+    [0, M).  The loop returns once _certified accepts D and X = D W mod M,
+    which the module docstring shows proves G X = D V.  Every entry of G is
+    an entry of the rows (pairings.loop_matrix), so max|G| is read from
+    them.  Raises InvalidArgumentError when loop_rows has not one row per
+    orbit, or r > BLOCK, past the transforms' exactness bound, and
+    SingularMatrixError when the primes run out.
     """
-    r = orbits.shape[1]
+    m, r = orbits.shape
+    if loop_rows.shape[0] != m:
+        raise InvalidArgumentError(f"{loop_rows.shape[0]} loop rows for {m} orbits")
     if r > BLOCK:
         raise InvalidArgumentError(f"{r} rotations exceed BLOCK = {BLOCK}")
-    max_loops = int(loop_mat.max())
-    scale = loop_mat.shape[0] * N ** max_loops  # n max|G|
+    max_loops = int(loop_rows.max())
+    scale = loop_rows.shape[1] * N ** max_loops  # n max|G|
     W, M, digits, primes = [0] * V.size, 1, [], []
-    # The representatives' rows: loop_mat[rep_a, rho^u rep_b], V[rho^u rep_a].
-    loop_mat = loop_mat[orbits[:, :1], orbits.T[:, None, :]]
+    # The representatives' rows: loops[u, a, b] = L[rep_a, rho^u rep_b], V[rho^u rep_a].
+    loops = loop_rows[np.arange(m)[:, None], orbits.T[:, None, :]]
     V = V[orbits.T]
+    blocks = _Blocks.of(orbits)
     for p in itertools.islice(prime_stream(r), MAX_PRIMES):
         pows = np.array([pow(N, l, p) for l in range(max_loops + 1)], dtype=np.float64)
-        T = _block_solve(pows[loop_mat], V, orbits, p)
+        T = _block_solve(pows[loops], V, blocks, p)
         if T is None:
             continue  # p divides a leading minor; skip
         d = _garner_digit(T, digits, primes, p)
@@ -452,11 +495,12 @@ def _gram_solve(loop_mat: np.ndarray, N: int, V: np.ndarray,
     raise SingularMatrixError(f"no exact result within {MAX_PRIMES} primes")
 
 
-def fraction_free_inverse(loop_mat: np.ndarray, N: int, orbits: np.ndarray
+def fraction_free_inverse(loop_rows: np.ndarray, N: int, orbits: np.ndarray
                           ) -> tuple[list[list[int]], int]:
-    """The representative columns of G^{-1} for G = N**loop_mat, exactly: (X, D), reduced.
+    """The representative columns of G^{-1} for G = N**loops, exactly: (X, D), reduced.
 
-    orbits is pairings.rotation_orbits of loop_mat's pairings (m x r), and
+    orbits is pairings.rotation_orbits of the pairings (m x r) and
+    loop_rows their representatives' loop rows (_gram_solve), and
     X[a][i] / D = G^{-1}[i, rep_a] for rep_a = orbits[a, 0].  The certified
     solve takes V the indicator columns of the m representatives and proves
     G X = D V on them.  Every other entry is a turn of these (module
@@ -464,24 +508,25 @@ def fraction_free_inverse(loop_mat: np.ndarray, N: int, orbits: np.ndarray
     rho^t orbits[b, u] = orbits[b, u + t], indices mod r.  So dividing by
     gcd(D, X) leaves D the least common denominator of all of G^{-1}.
     """
-    n, m = loop_mat.shape[0], orbits.shape[0]
+    n, m = loop_rows.shape[1], orbits.shape[0]
     V = np.zeros((n, m))
     V[orbits[:, 0], np.arange(m)] = 1
-    D, X = _gram_solve(loop_mat, N, V, orbits)
+    D, X = _gram_solve(loop_rows, N, V, orbits)
     g = math.gcd(D, *X)
     return [[x // g for x in X[a::m]] for a in range(m)], D // g
 
 
-def bilinear_solve(loop_mat: np.ndarray, N: int, u_idx: Sequence[int],
+def bilinear_solve(loop_rows: np.ndarray, N: int, u_idx: Sequence[int],
                    v_idx: Sequence[int], orbits: np.ndarray) -> Fraction:
-    """Exact u^T G^{-1} v for G = N**loop_mat, u/v 0-1 indicators.
+    """Exact u^T G^{-1} v for G = N**loops, u/v 0-1 indicators.
 
-    u_idx and v_idx index the rows of loop_mat, and orbits is
-    pairings.rotation_orbits of its pairings, by whose blocks each prime
-    solves.  The certified solve with V = v proves G X = D v, so the value
-    is sum(X[r] for r in u_idx) / D.
+    u_idx and v_idx index the pairings, orbits is their
+    pairings.rotation_orbits, by whose blocks each prime solves, and
+    loop_rows the representatives' loop rows (_gram_solve).  The certified
+    solve with V = v proves G X = D v, so the value is
+    sum(X[r] for r in u_idx) / D.
     """
-    v = np.zeros((loop_mat.shape[0], 1))
+    v = np.zeros((loop_rows.shape[1], 1))
     v[list(v_idx), 0] = 1
-    D, X = _gram_solve(loop_mat, N, v, orbits)
+    D, X = _gram_solve(loop_rows, N, v, orbits)
     return Fraction(sum(X[r] for r in u_idx), D)

@@ -7,17 +7,23 @@ obtained by gluing one diagram to the reflection of the other; for pair
 partitions this equals the number of connected components of the union
 multigraph.
 
-One walker, _walk, visits the pairs (p, q) by dihedral orbits and records
-the cycle type of p ∪ q, the half-lengths of its cycles, as a one-byte code
-per pair.  cycle_types returns those codes; loop_matrix is their lengths,
-since a loop is a cycle.  rotation_orbits lists the orbits of the rotation
-by a pattern's period, by which exactla splits the Gram matrix into blocks.
+rotation_orbits lists the orbits of the rotation by a pattern's period,
+by which exactla splits the Gram matrix into blocks.  The rotation only
+relabels the points of p ∪ q, so the rows of the orbit representatives
+determine every pair, and they are all that is computed: one numpy row
+kernel, _rep_rows, cached per (k, canonical pattern), records the cycle
+type of p ∪ q, the half-lengths of its cycles, as a one-byte code for each
+representative p and every pairing q.  cycle_types returns those codes;
+loop_rows is their lengths, since a loop is a cycle, and is what the
+certified solves read.  loop_matrix, the whole array, is the rows turned
+round their orbits, built only when asked for (gram, wg).
 
 Colours are labels: a non-crossing pair joins points an odd distance apart,
 so it joins a '1' to a '*' iff its ends share the label (colour is '1') xor
 (position odd), _parity.  The colored pairings are the uncoloured ones
 compatible with those labels, in order, so a colored loop matrix is a
-principal submatrix of the uncoloured one.
+principal submatrix of the uncoloured one; the kernel computes a colored
+pattern's own rows over its own pairings, never the uncoloured array.
 
 `word_pairings` and `compatible_indices` are the one place that lists the
 pairings indexing a word and filters them by its labels; finite-N moments,
@@ -28,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -190,59 +195,71 @@ def has_compatible_pairing(labels: Sequence, pattern: Optional[tuple[str, ...]] 
     return not stack
 
 
-def loop_matrix(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Pairwise loop counts over the (colored) canonical pairing list.
+def _checked(k: int, pattern: Optional[Sequence[str]]) -> Optional[tuple[str, ...]]:
+    """The canonical pattern, or InvalidArgumentError when no pairing of k points fits it.
 
-    The one form of the Gram matrix N**loops, as a read-only int8 array, and
-    the one check of a pattern against k: the O(k) stack of
-    has_compatible_pairing on its _parity labels decides whether any pairing
-    fits it.  Cached by (k, canonical pattern), so (k, None) and alternating
-    patterns share one object; see cache_info().
+    The one check of a pattern against k: the O(k) stack of
+    has_compatible_pairing on its _parity labels.
     """
     pat = tuple(pattern) if pattern is not None else None
     if pat is not None and (len(pat) != k or not has_compatible_pairing(_parity(pat))):
         raise InvalidArgumentError(f"pattern {''.join(pat)!r} fits no pairing of k={k} points")
-    return _loop_matrix(k, canonical_pattern(pat))
+    return canonical_pattern(pat)
 
 
-def _index_map(plist: Sequence[NCPairPartition], index: dict, g: list[int]) -> list[int]:
-    """Position in plist of the image under the point map g of each pairing in plist.
+def cycle_types(k: int, pattern: Optional[Sequence[str]] = None
+                ) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Cycle half-lengths of p ∪ q for each orbit representative p and every pairing q.
 
-    index maps each pairing's slot mask (NCPairPartition.bits) to its position.
+    Returns (codes, types) over plist = word_pairings(k, pattern) and its
+    rotation orbits (rotation_orbits): the union of plist[rep_a] and
+    plist[c], rep_a = orbits[a, 0], has cycles of 2L points for the L in
+    types[codes[a, c]], a sorted tuple with sum k/2 and one entry per loop.
+    codes is a read-only m x n uint8 array; types lists every partition of
+    k/2.  Every other pair is a turn of these: the rotation keeps cycle
+    types (loop_matrix).  Checks the pattern as loop_matrix does; cached by
+    (k, canonical pattern).
     """
-    k = len(g)
-    out = []
-    for p in plist:
-        mask = 0
-        for a, b in p.pairs:
-            x, y = g[a - 1], g[b - 1]
-            mask |= 1 << (x * k + y if x < y else y * k + x)
-        out.append(index[mask])
-    return out
+    return _rep_rows(k, _checked(k, pattern))
+
+
+def loop_rows(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
+    """Loop counts of the orbit representatives' rows, m x n int8: the lengths of cycle_types.
+
+    Row a is row rep_a = rotation_orbits(k, pattern)[a, 0] of loop_matrix(k,
+    pattern), which is all exactla's certified solves read.  A new array per
+    call, from the cached codes.
+    """
+    codes, types = cycle_types(k, pattern)
+    return np.array([len(t) for t in types], dtype=np.int8)[codes]
+
+
+def loop_matrix(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
+    """Pairwise loop counts over the (colored) canonical pairing list.
+
+    The loop counts of the whole Gram matrix N**loops, as a read-only int8
+    array, for gram_matrix; the solves read only loop_rows, and this is
+    built from them by the rotation.  The rotation rho by the pattern's
+    period maps the pairings fitting it onto themselves and p ∪ q onto
+    rho p ∪ rho q, relabelling points only, so L[rho i, rho j] = L[i, j].
+    With orbits = rotation_orbits(k, pattern), row orbits[a, t] =
+    rho^t rep_a is then L[rep_a, rho^-t j] at column j, and
+    rho^-t orbits[b, u] = orbits[b, (u - t) mod r].  Checks the pattern as
+    cycle_types does; cached by (k, canonical pattern), so (k, None) and
+    alternating patterns share one object; see cache_info().
+    """
+    return _loop_matrix(k, _checked(k, pattern))
 
 
 @lru_cache(maxsize=None)
 def _loop_matrix(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
-    """loops(p, q) over word_pairings(k, pattern): the lengths of the cycle types of _walk.
-
-    A pattern takes the principal submatrix on its compatible positions:
-    loops depend only on the two pairings.  The uncoloured matrix lets _walk
-    write its codes into the array's own bytes, then maps each row to the
-    lengths of its types with bytes.translate, row by row, so the build holds
-    no second n x n buffer and keeps no code once it returns.
-    """
-    plist = enumerate_nc_pairings(k)
-    if pattern is not None:
-        S = compatible_indices(plist, _parity(pattern))
-        L = _loop_matrix(k, None)[np.ix_(S, S)]
-        L.flags.writeable = False
-        return L
-    n = len(plist)
-    L = np.zeros((n, n), dtype=np.int8)  # at most k/2 loops; k is far below 256
-    flat = memoryview(L).cast("B")
-    lengths = bytes(map(len, _walk(k, flat))).ljust(256, b"\0")
-    for i in range(0, n * n, n):
-        flat[i:i + n] = bytes(flat[i:i + n]).translate(lengths)
+    rows, orbits = loop_rows(k, pattern), _rotation_orbits(k, pattern)
+    r = orbits.shape[1]
+    L = np.empty((rows.shape[1],) * 2, dtype=np.int8)
+    turned = np.empty(rows.shape[1], dtype=np.intp)
+    for t in range(r):
+        turned[orbits] = orbits[:, (np.arange(r) - t) % r]  # turned[j] = rho^-t j
+        L[orbits[:, t]] = rows[:, turned]
     L.flags.writeable = False
     return L
 
@@ -252,10 +269,22 @@ loop_matrix.cache_info = _loop_matrix.cache_info
 
 @lru_cache(maxsize=None)
 def _rotation(k: int) -> list[int]:
-    """Position in enumerate_nc_pairings(k) of each pairing turned by i -> i + 1 (mod k)."""
+    """Position in enumerate_nc_pairings(k) of each pairing turned by i -> i + 1 (mod k).
+
+    A pairing is found by its slot mask (NCPairPartition.bits): the 1-based
+    pair (a, b) joins the 0-based points a - 1 and b - 1, turned to a % k
+    and b % k.
+    """
     plist = enumerate_nc_pairings(k)
-    return _index_map(plist, {p.bits: a for a, p in enumerate(plist)},
-                      [(i + 1) % k for i in range(k)])
+    index = {p.bits: a for a, p in enumerate(plist)}
+    out = []
+    for p in plist:
+        mask = 0
+        for a, b in p.pairs:
+            x, y = a % k, b % k
+            mask |= 1 << (x * k + y if x < y else y * k + x)
+        out.append(index[mask])
+    return out
 
 
 def rotation_orbits(k: int, pattern: Optional[Sequence[str]] = None) -> np.ndarray:
@@ -301,107 +330,108 @@ def _rotation_orbits(k: int, pattern: Optional[tuple[str, ...]]) -> np.ndarray:
             for b in row:
                 seen[b] = 1
             orbits.append(row)
-    out = np.array(orbits, dtype=np.intp)
+    out = np.array(orbits, dtype=np.intp).reshape(len(orbits), r)
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
-def cycle_types(k: int) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-    """Cycle half-lengths of p ∪ q for every two pairings p, q of k points.
+def _half_partners(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd), n x k/2 uint8 over enumerate_nc_pairings(k).
 
-    Returns (codes, types): the union of plist[a] and plist[c], plist the
-    canonical list of n pairings, has cycles of 2L points for the L in
-    types[codes[a * n + c]], a sorted tuple with sum k/2 and one entry per
-    loop.  One _walk, into a buffer of its own: loop_matrix does not keep
-    the codes, so a caller of only the loop matrix never holds them.
-    """
-    codes = bytearray(len(enumerate_nc_pairings(k)) ** 2)
-    types = _walk(k, codes)
-    return bytes(codes), types
-
-
-def _walk(k: int, out) -> tuple[tuple[int, ...], ...]:
-    """A one-byte code of the cycle type of p ∪ q for every two pairings, by dihedral orbits.
-
-    out is a writable buffer of n * n bytes, n the length of plist =
-    enumerate_nc_pairings(k); plist[a] ∪ plist[c] gets its code at
-    out[a * n + c], and the returned tuple lists the types by code, each the
-    sorted half-lengths of the cycles.
-
-    One pair: both pairings join points of opposite parity, so walking
-    x -> mq[mp[x]] from an even point x meets every even point of x's cycle
-    and no other, and a cycle of 2L points is one orbit of L even points.
-    The lengths are kept as the base-(k/2 + 1) number whose digit L counts
-    the cycles of L even points (a count is at most k/2), and a number met
-    for the first time gets the next code.
-
-    Why orbits are exact: a rotation or a reflection g of the points keeps
-    non-crossing pairings non-crossing and maps p ∪ q onto g·p ∪ g·q,
-    relabelling vertices only, so the two unions have one cycle type, and g
-    permutes plist.  Hence T[g·a, c] = T[a, g⁻¹·c] for the types T and
-    pairing positions a and c, and the row of g·a is the row of a permuted.
-    The maps used are i -> i + 1 and i -> -i (mod k); slot masks turn each
-    into a permutation of positions.  For each position a not yet written,
-    its row is walked, except in the columns of rows already written, where
-    T[a, c] = T[c, a] (the union does not depend on the order of p and q).
-    The inverse rotation then carries that row round the rotation orbit of
-    a, and each row met is written reflected too, which writes the whole
-    dihedral orbit.  k = 0 needs no case of its own: its one empty pairing
-    has the empty type.  Codes fit a byte while k/2 has at most 256
-    partitions, that is for k <= 32.
+    even[a, i] is the partner of point 2i in plist[a], an odd point, halved;
+    odd[a, i] the partner of point 2i + 1, an even point, halved.
     """
     plist = enumerate_nc_pairings(k)
-    n, h = len(plist), k // 2
-    rot = _rotation(k)
-    ref = _index_map(plist, {p.bits: a for a, p in enumerate(plist)}, [-i % k for i in range(k)])
-    # Row permutations, C-level on bytes.  With n = 1 no row is ever permuted.
-    turn_back = itemgetter(*sorted(range(n), key=rot.__getitem__))  # the inverse rotation
-    reflect = itemgetter(*ref)  # a reflection is an involution
-    # even[a][i]: the partner of point 2i in plist[a], as an odd point // 2; odd: the reverse.
-    # bytes, not tuples: at k = 18 tuples held 0.6 MB more, which stayed in the process peak.
-    even, odd = [], []
-    for p in plist:
-        mp = p.partners()
-        even.append(bytes(x // 2 for x in mp[0::2]))
-        odd.append(bytes(x // 2 for x in mp[1::2]))
-    digit = [(h + 1) ** length for length in range(h + 1)]
-    code_of: dict = {}
-    done = bytearray(n)
-    for a, mp in enumerate(even):
-        if done[a]:
-            continue
-        row = bytearray(out[a::n])
-        for c, mq in enumerate(odd):
-            if done[c]:
-                continue
-            key = seen = 0
-            for s in range(h):
-                if not seen >> s & 1:
-                    x, length = s, 0
-                    while True:
-                        seen |= 1 << x
-                        x = mq[mp[x]]
-                        length += 1
-                        if x == s:
-                            break
-                    key += digit[length]
-            row[c] = code_of.setdefault(key, len(code_of))
-        b = a
-        while True:  # b goes round the rotation orbit of a, row is its row
-            if not done[b]:
-                out[b * n:(b + 1) * n] = row
-                done[b] = 1
-            if not done[ref[b]]:
-                out[ref[b] * n:(ref[b] + 1) * n] = bytes(reflect(row))
-                done[ref[b]] = 1
-            b = rot[b]
-            if b == a:
-                break
-            row = bytes(turn_back(row))
-    return tuple(tuple(length for length in range(1, h + 1)
-                       for _ in range(key // digit[length] % (h + 1)))
-                 for key in code_of)
+    half = np.array([p.partners() for p in plist], dtype=np.uint8).reshape(len(plist), k) // 2
+    return np.ascontiguousarray(half[:, 0::2]), np.ascontiguousarray(half[:, 1::2])
+
+
+@lru_cache(maxsize=None)
+def _partitions(h: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """(weight, keys, types): every partition of h and a mixed-radix key for each.
+
+    A partition with c_L parts L has key sum_L c_L weight[L], weight[L] the
+    product of the radices h // L' + 1 for L' < L; as c_L <= h // L, that
+    is a mixed-radix number with digits c_L, one per partition.  weight[0]
+    is 0, so an entry that counts no cycle adds nothing.  types lists the
+    partitions as sorted tuples, in the order of their keys, which keys
+    holds, ascending.  Every key is below prod_L (h // L + 1), about
+    1.3e8 at h = 16.
+    """
+    weight = [0, 1]
+    for L in range(1, h):
+        weight.append(weight[-1] * (h // L + 1))
+
+    def parts(rest, least):
+        if not rest:
+            yield ()
+        for L in range(least, rest + 1):
+            for tail in parts(rest - L, L):
+                yield (L,) + tail
+
+    by_key = sorted((sum(weight[L] for L in t), t) for t in parts(h, 1))
+    return (np.array(weight, dtype=np.int64), np.array([key for key, _ in by_key]),
+            tuple(t for _, t in by_key))
+
+
+# Entries of each temporary the row kernel makes: 128 KB of intp.
+CHUNK = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _rep_rows(k: int, pattern: Optional[tuple[str, ...]]
+              ) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """cycle_types for a canonical pattern: the representatives' rows, in chunks of pairs.
+
+    Both pairings join points of opposite parity, so for p = plist[rep_a]
+    and q = plist[c], σ = odd_q ∘ even_p (_half_partners) maps each even
+    point, halved, to the next even point of its cycle of p ∪ q, and a cycle
+    of 2L points is one cycle of L points of σ.  Each chunk composes σ for
+    CHUNK / (k/2) pairs at once, whole rows of n columns when they fit,
+    else a run of columns of one row.  Pointer doubling finds the least
+    point of each cycle of σ: M[x] is the least of σ^t(x) for t < span,
+    first min(x, σ(x)) with span 2; each step squares F, from σ to
+    σ^span, and M[x] = min(M[x], M[F[x]]) doubles the span, until it
+    reaches k/2, the longest cycle.  A bincount of
+    those least points then holds each cycle's length at its least point
+    and 0 elsewhere, and the sum of _partitions' weights over the lengths
+    is the key of the cycle type, whose position among the keys is the code.
+    Codes fit a byte while k/2 has at most 256 partitions, that is for
+    k <= 32.
+    """
+    h = k // 2
+    orbits = _rotation_orbits(k, pattern)
+    even, odd = _half_partners(k)
+    if pattern is not None:
+        S = compatible_indices(enumerate_nc_pairings(k), _parity(pattern))
+        even, odd = even[S], odd[S]
+    reps = even[orbits[:, 0]]
+    weight, keys, types = _partitions(h)
+    m, n = len(reps), len(odd)
+    codes = np.zeros((m, n), dtype=np.uint8)  # k = 0: one empty pairing, the empty type
+    rows_per = max(1, CHUNK // max(1, n * h))
+    cols_per = min(n, max(1, CHUNK // max(1, h)))
+    ids = np.arange(h, dtype=np.uint8)
+    for a0 in range(0, m if h else 0, rows_per):
+        E = reps[a0:a0 + rows_per]
+        for c0 in range(0, n, cols_per):
+            sigma = odd[c0:c0 + cols_per][:, E]  # [c, a, i] = odd_c[even_a[i]]
+            pairs = sigma.shape[0] * sigma.shape[1]
+            sigma = sigma.reshape(pairs, h)
+            base = np.arange(0, pairs * h, h)[:, None]
+            F = sigma + base  # σ, as positions in the flattened chunk
+            M = np.minimum(sigma, ids)
+            span = 2
+            while span < h:
+                F = np.take(F, F)
+                M = np.minimum(M, np.take(M, F))
+                span *= 2
+            lengths = np.bincount((M + base).ravel(), minlength=pairs * h).reshape(pairs, h)
+            found = np.searchsorted(keys, weight[lengths].sum(axis=1))
+            codes[a0:a0 + len(E), c0:c0 + cols_per] = found.reshape(-1, len(E)).T
+    codes.flags.writeable = False
+    return codes, types
 
 
 def gram_matrix(k: int, N: int, pattern: Optional[Sequence[str]] = None

@@ -201,20 +201,26 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RD
     raises ResourceLimitError before any arithmetic.  The scan is a lower
     estimate; rigorous comparisons must use `rigorous_upper`.
 
-    Past the saturation index e0, the first index from which every table
-    entry is exactly 1, values only repeat, and two cuts skip them.  Row
-    (a, b) reads the table at a+r, a+r+1, b+r, b+r+1, a+b+1, a+b+1+r, r,
-    r+1 and 1, so a row with a >= e0 reads the same operands as the row
-    with a replaced by top, the first grid value >= e0, which comes earlier
-    in scan order (a-major, b ascending); the same holds for b.  And for
-    r >= e0 every factor is 1, so each value repeats the one before.  As
-    the first strict maximum never moves to a repeat, value and argmax are
-    those of the full grid.  That argmax sits at the saturation edge:
-    a = b = r = e0 - 1 at most large N (24/24/24 at N = 57, e0 = 13;
-    14/14/14 at N = 1000, e0 = 8), at a = e0 - 2 where rounding ties a
-    step earlier (N = 9, 14, 35, 36, 46 and 47 among N <= 60 at the default
-    truncation), and inf/inf/inf when e0 - 1 exceeds nk_max (N = 3 and 4
-    at the default truncation).
+    From one index before the saturation index e0, the first index from
+    which every table entry is exactly 1, values only repeat, and two cuts
+    skip them.  Row (a, b) reads the table at a+r, a+r+1, b+r, b+r+1,
+    a+b+1, a+b+1+r, r, r+1 and 1, but a+r and b+r only for r >= 1: the
+    r = 0 step never reads lead[0] of objective_rows, and prod starts at 1
+    there.  So each index a row reads through a is at least a+1, and a row
+    with a >= e0 - 1 reads only entries equal to 1 through a, the same
+    operands as the row with a replaced by top, the first grid value
+    >= e0 - 1, which comes earlier in scan order (a-major, b ascending);
+    the same holds for b.  And the step to r >= e0 multiplies prod by
+    (1 * 1) * 1 / (1 * 1^2), which is exact, while the radicand at r reads
+    omq[a+r+1], omq[b+r+1] and omq[r+1]^2, all 1 at r = e0 - 1 as at r:
+    each value from r = e0 on repeats the one at r = e0 - 1, and the rows
+    stop there.  As the first strict maximum never moves to a repeat, value
+    and argmax are those of the full grid.  That argmax sits at the
+    saturation edge: a = b = r = e0 - 1 at most large N (24/24/24 at
+    N = 57, e0 = 13; 14/14/14 at N = 1000, e0 = 8), at a = e0 - 2 where
+    rounding ties a step earlier (N = 9, 14, 35, 36, 46 and 47 among
+    N <= 60 at the default truncation), and inf/inf/inf when e0 - 1
+    exceeds nk_max (N = 3 and 4 at the default truncation).
     """
     _require_n(N)
     rmax, amax = truncation.r_max, truncation.nk_max
@@ -226,14 +232,14 @@ def dn_constant(N: int, truncation: TruncationLimits = TruncationLimits()) -> RD
     INF = 2 * amax + rmax + 2  # above every finite exponent
     with mpmath.workprec(qnum.PRECISION_BITS + 16):
         omq = factor_table(N, INF) + [fone] * (INF + rmax + 2)
-        e0 = _saturation(omq)  # in 1..INF: omq[0] is 0, and the padding is 1
+        edge = _saturation(omq) - 1  # e0 is in 1..INF: omq[0] is 0, and the padding is 1
         grid = list(range(amax + 1)) + [INF]
-        top = next(g for g in grid if g >= e0)
-        keep = [g for g in grid if g < e0 or g == top]
+        top = next(g for g in grid if g >= edge)
+        keep = [g for g in grid if g < edge or g == top]
         best2 = fzero
         best_arg = (0, 0, 0)
         for a in keep:
-            for b, row in zip(keep, objective_rows(omq, a, keep, min(rmax, e0))):
+            for b, row in zip(keep, objective_rows(omq, a, keep, min(rmax, edge))):
                 for r, v2 in enumerate(row):
                     if mpf_gt(v2, best2):
                         best2 = v2

@@ -6,10 +6,11 @@ A moment of a generator word of even length k is the double sum over
     delta_p(row indices) * delta_q(column indices) * Wg(p, q),
 
 where Wg is the exact rational inverse of the Gram matrix G = N**loops.
-Both routes pass pairings.loop_matrix, N and the rotation orbits of the
-pairings (pairings.rotation_orbits) to exactla's one certified solve of
-G X = D V, which proves the identity before it returns and splits G into
-rotation blocks.  A table solves the columns of the orbit representatives
+Both routes pass the loop counts of the rotation-orbit representatives'
+rows (pairings.loop_rows), N and the orbits (pairings.rotation_orbits) to
+exactla's one certified solve of G X = D V, which proves the identity
+before it returns and splits G into rotation blocks; no route builds the
+whole loop matrix.  A table solves the columns of the orbit representatives
 and keeps only those (cols = X, wg_den = D); Wg commutes with the
 rotation, so every other entry is read from them (WeingartenTable.num).
 Tables are cached.  A word of length at most TABLE_KMAX sums table
@@ -58,7 +59,8 @@ of h((a* a)^{k/2}) is Wg(p, q) Π_{L in λ} tr((C* C)^L): both pairings join
 a* positions to a positions, so every cycle alternates them and depends on
 C only through C* C.  With C = I each cycle gives N, and the sum is
 tr(Wg G) = Catalan(k/2).  The sums read each representative column once,
-weighted by its orbit's size, at every k up to kmax.
+weighted by its orbit's size, against the representative's own row of
+cycle-type codes, at every k up to kmax.
 """
 
 from __future__ import annotations
@@ -183,8 +185,9 @@ def weingarten_table(k: int, N: int, pattern: Optional[Sequence[str]] = None,
 
 @lru_cache(maxsize=None)
 def _build_table(k: int, N: int, pattern: Optional[tuple[str, ...]]) -> WeingartenTable:
+    loop_rows = pairings.loop_rows(k, pattern)  # checks the pattern
     orbits = pairings.rotation_orbits(k, pattern)
-    cols, den = exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N, orbits)
+    cols, den = exactla.fraction_free_inverse(loop_rows, N, orbits)
     return WeingartenTable(k=k, N=N, pattern=pattern, orbits=tuple(map(tuple, orbits.tolist())),
                            cols=tuple(map(tuple, cols)), wg_den=den)
 
@@ -203,20 +206,20 @@ def cycle_type_sums(k: int, N: int, kmax: int = DEFAULT_KMAX
 
 @lru_cache(maxsize=None)
 def _cycle_type_sums(k: int, N: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """S_λ = Σ_a s_a Σ_i [code(i, rep_a) = λ] cols[a][i] / wg_den, s_a the size of orbit a.
+    """S_λ = Σ_a s_a Σ_i [code(rep_a, i) = λ] cols[a][i] / wg_den, s_a the size of orbit a.
 
     The rotation keeps cycle types and permutes the pairings, so the pairs
     (p, rho^t rep_a) give, with p = rho^t i, the pairs (i, rep_a) once for
-    each of the s_a columns of orbit a.
+    each of the s_a columns of orbit a; and the union i ∪ rep_a does not
+    depend on the order of the two, so its code is in row a of
+    pairings.cycle_types, the representatives' rows.
     """
     codes, types = pairings.cycle_types(k)
     table = _build_table(k, N, None)
-    n = table.size
     sums = [0] * len(types)
-    for orbit, col in zip(table.orbits, table.cols):
-        s, rep = len(set(orbit)), orbit[0]
-        # Row rep of the codes: the union p ∪ q does not depend on the order of p and q.
-        for code, x in zip(codes[rep * n:(rep + 1) * n], col):
+    for orbit, col, row in zip(table.orbits, table.cols, codes.tolist()):
+        s = len(set(orbit))
+        for code, x in zip(row, col):
             sums[code] += s * x
     return tuple((t, Fraction(s, table.wg_den)) for t, s in zip(types, sums))
 
@@ -299,7 +302,7 @@ def _class_moment(rows: tuple[int, ...], cols: tuple[int, ...],
     """The moment of a class key (_class_key) at N: one certified solve, by rotation blocks."""
     k = len(rows)
     plist = pairings.word_pairings(k, pattern)
-    return exactla.bilinear_solve(pairings.loop_matrix(k, pattern), N,
+    return exactla.bilinear_solve(pairings.loop_rows(k, pattern), N,
                                   pairings.compatible_indices(plist, rows),
                                   pairings.compatible_indices(plist, cols),
                                   pairings.rotation_orbits(k, pattern))

@@ -145,16 +145,19 @@ def brute_haar_moment_via_deltas(word, N: int, wg_lookup) -> Fraction:
     return total
 
 
-def loop_matrix_walk(k: int, pattern=None):
+def loop_matrix_walk(k: int, pattern=None, rows=None, listed=False):
     """Loop counts over word_pairings(k, pattern), by one walk per pair.
 
     The plain build `pairings.loop_matrix` must reproduce: each pair (p, q)
     walks mq∘mp from every unseen point, counting orbit cycles, and the union
     of two matchings has half as many components as mq∘mp has cycles.  A
-    pattern's pairings come from brute_colored_matchings.
+    pattern's pairings come from brute_colored_matchings, or with listed
+    from pairings.word_pairings (the brute listing enumerates all 2,027,025
+    matchings at k = 16).  With rows, a list of positions, only those rows
+    are walked, in that order, against every column.
     """
-    if pattern is None:
-        plist = [p.partners() for p in pairings.word_pairings(k)]
+    if pattern is None or listed:
+        plist = [p.partners() for p in pairings.word_pairings(k, pattern)]
     else:
         plist = [pairings.NCPairPartition(k, m).partners()
                  for m in brute_colored_matchings(pattern)]
@@ -170,8 +173,26 @@ def loop_matrix_walk(k: int, pattern=None):
                     x = mq[mp[x]]
         return cycles // 2
 
-    return np.array([[loops(mp, mq) for mq in plist] for mp in plist],
-                    dtype=np.int8).reshape(len(plist), len(plist))
+    rows = range(len(plist)) if rows is None else rows
+    return np.array([[loops(plist[a], mq) for mq in plist] for a in rows],
+                    dtype=np.int8).reshape(len(rows), len(plist))
+
+
+def union_half_lengths(p, q):
+    """Sorted point counts / 2 of the components of p ∪ q, by union-find."""
+    root = list(range(p.k + 1))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in p.pairs + q.pairs:
+        root[find(a)] = find(b)
+    sizes = {}
+    for x in range(1, p.k + 1):
+        sizes[find(x)] = sizes.get(find(x), 0) + 1
+    return tuple(sorted(s // 2 for s in sizes.values()))
 
 
 def free_complexification(word, N: int | None) -> Fraction:

@@ -124,12 +124,12 @@ def test_root_of_unity_refuses_a_prime_outside_its_class():
         exactla._root_of_unity(4, 3)
 
 
-def orbit_stack(loop_mat, V, orbits):
-    """The representatives' rows: L[u, a, b] = loop_mat[rep_a, rho^u rep_b], V[u, a] = V[rho^u rep_a].
+def orbit_stack(loop_rows, V, orbits):
+    """The representatives' rows: L[u, a, b] = loop_rows[a, rho^u rep_b], V[u, a] = V[rho^u rep_a].
 
-    The same gather as exactla._gram_solve's.
+    The same gather as exactla._gram_solve's, from the rows of pairings.loop_rows.
     """
-    return loop_mat[orbits[:, :1], orbits.T[:, None, :]], V[orbits.T]
+    return loop_rows[np.arange(len(orbits))[:, None], orbits.T[:, None, :]], V[orbits.T]
 
 
 BLOCK_CASES = ([(k, None, N) for k in (4, 8, 12, 14, 16) for N in (2, 3, 8)]
@@ -147,11 +147,12 @@ def test_block_residues_equal_the_dense_kernel(k, pattern, N):
     n = loop_mat.shape[0]
     V = np.zeros((n, 2))
     V[::3, 0] = V[1::2, 1] = 1
-    L, Vs = orbit_stack(loop_mat, V, orbits)
+    L, Vs = orbit_stack(pairings.loop_rows(k, pattern), V, orbits)
+    blocks = exactla._Blocks.of(orbits)
     for p in itertools.islice(exactla.prime_stream(r), 2):
         assert (p - 1) % r == 0
         pows = np.array([pow(N, l, p) for l in range(int(loop_mat.max()) + 1)], dtype=np.float64)
-        T = exactla._block_solve(pows[L], Vs, orbits, p)
+        T = exactla._block_solve(pows[L], Vs, blocks, p)
         assert T.shape == (n, 2) and np.abs(T).max() <= p // 2 + 1
         want = exactla._solve_mod_prime(pows[loop_mat], V, p)
         assert np.array_equal(np.mod(T, p), np.mod(want, p))
@@ -181,12 +182,12 @@ def test_a_second_stream_of_a_class_reads_the_first_ones_primes(monkeypatch):
 
 
 def k16_o_word_inputs():
-    """Loop matrix, orbits and compatible indices of criterion 7's order-16 word."""
+    """Loop rows, orbits and compatible indices of criterion 7's order-16 word."""
     letters = [(2, 2, "1"), (1, 1, "1"), (1, 1, "1"), (2, 2, "1")] * 4
     plist = pairings.word_pairings(16)
     R = pairings.compatible_indices(plist, [i for i, _, _ in letters])
     C = pairings.compatible_indices(plist, [j for _, j, _ in letters])
-    return pairings.loop_matrix(16), pairings.rotation_orbits(16), R, C
+    return pairings.loop_rows(16), pairings.rotation_orbits(16), R, C
 
 
 def test_a_skipped_block_prime_leaves_the_moment_unchanged(monkeypatch):
@@ -392,7 +393,7 @@ def test_wrong_candidate_denominator_is_rejected(monkeypatch):
 
 def certified_table(k, N, pattern=None):
     """fraction_free_inverse as weingarten._build_table calls it, through the rotation orbits."""
-    return exactla.fraction_free_inverse(pairings.loop_matrix(k, pattern), N,
+    return exactla.fraction_free_inverse(pairings.loop_rows(k, pattern), N,
                                          pairings.rotation_orbits(k, pattern))
 
 
@@ -433,6 +434,21 @@ def test_more_rotations_than_block_raise_before_any_prime(monkeypatch):
         == ([[3, -1], [-1, 3]], 24)
 
 
+def test_a_whole_loop_matrix_with_rotation_orbits_raises_before_any_prime(monkeypatch):
+    # The solves take one row per orbit (pairings.loop_rows); all n rows with
+    # m < n orbits would read the wrong rows as the representatives'.
+    orbits = pairings.rotation_orbits(8)
+    loop_mat = pairings.loop_matrix(8)
+    assert len(orbits) < len(loop_mat)
+    drawn = counting_stream(monkeypatch)
+    with pytest.raises(InvalidArgumentError, match="loop rows for"):
+        exactla.fraction_free_inverse(loop_mat, 3, orbits)
+    with pytest.raises(InvalidArgumentError, match="loop rows for"):
+        exactla.bilinear_solve(loop_mat, 3, [0], [1], orbits)
+    assert drawn == []
+    assert np.array_equal(pairings.loop_rows(8), loop_mat[orbits[:, 0]])
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(["o+", "u+"]), st.integers(2, 6), st.data())
 def test_modular_route_matches_table_route_on_random_words(model, N, data):
@@ -457,7 +473,8 @@ def test_modular_route_matches_table_route_on_random_words(model, N, data):
     loops = np.array(pairings.loop_matrix(k, pattern), dtype=np.int64)
     want = weingarten.haar_moment(weingarten.GeneratorWord(tuple(letters), model), N)
     assert exactla.bilinear_solve(loops, N, R, C, one_orbit_each(loops)) == want
-    assert exactla.bilinear_solve(loops, N, R, C, pairings.rotation_orbits(k, pattern)) == want
+    assert exactla.bilinear_solve(pairings.loop_rows(k, pattern), N, R, C,
+                                  pairings.rotation_orbits(k, pattern)) == want
 
 
 def k8_moment_inputs():
@@ -569,6 +586,6 @@ def test_block_route_matches_the_dense_route_past_the_tables(model, stars, N, r)
     loops = pairings.loop_matrix(k, pattern)
     want = exactla.bilinear_solve(loops, N, R, C, one_orbit_each(loops))
     assert want > 0
-    assert exactla.bilinear_solve(loops, N, R, C, orbits) == want
+    assert exactla.bilinear_solve(pairings.loop_rows(k, pattern), N, R, C, orbits) == want
     assert weingarten.haar_moment(weingarten.GeneratorWord(tuple(letters), model), N,
                                   kmax=k) == want

@@ -382,61 +382,126 @@ def test_pattern_check_agrees_with_the_listing():
                     pairings.loop_matrix(k, pattern)
 
 
-def union_half_lengths(p, q):
-    """Sorted point counts / 2 of the components of p ∪ q, by union-find."""
-    root = list(range(p.k + 1))
+def sampled_patterns(k, count, seed):
+    """count distinct non-alternating patterns of k points, colours laid pair by pair on
+    seeded random pairings, so each fits at least one pairing."""
+    rng = random.Random(seed)
+    plist = pairings.enumerate_nc_pairings(k)
+    sample = set()
+    while len(sample) < count:
+        pattern = [None] * k
+        for a, b in rng.choice(plist).pairs:
+            pattern[a - 1], pattern[b - 1] = rng.choice([("1", "*"), ("*", "1")])
+        if pairings.canonical_pattern(tuple(pattern)):
+            sample.add(tuple(pattern))
+    return sorted(sample)
 
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
 
-    for a, b in p.pairs + q.pairs:
-        root[find(a)] = find(b)
-    sizes = {}
-    for x in range(1, p.k + 1):
-        sizes[find(x)] = sizes.get(find(x), 0) + 1
-    return tuple(sorted(s // 2 for s in sizes.values()))
+def test_loop_rows_match_the_walk():
+    # The representatives' rows, against one walk per pair on those rows: every
+    # uncoloured k <= 12 and every small pattern, and sampled patterns at k = 14, 16.
+    # At k = 16 the walk takes the library's listing of a pattern's pairings, which
+    # test_pattern_check_agrees_with_the_listing checks by brute force up to k = 12.
+    cases = [(k, None) for k in range(0, 13, 2)]
+    cases += [(k, pattern) for k in range(2, 9, 2) for pattern in itertools.product("1*", repeat=k)
+              if pairings.canonical_pattern(pattern) and pairings.word_pairings(k, pattern)]
+    cases += [(k, pattern) for k in (14, 16) for pattern in sampled_patterns(k, 4, 1400 + k)]
+    cases += [(16, tuple("11**11**11**11**")), (16, None)]
+    assert len(cases) == 7 + 90 + 8 + 2
+    for k, pattern in cases:
+        rows = pairings.loop_rows(k, pattern)
+        reps = pairings.rotation_orbits(k, pattern)[:, 0].tolist()
+        assert rows.dtype == np.int8
+        assert rows.shape == (len(reps), len(pairings.word_pairings(k, pattern)))
+        want = oracles.loop_matrix_walk(k, pattern, reps, listed=k == 16)
+        assert np.array_equal(rows, want), (k, pattern)
+
+
+def test_loop_rows_check_the_pattern_as_loop_matrix_does():
+    for k, pattern in [(4, "1*1*1*"), (2, "11"), (4, "11**1"), (2, "1x")]:
+        with pytest.raises(InvalidArgumentError):
+            pairings.loop_rows(k, tuple(pattern))
+        with pytest.raises(InvalidArgumentError):
+            pairings.cycle_types(k, tuple(pattern))
 
 
 def test_cycle_types_match_the_loops_and_the_rotation():
+    # Every pair of a representative's row, against union-find; the block of
+    # representatives' columns is symmetric, and a row is kept by the turns
+    # that fix its representative.
     for k in range(0, 13, 2):
         plist = pairings.enumerate_nc_pairings(k)
         n = len(plist)
         codes, types = pairings.cycle_types(k)
-        assert len(codes) == n * n and len(set(types)) == len(types)
+        orbits = pairings.rotation_orbits(k)
+        reps = orbits[:, 0].tolist()
+        assert codes.shape == (len(reps), n) and codes.dtype == np.uint8
+        assert not codes.flags.writeable and len(set(types)) == len(types)
         L = pairings.loop_matrix(k).tolist()
         rot = pairings._rotation(k)
-        for a in range(n):
+        for a, rep in enumerate(reps):
+            stabilizer = len(set(orbits[a].tolist()))  # rho^s fixes rep
             for c in range(n):
-                t = types[codes[a * n + c]]
-                assert len(t) == L[a][c] and sum(t) == k // 2
-                assert t == union_half_lengths(plist[a], plist[c])
-                assert codes[c * n + a] == codes[a * n + c]
-                assert codes[rot[a] * n + rot[c]] == codes[a * n + c]
+                t = types[codes[a, c]]
+                assert len(t) == L[rep][c] and sum(t) == k // 2
+                assert t == oracles.union_half_lengths(plist[rep], plist[c])
+                turned = c
+                for _ in range(stabilizer):
+                    turned = rot[turned]
+                assert codes[a, turned] == codes[a, c]
+        assert np.array_equal(codes[:, reps], codes[:, reps].T)
     assert len(pairings.cycle_types(12)[1]) == 11  # every partition of 6
 
 
-def test_cycle_types_match_union_find_on_a_sample_at_k14():
-    k = 14
+def union_find_sample(k):
+    """2000 seeded pairs of the representatives' rows at k, each against union-find."""
     plist = pairings.enumerate_nc_pairings(k)
-    n = len(plist)
     codes, types = pairings.cycle_types(k)
-    assert len(codes) == n * n and len(set(types)) == len(types) == 15  # partitions of 7
-    rng = random.Random(14)
+    reps = pairings.rotation_orbits(k)[:, 0].tolist()
+    assert codes.shape == (len(reps), len(plist))
+    assert set(np.unique(codes).tolist()) == set(range(len(types)))
+    rng = random.Random(k)
     for _ in range(2000):
-        a, c = rng.randrange(n), rng.randrange(n)
-        assert types[codes[a * n + c]] == union_half_lengths(plist[a], plist[c]), (a, c)
+        a, c = rng.randrange(len(reps)), rng.randrange(len(plist))
+        assert types[codes[a, c]] == oracles.union_half_lengths(plist[reps[a]], plist[c]), (a, c)
+    return types
+
+
+def test_cycle_types_match_union_find_on_a_sample_at_k14():
+    types = union_find_sample(14)
+    assert len(set(types)) == len(types) == 15  # partitions of 7
+
+
+def test_cycle_types_match_union_find_on_a_sample_at_k16():
+    types = union_find_sample(16)
+    assert len(set(types)) == len(types) == 22  # partitions of 8
+
+
+def turned_rows(k):
+    """The codes of every pair, each row turned from its representative's (cycle_types),
+    by the rotation image_positions finds: T[rho x, rho c] = T[x, c]."""
+    plist = pairings.enumerate_nc_pairings(k)
+    rot = image_positions(plist, lambda i: (i + 1) % k)
+    codes, _ = pairings.cycle_types(k)
+    C = np.zeros((len(plist),) * 2, dtype=np.uint8)
+    written = np.zeros(len(plist), dtype=bool)
+    for x, row in zip(pairings.rotation_orbits(k)[:, 0].tolist(), codes):
+        for _ in range(max(k, 1)):
+            C[x], written[x] = row, True
+            x, row = rot[x], row[np.argsort(rot)]  # row[c] moves to column rot[c]
+    assert written.all()
+    return C
 
 
 @pytest.mark.parametrize("k", range(0, 15, 2))
 def test_cycle_types_are_dihedral_invariant(k):
     # The rotation i -> i + 1 and the reflection i -> -i generate the dihedral
     # group; each only relabels the points of p ∪ q, so it keeps the code.
+    # The rows turned round their orbits give every pair; the reflection and
+    # the symmetry of p ∪ q then compare rows of different orbits.
     plist = pairings.enumerate_nc_pairings(k)
-    n = len(plist)
-    codes, types = pairings.cycle_types(k)
-    C = np.frombuffer(codes, dtype=np.uint8).reshape(n, n)
+    _, types = pairings.cycle_types(k)
+    C = turned_rows(k)
     assert np.array_equal(C, C.T)
     assert np.array_equal(np.array([len(t) for t in types], dtype=np.int8)[C],
                           pairings.loop_matrix(k))

@@ -204,6 +204,22 @@ class TestSaturation:
         assert e0 == next(i for i, x in enumerate(omq) if x == fone)
 
 
+    def test_the_cuts_start_one_index_before_saturation(self, monkeypatch):
+        # e0 = 13 at N = 57: a and b on 0..11 and top = 12, r on 0..12, so 13^3
+        # values are evaluated, not the 14^3 of cuts at e0.
+        evaluated = []
+        rows = rapid_decay.objective_rows
+
+        def counted(*args):
+            for row in rows(*args):
+                evaluated.append(len(row))
+                yield row
+
+        monkeypatch.setattr(rapid_decay, "objective_rows", counted)
+        assert rapid_decay.dn_constant(57).argmax == (24, 24, 24)
+        assert sum(evaluated) == 13 ** 3 == 2197
+
+
 class TestScanGuard:
     def test_shipped_truncations_run(self):
         # QUICK, and the truncations of the golden dn files; the default

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhaar import exactla, pairings, weingarten
+from qhaar import exactla, ncpoly, pairings, weingarten
 from qhaar.errors import (InvalidArgumentError, InvalidDimensionError, InvalidIndexError,
                           ResourceLimitError)
 
@@ -127,13 +127,15 @@ def test_kmax_resource_error():
 
 def test_cycle_type_sums_group_the_table():
     # S_λ sums the table entries of the pairs whose union has cycle type λ.
+    # Each pair's type by union-find, so every pair is read, not only the
+    # representatives' rows that cycle_type_sums reads.
     for k, N in ((2, 5), (6, 3), (10, 4)):
         t = weingarten.weingarten_table(k, N)
-        codes, types = pairings.cycle_types(k)
+        plist = pairings.enumerate_nc_pairings(k)
         want = collections.Counter()
         for a in range(t.size):
             for c in range(t.size):
-                want[types[codes[a * t.size + c]]] += t.wg(a, c)
+                want[oracles.union_half_lengths(plist[a], plist[c])] += t.wg(a, c)
         assert dict(weingarten.cycle_type_sums(k, N)) == want
     assert weingarten.cycle_type_sums(2, 5) == (((1,), Fraction(1, 5)),)
 
@@ -320,18 +322,34 @@ def test_unitary_moments_are_the_free_complexification(N):
 
 def test_alternating_unitary_word_reuses_the_orthogonal_loop_matrix(monkeypatch):
     # The k=14 U_N^+ word alternates v / v*, so its modular solve asks for
-    # loop_matrix(14, None), the matrix O_N^+ words of length 14 use.  The two
+    # loop_rows(14, None), the rows O_N^+ words of length 14 use.  The two
     # words are one class, so the memo is cleared before each: both solve.
     weingarten._class_moment.cache_clear()
     calls = []
-    real = pairings.loop_matrix
-    monkeypatch.setattr(pairings, "loop_matrix", lambda *a: calls.append(a) or real(*a))
+    real = pairings.loop_rows
+    monkeypatch.setattr(pairings, "loop_rows", lambda *a: calls.append(a) or real(*a))
     word = [v(1, 1), v(1, 2, True), v(2, 2), v(2, 1, True)] * 3 + [v(1, 1), v(1, 1, True)]
     h = weingarten.haar_moment(gw(word, "u+"), 3, kmax=14)
     assert calls == [(14, None)]
     x_word = [u(i, j) for i, j, _ in word]
     weingarten._class_moment.cache_clear()
     assert h == weingarten.haar_moment(gw(x_word, "o+"), 3, kmax=14)
+
+
+def test_moments_and_linear_states_build_no_loop_matrix():
+    # The solves read only the representatives' rows (pairings.loop_rows and
+    # cycle_types): a cold order-14 moment, through bilinear_solve, and a cold
+    # k = 12 linear state, through a table and its cycle-type sums, build no
+    # n x n loop matrix.
+    for cache in (pairings._loop_matrix, pairings._rep_rows, weingarten._class_moment,
+                  weingarten._build_table, weingarten._cycle_type_sums):
+        cache.cache_clear()
+    word = [u(1, 1), u(1, 2), u(2, 2), u(2, 1)] * 3 + [u(1, 1), u(1, 1)]
+    assert weingarten.haar_moment(gw(word, "o+"), 3, kmax=14) != 0
+    a = ncpoly.parse_poly("x[1,1]+2*x[1,2]")
+    assert ncpoly.linear_state(a, 6, 3) is not None
+    assert weingarten._cycle_type_sums.cache_info().currsize == 1
+    assert pairings.loop_matrix.cache_info().currsize == 0
 
 
 def test_k14_table_is_built_silently_and_exactly(caplog):
@@ -416,6 +434,20 @@ def test_o2_oracle_equals_the_weingarten_route():
         assert oracles.o2_moment(w) == want, w
         nonzero += bool(want)
     assert nonzero >= len(words) // 2
+
+
+def test_o2_oracle_equals_the_weingarten_route_at_orders_16_and_18():
+    # Past the order-14 words above: two rotated w* w words of each order,
+    # each one certified solve on the representatives' rows at N = 2.
+    rng = random.Random(1618)
+    for k in (16, 18):
+        for _ in range(2):
+            half = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(k // 2)]
+            w = half[::-1] + half
+            t = rng.randrange(k)
+            w = w[t:] + w[:t]
+            want = weingarten.haar_moment(gw([u(i, j) for i, j in w], "o+"), 2, kmax=k)
+            assert want > 0 and oracles.o2_moment(w) == want, w
 
 
 def class_variants(letters):
